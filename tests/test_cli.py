@@ -148,3 +148,10 @@ def test_color_disabled_by_environment(monkeypatch):
     assert cli._style("boom", "31") == "boom"
     monkeypatch.setenv("RQ_COLOR", "1")
     assert cli._style("boom", "31") == "\x1b[31mboom\x1b[0m"
+
+
+def test_corpus_output_matches_the_golden_file(capsys):
+    code, out, _ = run(capsys, "corpus")
+    assert code == 0
+    with open(os.path.join(GOLDEN, "corpus.txt"), encoding="utf-8") as fh:
+        assert out == fh.read()
