@@ -12,19 +12,20 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from .errors import RqError
+from .errors import (
+    CheckError, FuelExhausted, ParseError, Rejection, RqError, ScopeError,
+)
 from .machine import (
     DEFAULT_EVAL_FUEL, check_preservation, eval_term, separation_experiment,
 )
 from .subtyping import DEFAULT_FUEL
-from .surface import (
-    ParseError, ScopeError, SourceProgram, elaborate, parse, parse_pair,
-    pretty,
-)
+from .surface import elaborate, parse, parse_pair, pretty
 from .syntax import StoreTyping, TermBind, TypeEnv
-from .typecheck import CheckError, TypingResult, check_program, synthesize
+from .typecheck import (
+    FUEL_EXHAUSTED, TypingResult, check_program, synthesize,
+)
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -59,82 +60,88 @@ def check_source(text: str, fuel: int = DEFAULT_FUEL) -> TypingResult:
     return synthesize(env, store, env.dom(), prog.main, fuel)
 
 
-def _parse_program_file(path: str) -> str:
+def load(path, kind: str, fuel: int = DEFAULT_FUEL):
+    """Read, parse, elaborate and check the program file a command runs.
+
+    kind "check" gives the TypingResult of `check_source`; "eval" gives
+    a one-element list holding the closed, checked term; "sep" gives the
+    two checked terms of a file holding two programs split by ';;'.
+    """
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        text = handle.read()
+    if kind == "check":
+        return check_source(text, fuel)
+    programs = parse_pair(text) if kind == "sep" else (parse(text),)
+    terms = [elaborate(p) for p in programs]
+    for term in terms:
+        check_program(TypeEnv(), StoreTyping(), term, fuel)
+    return terms
+
+
+STATUS = {EXIT_REJECTED: "rejected", EXIT_ERROR: "error", EXIT_FUEL: "fuel"}
+
+
+def failure(exc: Exception) -> Tuple[int, str, str, str]:
+    """(exit code, label, error code, detail) of an exception: the one
+    mapping from what went wrong to how every command reports it."""
+    if isinstance(exc, CheckError) and exc.code == FUEL_EXHAUSTED:
+        return EXIT_FUEL, "fuel exhausted", exc.code, exc.detail
+    if isinstance(exc, Rejection):
+        label = "type error" if isinstance(exc, CheckError) else "rejected"
+        return EXIT_REJECTED, label, exc.code, exc.detail
+    if isinstance(exc, ScopeError):
+        return EXIT_REJECTED, "scope error", "ScopeError", str(exc)
+    if isinstance(exc, FuelExhausted):
+        return EXIT_FUEL, "fuel exhausted", "FuelExhausted", str(exc)
+    if isinstance(exc, ParseError):
+        return EXIT_ERROR, "parse error", "ParseError", str(exc)
+    if isinstance(exc, OSError):
+        return EXIT_ERROR, "cannot read the program", type(exc).__name__, str(exc)
+    return EXIT_ERROR, "internal error", type(exc).__name__, str(exc)
+
+
+def report_failure(args, exc: Exception) -> int:
+    code, label, name, detail = failure(exc)
+    detail = " ".join(detail.split())  # one line, whatever the exception said
+    if getattr(args, "json", False):
+        print(json.dumps({"status": STATUS[code],
+                          "error": {"code": name, "detail": detail}}))
+    else:
+        print(_style(f"{label} [{name}]", "31") + f": {detail}", file=sys.stderr)
+    return code
+
+
+def _emit(args, record: dict, text: str):
+    """Print one result: the JSON record under --json, else the text."""
+    print(json.dumps(record) if args.json else text)
 
 
 def cmd_check(args) -> int:
-    try:
-        text = _parse_program_file(args.path)
-        result = check_source(text, args.fuel)
-    except (ParseError, OSError) as exc:
-        if args.json:
-            print(json.dumps({"status": "error", "error": {"detail": str(exc)}}))
-        else:
-            print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ScopeError as exc:
-        return _report_rejection(args, "ScopeError", str(exc))
-    except CheckError as exc:
-        return _report_rejection(args, exc.code, exc.detail)
-    if args.json:
-        print(json.dumps({
-            "status": "accepted",
-            "qtype": pretty(result.qtype),
-            "trace": result.trace,
-        }))
-    else:
-        print(pretty(result.qtype))
+    result = load(args.path, "check", args.fuel)
+    qtype = pretty(result.qtype)
+    _emit(args, {"status": "accepted", "qtype": qtype, "trace": result.trace}, qtype)
     return EXIT_OK
 
 
-def _report_rejection(args, code: str, detail: str) -> int:
-    if args.json:
-        print(json.dumps({"status": "rejected",
-                          "error": {"code": code, "detail": detail}}))
-    else:
-        print(_style(f"type error [{code}]", "31") + f": {detail}", file=sys.stderr)
-    return EXIT_REJECTED
-
-
 def cmd_eval(args) -> int:
-    try:
-        text = _parse_program_file(args.path)
-        prog = parse(text)
-        term = elaborate(prog)
-        check_program(TypeEnv(), StoreTyping(), term)
-    except (ParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ScopeError as exc:
-        print(f"scope error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
-    except CheckError as exc:
-        print(_style(f"type error [{exc.code}]", "31") + f": {exc.detail}",
-              file=sys.stderr)
-        return EXIT_REJECTED
-
+    (term,) = load(args.path, "eval")
     if args.verify_preservation:
         report = check_preservation(term, StoreTyping(), fuel=args.fuel)
         for s in report.steps:
-            witness = "{" + ", ".join(sorted(a.render() for a in s.witness)) + "}"
-            status = "ok" if s.ok else "VIOLATION"
-            line = (f"step {s.index} [{s.rule}] growth witness {witness}: "
-                    f"{pretty(s.q_before)} -> {pretty(s.q_after)} {status}")
-            if args.json:
-                print(json.dumps({"step": s.index, "rule": s.rule,
-                                  "witness": sorted(a.render() for a in s.witness),
-                                  "ok": s.ok}))
-            else:
-                print(line)
+            witness = sorted(a.render() for a in s.witness)
+            _emit(args, {"step": s.index, "rule": s.rule, "witness": witness, "ok": s.ok},
+                  f"step {s.index} [{s.rule}] growth witness {{{', '.join(witness)}}}: "
+                  f"{pretty(s.q_before)} -> {pretty(s.q_after)} "
+                  f"{'ok' if s.ok else 'VIOLATION'}")
         if report.status == "fuel":
-            print("fuel exhausted", file=sys.stderr)
-            return EXIT_FUEL
+            raise FuelExhausted("evaluation fuel exhausted")
         if not report.ok:
-            print(_style("preservation violated", "31"), file=sys.stderr)
-            return EXIT_REJECTED
-        print(f"value {pretty(report.final_term)}; all steps verified")
+            raise Rejection("PreservationViolation",
+                            f"preservation violated ({report.status})")
+        value = pretty(report.final_term)
+        _emit(args, {"status": "value", "value": value,
+                     "verified_steps": len(report.steps)},
+              f"value {value}; all steps verified")
         return EXIT_OK
 
     result = eval_term(term, fuel=args.fuel)
@@ -145,48 +152,28 @@ def cmd_eval(args) -> int:
                 record["loc"] = e.loc
             print(json.dumps(record))
     if result.status == "fuel":
-        print("fuel exhausted", file=sys.stderr)
-        return EXIT_FUEL
+        raise FuelExhausted("evaluation fuel exhausted")
     if result.status == "stuck":
-        print(f"stuck: {result.reason}", file=sys.stderr)
-        return EXIT_REJECTED
-    if args.json:
-        print(json.dumps({"status": "value", "value": pretty(result.term),
-                          "store_size": len(result.store), "steps": result.steps}))
-    else:
-        print(f"value {pretty(result.term)} (store size {len(result.store)}, "
-              f"{result.steps} steps)")
+        raise Rejection("Stuck", result.reason)
+    value, size = pretty(result.term), len(result.store)
+    _emit(args, {"status": "value", "value": value, "store_size": size,
+                 "steps": result.steps},
+          f"value {value} (store size {size}, {result.steps} steps)")
     return EXIT_OK
 
 
 def cmd_sep(args) -> int:
-    try:
-        text = _parse_program_file(args.path)
-        first, second = parse_pair(text)
-        t1, t2 = elaborate(first), elaborate(second)
-        check_program(TypeEnv(), StoreTyping(), t1)
-        check_program(TypeEnv(), StoreTyping(), t2)
-    except (ParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ScopeError as exc:
-        print(f"scope error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
-    except CheckError as exc:
-        print(_style(f"type error [{exc.code}]", "31") + f": {exc.detail}",
-              file=sys.stderr)
-        return EXIT_REJECTED
+    t1, t2 = load(args.path, "sep")
     report = separation_experiment(t1, t2, StoreTyping(), fuel=args.fuel)
     if not report.premise_ok:
-        print(f"OverlapViolation: {report.detail}", file=sys.stderr)
-        return EXIT_REJECTED
-    for line in report.steps:
-        print(line)
-    if report.ok:
-        print("verdict SEPARATE")
-        return EXIT_OK
-    print(_style(f"SeparationViolation: {report.detail}", "31"), file=sys.stderr)
-    return EXIT_REJECTED
+        raise Rejection("OverlapViolation", report.detail)
+    if not args.json:
+        for line in report.steps:
+            print(line)
+    if not report.ok:
+        raise Rejection("SeparationViolation", report.detail)
+    _emit(args, {"status": "separate", "steps": report.steps}, "verdict SEPARATE")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -210,38 +197,34 @@ def load_corpus() -> List[CorpusEntry]:
             for e in manifest]
 
 
+def corpus_path(entry: CorpusEntry):
+    return resources.files("rqcheck") / "corpus" / entry.file
+
+
 def corpus_text(entry: CorpusEntry) -> str:
-    root = resources.files("rqcheck") / "corpus"
-    return (root / entry.file).read_text(encoding="utf-8")
+    return corpus_path(entry).read_text(encoding="utf-8")
 
 
 def run_corpus_entry(entry: CorpusEntry, fuel: int = DEFAULT_EVAL_FUEL) -> Optional[str]:
     """Run one entry; returns None on success, else a mismatch message."""
-    text = corpus_text(entry)
+    path = corpus_path(entry)
     if entry.kind == "check":
         try:
-            result = check_source(text)
-        except ParseError:
-            got = ("error", "ParseError")
-        except ScopeError as exc:
-            got = ("rejected", "ScopeError")
-        except CheckError as exc:
-            got = ("rejected", exc.code)
+            result = load(path, "check")
+        except RqError as exc:
+            code, _, name, _ = failure(exc)
+            got = (STATUS[code], name)
         else:
             got = ("accepted", pretty(result.qtype))
         if entry.expect["status"] == "accepted":
             want = ("accepted", entry.expect["type"])
-        elif entry.expect["status"] == "error":
-            want = ("error", entry.expect["error"])
         else:
-            want = ("rejected", entry.expect["error"])
+            want = (entry.expect["status"], entry.expect["error"])
         if got != want:
             return f"expected {want}, got {got}"
         return None
     if entry.kind == "eval":
-        prog = parse(text)
-        term = elaborate(prog)
-        check_program(TypeEnv(), StoreTyping(), term)
+        (term,) = load(path, "eval")
         result = eval_term(term, fuel=entry.expect.get("fuel", fuel))
         if result.status != "value":
             if entry.expect.get("status") == result.status:
@@ -255,8 +238,7 @@ def run_corpus_entry(entry: CorpusEntry, fuel: int = DEFAULT_EVAL_FUEL) -> Optio
                     f"got {len(result.store)}")
         return None
     if entry.kind == "sep":
-        first, second = parse_pair(text)
-        t1, t2 = elaborate(first), elaborate(second)
+        t1, t2 = load(path, "sep")
         report = separation_experiment(t1, t2, StoreTyping(), fuel=fuel)
         want = entry.expect.get("verdict", "SEPARATE")
         got = "SEPARATE" if report.ok else f"violation: {report.detail}"
@@ -287,6 +269,17 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_REJECTED
 
 
+def _fuel(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"fuel must be a non-negative integer, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rq",
@@ -294,29 +287,24 @@ def main(argv=None) -> int:
                     "reachability qualifiers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="typecheck a .rq file")
-    p_check.add_argument("path")
-    p_check.add_argument("--json", action="store_true")
-    p_check.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
-                         help="subtyping fuel")
-    p_check.set_defaults(func=cmd_check)
-
-    p_eval = sub.add_parser("eval", help="evaluate a closed .rq file")
-    p_eval.add_argument("path")
-    p_eval.add_argument("--json", action="store_true")
-    p_eval.add_argument("--fuel", type=int, default=DEFAULT_EVAL_FUEL)
-    p_eval.add_argument("--trace", action="store_true",
-                        help="print one JSON line per reduction event")
-    p_eval.add_argument("--verify-preservation", action="store_true",
-                        help="re-typecheck after every step")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_sep = sub.add_parser("sep", help="run two expressions (separated by ';;') "
-                                       "interleaved and check separation")
-    p_sep.add_argument("path")
-    p_sep.add_argument("--json", action="store_true")
-    p_sep.add_argument("--fuel", type=int, default=DEFAULT_EVAL_FUEL)
-    p_sep.set_defaults(func=cmd_sep)
+    commands = {}
+    for name, func, fuel, help_text in (
+            ("check", cmd_check, DEFAULT_FUEL, "typecheck a .rq file"),
+            ("eval", cmd_eval, DEFAULT_EVAL_FUEL, "evaluate a closed .rq file"),
+            ("sep", cmd_sep, DEFAULT_EVAL_FUEL,
+             "run two expressions (separated by ';;') interleaved and check "
+             "separation")):
+        commands[name] = sub.add_parser(name, help=help_text)
+        commands[name].add_argument("path")
+        commands[name].add_argument("--json", action="store_true")
+        commands[name].add_argument(
+            "--fuel", type=_fuel, default=fuel,
+            help="subtyping fuel" if name == "check" else "reduction steps")
+        commands[name].set_defaults(func=func)
+    commands["eval"].add_argument("--trace", action="store_true",
+                                  help="print one JSON line per reduction event")
+    commands["eval"].add_argument("--verify-preservation", action="store_true",
+                                  help="re-typecheck after every step")
 
     p_corpus = sub.add_parser("corpus", help="run the bundled example corpus")
     p_corpus.add_argument("--filter", default="",
@@ -324,7 +312,10 @@ def main(argv=None) -> int:
     p_corpus.set_defaults(func=cmd_corpus)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # the boundary: any failure gets an exit code
+        return report_failure(args, exc)
 
 
 if __name__ == "__main__":

@@ -4,14 +4,14 @@ validation of the preservation, progress, and separation properties."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .qualifiers import overlap, q_grow, qual_sub, saturate
 from .syntax import (
-    Abs, App, Ascribe, Assign, Deref, Let, LocAtom, LocTerm, QualifiedType,
-    Qualifier, RefAlloc, StoreTyping, TAbs, TApp, Term, TypeEnv, UnitLit,
-    alpha_eq, free_term_atoms, is_value, subst_qtype_in_term, subst_term,
-    free_atoms_qtype,
+    SHAPES, Abs, App, Ascribe, Assign, Deref, Let, LocAtom, LocTerm,
+    QualifiedType, Qualifier, RefAlloc, StoreTyping, TAbs, TApp, Term, TypeEnv,
+    UnitLit, alpha_eq, free_atoms_qtype, free_term_atoms, is_value, map_parts,
+    subst_qtype_in_term, subst_term, with_part,
 )
 from .subtyping import type_sub
 from .typecheck import check_program
@@ -69,125 +69,86 @@ class Stuck:
     reason: str
 
 
-StepOutcome = object  # Stepped | Value | Stuck
-
-
 def erase_ascriptions(t: Term) -> Term:
     """Drop every ascription node. The machine reduces ascriptions on
     its own; this is only for tests that compare term skeletons."""
     if isinstance(t, Ascribe):
         return erase_ascriptions(t.term)
-    if isinstance(t, Abs):
-        return Abs(t.self_name, t.param, t.dom, t.cod, erase_ascriptions(t.body),
-                   t.capture)
-    if isinstance(t, App):
-        return App(erase_ascriptions(t.fn), erase_ascriptions(t.arg))
-    if isinstance(t, RefAlloc):
-        return RefAlloc(erase_ascriptions(t.init))
-    if isinstance(t, Deref):
-        return Deref(erase_ascriptions(t.ref))
-    if isinstance(t, Assign):
-        return Assign(erase_ascriptions(t.lhs), erase_ascriptions(t.rhs))
-    if isinstance(t, TAbs):
-        return TAbs(t.self_name, t.tvar, t.qvar, t.bound, erase_ascriptions(t.body),
-                    t.capture)
-    if isinstance(t, TApp):
-        return TApp(erase_ascriptions(t.fn), t.arg)
-    if isinstance(t, Let):
-        return Let(t.name, erase_ascriptions(t.rhs), erase_ascriptions(t.body))
-    return t
+    return map_parts(t, term=erase_ascriptions)
 
 
-def step(t: Term, store: Store) -> StepOutcome:
-    """One leftmost-innermost reduction step."""
+# Reduction rules, one per redex form; each sees its evaluation
+# positions (SHAPES[...].evals) already reduced to values.
+
+
+def _beta(t: App, store: Store):
+    if not isinstance(t.fn, Abs):
+        return Stuck("applied a non-function value")
+    fn = t.fn
+    body = subst_term(fn.body, fn.param, t.arg)
+    body = subst_term(body, fn.self_name, fn)
+    return Stepped(body, store, Event("beta"))
+
+
+def _beta_t(t: TApp, store: Store):
+    if not isinstance(t.fn, TAbs):
+        return Stuck("type-applied a non-type-abstraction value")
+    fn = t.fn
+    body = subst_qtype_in_term(fn.body, fn.tvar, fn.qvar, t.arg)
+    body = subst_term(body, fn.self_name, fn)
+    return Stepped(body, store, Event("beta_t"))
+
+
+def _ref(t: RefAlloc, store: Store):
+    loc, store2 = store.alloc(t.init)
+    return Stepped(LocTerm(loc), store2, Event("ref", loc))
+
+
+def _deref(t: Deref, store: Store):
+    if not isinstance(t.ref, LocTerm) or t.ref.loc not in store.cells:
+        return Stuck("dereferenced a non-location")
+    return Stepped(store.get(t.ref.loc), store, Event("deref", t.ref.loc))
+
+
+def _assign(t: Assign, store: Store):
+    if not isinstance(t.lhs, LocTerm) or t.lhs.loc not in store.cells:
+        return Stuck("assigned to a non-location")
+    return Stepped(UnitLit(), store.updated(t.lhs.loc, t.rhs),
+                   Event("assign", t.lhs.loc))
+
+
+def _let(t: Let, store: Store):
+    return Stepped(subst_term(t.body, t.name, t.rhs), store, Event("beta"))
+
+
+def _ascribe(t: Ascribe, store: Store):
+    # ascriptions evaluate their subject, then vanish; keeping them
+    # until that point lets every intermediate term re-typecheck
+    return Stepped(t.term, store, Event("ascribe"))
+
+
+_RULES = {App: _beta, TApp: _beta_t, RefAlloc: _ref, Deref: _deref,
+          Assign: _assign, Let: _let, Ascribe: _ascribe}
+
+
+def step(t: Term, store: Store) -> Union[Stepped, Value, Stuck]:
+    """One leftmost-innermost reduction step.
+
+    The first evaluation position holding a non-value is reduced in
+    place; when every one holds a value the node's own rule fires."""
     if is_value(t):
         return Value(t)
-
-    if isinstance(t, App):
-        if not is_value(t.fn):
-            out = step(t.fn, store)
+    for name in SHAPES[type(t)].evals:
+        part = getattr(t, name)
+        if not is_value(part):
+            out = step(part, store)
             if isinstance(out, Stepped):
-                return Stepped(App(out.term, t.arg), out.store, out.event)
+                return Stepped(with_part(t, name, out.term), out.store, out.event)
             return out
-        if not is_value(t.arg):
-            out = step(t.arg, store)
-            if isinstance(out, Stepped):
-                return Stepped(App(t.fn, out.term), out.store, out.event)
-            return out
-        if not isinstance(t.fn, Abs):
-            return Stuck("applied a non-function value")
-        fn = t.fn
-        body = subst_term(fn.body, fn.param, t.arg)
-        body = subst_term(body, fn.self_name, fn)
-        return Stepped(body, store, Event("beta"))
-
-    if isinstance(t, TApp):
-        if not is_value(t.fn):
-            out = step(t.fn, store)
-            if isinstance(out, Stepped):
-                return Stepped(TApp(out.term, t.arg), out.store, out.event)
-            return out
-        if not isinstance(t.fn, TAbs):
-            return Stuck("type-applied a non-type-abstraction value")
-        fn = t.fn
-        body = subst_qtype_in_term(fn.body, fn.tvar, fn.qvar, t.arg)
-        body = subst_term(body, fn.self_name, fn)
-        return Stepped(body, store, Event("beta_t"))
-
-    if isinstance(t, RefAlloc):
-        if not is_value(t.init):
-            out = step(t.init, store)
-            if isinstance(out, Stepped):
-                return Stepped(RefAlloc(out.term), out.store, out.event)
-            return out
-        loc, store2 = store.alloc(t.init)
-        return Stepped(LocTerm(loc), store2, Event("ref", loc))
-
-    if isinstance(t, Deref):
-        if not is_value(t.ref):
-            out = step(t.ref, store)
-            if isinstance(out, Stepped):
-                return Stepped(Deref(out.term), out.store, out.event)
-            return out
-        if not isinstance(t.ref, LocTerm) or t.ref.loc not in store.cells:
-            return Stuck("dereferenced a non-location")
-        return Stepped(store.get(t.ref.loc), store, Event("deref", t.ref.loc))
-
-    if isinstance(t, Assign):
-        if not is_value(t.lhs):
-            out = step(t.lhs, store)
-            if isinstance(out, Stepped):
-                return Stepped(Assign(out.term, t.rhs), out.store, out.event)
-            return out
-        if not is_value(t.rhs):
-            out = step(t.rhs, store)
-            if isinstance(out, Stepped):
-                return Stepped(Assign(t.lhs, out.term), out.store, out.event)
-            return out
-        if not isinstance(t.lhs, LocTerm) or t.lhs.loc not in store.cells:
-            return Stuck("assigned to a non-location")
-        return Stepped(UnitLit(), store.updated(t.lhs.loc, t.rhs),
-                       Event("assign", t.lhs.loc))
-
-    if isinstance(t, Let):
-        if not is_value(t.rhs):
-            out = step(t.rhs, store)
-            if isinstance(out, Stepped):
-                return Stepped(Let(t.name, out.term, t.body), out.store, out.event)
-            return out
-        return Stepped(subst_term(t.body, t.name, t.rhs), store, Event("beta"))
-
-    if isinstance(t, Ascribe):
-        # ascriptions evaluate their subject, then vanish; keeping them
-        # until that point lets every intermediate term re-typecheck
-        if not is_value(t.term):
-            out = step(t.term, store)
-            if isinstance(out, Stepped):
-                return Stepped(Ascribe(out.term, t.qtype), out.store, out.event)
-            return out
-        return Stepped(t.term, store, Event("ascribe"))
-
-    return Stuck(f"open or ill-formed term: {t!r}")
+    rule = _RULES.get(type(t))
+    if rule is None:
+        return Stuck(f"open or ill-formed term: {t!r}")
+    return rule(t, store)
 
 
 @dataclass

@@ -8,7 +8,7 @@ returning a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FuelExhausted

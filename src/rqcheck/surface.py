@@ -7,27 +7,15 @@ Files use extension `.rq`; `//` starts a line comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
-from .errors import RqError
+from .errors import ParseError, ScopeError
 from .syntax import (
-    Abs, All, App, Ascribe, Assign, Base, Const, Deref, Fun, Let, LocAtom,
-    LocTerm, QualifiedType, Qualifier, RefAlloc, RefT, TAbs, TApp, Term,
-    TermBind, Top, TVar, Type, TypeEnv, UnitLit, Var, VarAtom,
-    free_atoms_qtype,
+    QTYPE, QUAL, SHAPES, Abs, All, App, Ascribe, Assign, Base, Const, Deref,
+    Fun, Let, LocAtom, LocTerm, QualifiedType, Qualifier, RefAlloc, RefT, TAbs,
+    TApp, Term, Top, TVar, Type, UnitLit, Var, VarAtom, free_atoms_qtype,
 )
-
-
-class ParseError(RqError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
-
-
-class ScopeError(RqError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +104,12 @@ class Parser:
             raise ParseError(f"expected a name, found {tok.value or 'end of input'!r}",
                              tok.line, tok.col)
         return self.next().value
+
+    def end(self):
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"trailing input starting at {tok.value!r}",
+                             tok.line, tok.col)
 
     def gen(self, base: str) -> str:
         self.counter += 1
@@ -383,9 +377,7 @@ class Parser:
 def parse(text: str) -> SourceProgram:
     parser = Parser(tokenize(text))
     prog = parser.program()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input starting at {tok.value!r}", tok.line, tok.col)
+    parser.end()
     resolve_program(prog)
     return prog
 
@@ -396,9 +388,7 @@ def parse_pair(text: str) -> Tuple[SourceProgram, SourceProgram]:
     first = parser.program()
     parser.expect(";;")
     second = parser.program()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input starting at {tok.value!r}", tok.line, tok.col)
+    parser.end()
     resolve_program(first)
     resolve_program(second)
     return first, second
@@ -408,9 +398,7 @@ def parse_term(text: str) -> Term:
     """A single expression; used by tests."""
     parser = Parser(tokenize(text))
     t = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input starting at {tok.value!r}", tok.line, tok.col)
+    parser.end()
     resolve_term(t, {})
     return t
 
@@ -418,9 +406,7 @@ def parse_term(text: str) -> Term:
 def parse_qtype(text: str) -> QualifiedType:
     parser = Parser(tokenize(text))
     q = parser.qtype()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input starting at {tok.value!r}", tok.line, tok.col)
+    parser.end()
     return q
 
 
@@ -451,94 +437,46 @@ def _check_qual(q: Qualifier, scope: dict):
                     f"use its paired qualifier variable")
 
 
-def _check_type(ty: Type, scope: dict):
-    if isinstance(ty, (Base, Top)):
+_NOUN = {"term": "term variable", "tvar": "type variable"}
+
+
+def resolve_term(x, scope: dict):
+    """Check that a term (or a type) only mentions names bound around it,
+    each used as its kind, and that no binder shadows another."""
+    shape = SHAPES[type(x)]
+    if shape.occurs is not None:
+        field, kind = shape.occurs
+        if kind == "loc":
+            return
+        name = getattr(x, field)
+        bound = scope.get(name)
+        if bound is None:
+            raise ScopeError(f"unbound {_NOUN[kind]} {name}")
+        if bound != kind:
+            raise ScopeError(f"{name} is not a {_NOUN[kind]}")
         return
-    if isinstance(ty, TVar):
-        kind = scope.get(ty.name)
-        if kind is None:
-            raise ScopeError(f"unbound type variable {ty.name}")
-        if kind != "tvar":
-            raise ScopeError(f"{ty.name} is not a type variable")
+    for f, role in shape.outer:
+        _resolve_part(getattr(x, f), role, scope)
+    for f, kind in shape.binds:
+        scope = _bind(scope, getattr(x, f), kind)
+    for f, role in shape.inner:
+        _resolve_part(getattr(x, f), role, scope)
+
+
+def _resolve_part(part, role: int, scope: dict):
+    if part is None:
         return
-    if isinstance(ty, RefT):
-        _check_qtype(ty.content, scope)
-        return
-    if isinstance(ty, Fun):
-        _check_qtype(ty.dom, scope)
-        inner = _bind(_bind(scope, ty.self_name, "term"), ty.param, "term")
-        _check_qtype(ty.cod, inner)
-        return
-    if isinstance(ty, All):
-        _check_qtype(ty.bound, scope)
-        inner = _bind(scope, ty.self_name, "term")
-        inner = _bind(inner, ty.tvar, "tvar")
-        inner = _bind(inner, ty.qvar, "qvar")
-        _check_qtype(ty.body, inner)
-        return
-    raise TypeError(f"not a type: {ty!r}")
+    if role == QUAL:
+        _check_qual(part, scope)
+    elif role == QTYPE:
+        _check_qtype(part, scope)
+    else:
+        resolve_term(part, scope)
 
 
 def _check_qtype(qty: QualifiedType, scope: dict):
-    _check_type(qty.ty, scope)
+    resolve_term(qty.ty, scope)
     _check_qual(qty.q, scope)
-
-
-def resolve_term(t: Term, scope: dict):
-    if isinstance(t, (Const, UnitLit, LocTerm)):
-        return
-    if isinstance(t, Var):
-        kind = scope.get(t.name)
-        if kind is None:
-            raise ScopeError(f"unbound variable {t.name}")
-        if kind != "term":
-            raise ScopeError(f"{t.name} is not a term variable")
-        return
-    if isinstance(t, Abs):
-        _check_qtype(t.dom, scope)
-        if t.capture is not None:
-            _check_qual(t.capture, scope)
-        inner = _bind(_bind(scope, t.self_name, "term"), t.param, "term")
-        if t.cod is not None:
-            _check_qtype(t.cod, inner)
-        resolve_term(t.body, inner)
-        return
-    if isinstance(t, App):
-        resolve_term(t.fn, scope)
-        resolve_term(t.arg, scope)
-        return
-    if isinstance(t, RefAlloc):
-        resolve_term(t.init, scope)
-        return
-    if isinstance(t, Deref):
-        resolve_term(t.ref, scope)
-        return
-    if isinstance(t, Assign):
-        resolve_term(t.lhs, scope)
-        resolve_term(t.rhs, scope)
-        return
-    if isinstance(t, TAbs):
-        _check_qtype(t.bound, scope)
-        if t.capture is not None:
-            _check_qual(t.capture, scope)
-        inner = _bind(scope, t.self_name, "term")
-        inner = _bind(inner, t.tvar, "tvar")
-        inner = _bind(inner, t.qvar, "qvar")
-        resolve_term(t.body, inner)
-        return
-    if isinstance(t, TApp):
-        resolve_term(t.fn, scope)
-        _check_qtype(t.arg, scope)
-        return
-    if isinstance(t, Ascribe):
-        resolve_term(t.term, scope)
-        _check_qtype(t.qtype, scope)
-        return
-    if isinstance(t, Let):
-        resolve_term(t.rhs, scope)
-        resolve_term(t.body, _bind(scope, t.name, "term"))
-        return
-    raise TypeError(f"not a term: {t!r}")
 
 
 def resolve_program(prog: SourceProgram):

@@ -4,11 +4,22 @@ Values here are immutable dataclasses. Binder names are required to be
 unique within a program (the surface elaborator rejects shadowing), so
 substitution never needs to rename: a payload can only mention names
 bound outside the term it is pushed into.
+
+The binder table `SHAPES` (section "Constructor shapes") says, for every
+type and term constructor, which fields are subterms, qualified-type
+annotations or capture qualifiers, which fields are binders and of what
+kind (term, tvar or qvar), and which parts the binders scope over. Free
+atoms, substitution, alpha-equivalence, scope resolution
+(`surface.resolve_term`) and the evaluation contexts of `machine.step`
+are written once against it. A new term form adds its dataclass, one
+`Shape` row and, if it can be the subject of a reduction, a rule in
+`machine._RULES`; its typing rule (`typecheck`) and concrete syntax
+(`surface`) are the only other places that need a clause.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Iterable, Optional, Union
 
 
@@ -57,9 +68,6 @@ class Qualifier:
 
     def without(self, atom: Atom) -> "Qualifier":
         return Qualifier(self.fresh, self.atoms - {atom})
-
-    def without_fresh(self) -> "Qualifier":
-        return Qualifier(False, self.atoms)
 
     def is_empty(self) -> bool:
         return not self.fresh and not self.atoms
@@ -341,35 +349,156 @@ Observation = frozenset  # of Atom; never contains the freshness marker
 
 
 # ---------------------------------------------------------------------------
+# Constructor shapes
+#
+# SHAPES is the one statement of where the parts of each type and term
+# constructor sit and which binders scope over which parts. Every walk
+# over syntax reads it: free atoms, substitution and alpha-equivalence
+# below, scope resolution in `surface`, and the evaluation contexts of
+# `machine.step`.
+
+TERM, QTYPE, QUAL = range(3)   # roles of a part
+
+
+class Shape:
+    """Where the fields of one constructor sit.
+
+    `binds` are (field, kind) pairs, kind "term", "tvar" or "qvar"; every
+    binder scopes over the parts in `inner` and over nothing else.
+    `outer` and `inner` are (field, role) pairs, role TERM (a subterm),
+    QTYPE (a qualified type) or QUAL (a qualifier); a QTYPE or QUAL part
+    may be None. `occurs` is (field, kind) for a leaf that is an
+    occurrence of a name of that kind, or of a location (kind "loc").
+    Any other field is data, copied and compared as it is.
+    """
+
+    __slots__ = ("cls", "fields", "binds", "outer", "inner", "occurs",
+                 "data", "parts", "evals")
+
+    def __init__(self, cls, binds=(), outer=(), inner=(), occurs=None):
+        self.cls, self.binds, self.occurs = cls, binds, occurs
+        self.outer, self.inner = outer, inner
+        self.fields = tuple(f.name for f in dataclass_fields(cls))
+        role = {f: (r, False) for f, r in outer}
+        role.update({f: (r, True) for f, r in inner})
+        # (field, role, under the binders) in field order
+        self.parts = tuple((f,) + role[f] for f in self.fields if f in role)
+        named = {f for f, _ in binds} | set(role) | {occurs and occurs[0]}
+        self.data = tuple(f for f in self.fields if f not in named)
+        # evaluation positions: the subterms under no binder, left to right
+        self.evals = tuple(f for f, r in outer if r == TERM)
+
+
+_SELF = ("self_name", "term")
+_TYPE_PARAMS = (_SELF, ("tvar", "tvar"), ("qvar", "qvar"))
+
+SHAPES = {s.cls: s for s in (
+    Shape(Base),
+    Shape(Top),
+    Shape(TVar, occurs=("name", "tvar")),
+    Shape(RefT, outer=(("content", QTYPE),)),
+    Shape(Fun, binds=(_SELF, ("param", "term")),
+          outer=(("dom", QTYPE),), inner=(("cod", QTYPE),)),
+    Shape(All, binds=_TYPE_PARAMS,
+          outer=(("bound", QTYPE),), inner=(("body", QTYPE),)),
+    Shape(Const),
+    Shape(UnitLit),
+    Shape(Var, occurs=("name", "term")),
+    Shape(LocTerm, occurs=("loc", "loc")),
+    Shape(Abs, binds=(_SELF, ("param", "term")),
+          outer=(("dom", QTYPE), ("capture", QUAL)),
+          inner=(("cod", QTYPE), ("body", TERM))),
+    Shape(App, outer=(("fn", TERM), ("arg", TERM))),
+    Shape(RefAlloc, outer=(("init", TERM),)),
+    Shape(Deref, outer=(("ref", TERM),)),
+    Shape(Assign, outer=(("lhs", TERM), ("rhs", TERM))),
+    Shape(TAbs, binds=_TYPE_PARAMS,
+          outer=(("bound", QTYPE), ("capture", QUAL)), inner=(("body", TERM),)),
+    Shape(TApp, outer=(("fn", TERM), ("arg", QTYPE))),
+    Shape(Ascribe, outer=(("term", TERM), ("qtype", QTYPE))),
+    Shape(Let, binds=(("name", "term"),),
+          outer=(("rhs", TERM),), inner=(("body", TERM),)),
+)}
+
+
+def map_parts(x, term=None, qtype=None, qual=None, names=()):
+    """x with each part passed through the function for its role; a role
+    without a function, a None part, and every part under a binder named
+    in `names` stay as they are. Returns x itself when nothing changed."""
+    shape = SHAPES[type(x)]
+    if not shape.parts:
+        return x
+    fns = (term, qtype, qual)
+    shadowed = False
+    for f, _ in shape.binds:
+        if getattr(x, f) in names:
+            shadowed = True
+    new = {}
+    for f, role, inner in shape.parts:
+        fn = fns[role]
+        if fn is None or (inner and shadowed):
+            continue
+        old = getattr(x, f)
+        if old is not None:
+            v = fn(old)
+            if v is not old:
+                new[f] = v
+    if not new:
+        return x
+    return shape.cls(*[new[f] if f in new else getattr(x, f) for f in shape.fields])
+
+
+def with_part(x, field: str, value):
+    """x with one field replaced."""
+    shape = SHAPES[type(x)]
+    return shape.cls(*[value if f == field else getattr(x, f) for f in shape.fields])
+
+
+# ---------------------------------------------------------------------------
 # Free variables
+
+
+def _collect(x, bound: frozenset, annotations: bool, acc: set):
+    """Add the free atoms of a term or type to acc; type variables count
+    as VarAtoms. A term's annotations and captures only count when
+    `annotations` is set."""
+    shape = SHAPES[type(x)]
+    if shape.occurs is not None:
+        field, kind = shape.occurs
+        if kind == "loc":
+            acc.add(LocAtom(getattr(x, field)))
+        elif getattr(x, field) not in bound:
+            acc.add(VarAtom(getattr(x, field)))
+        return
+    inner = bound
+    if shape.binds:
+        inner = bound | {getattr(x, f) for f, _ in shape.binds}
+    for f, role, under in shape.parts:
+        part = getattr(x, f)
+        scope = inner if under else bound
+        if role == TERM:
+            _collect(part, scope, annotations, acc)
+            continue
+        if part is None or not annotations:
+            continue
+        if role == QTYPE:
+            _collect(part.ty, scope, True, acc)
+            part = part.q
+        for a in part.atoms:
+            if type(a) is LocAtom or a.name not in scope:
+                acc.add(a)
 
 
 def free_atoms_type(ty: Type, bound: frozenset = frozenset()) -> frozenset:
     """Free atoms of a type: qualifier atoms plus type variables (as VarAtom)."""
-    if isinstance(ty, (Base, Top)):
-        return frozenset()
-    if isinstance(ty, TVar):
-        return frozenset() if ty.name in bound else frozenset({VarAtom(ty.name)})
-    if isinstance(ty, RefT):
-        return free_atoms_qtype(ty.content, bound)
-    if isinstance(ty, Fun):
-        inner = bound | {ty.self_name, ty.param}
-        return free_atoms_qtype(ty.dom, bound) | free_atoms_qtype(ty.cod, inner)
-    if isinstance(ty, All):
-        inner = bound | {ty.self_name, ty.tvar, ty.qvar}
-        return free_atoms_qtype(ty.bound, bound) | free_atoms_qtype(ty.body, inner)
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def _qual_free(q: Qualifier, bound: frozenset) -> frozenset:
-    return frozenset(
-        a for a in q.atoms
-        if isinstance(a, LocAtom) or a.name not in bound
-    )
+    acc: set = set()
+    _collect(ty, bound, True, acc)
+    return frozenset(acc)
 
 
 def free_atoms_qtype(qty: QualifiedType, bound: frozenset = frozenset()) -> frozenset:
-    return free_atoms_type(qty.ty, bound) | _qual_free(qty.q, bound)
+    return free_atoms_type(qty.ty, bound) | {
+        a for a in qty.q.atoms if type(a) is LocAtom or a.name not in bound}
 
 
 def free_term_atoms(t: Term, bound: frozenset = frozenset(),
@@ -379,61 +508,17 @@ def free_term_atoms(t: Term, bound: frozenset = frozenset(),
     With annotations=False this is the untyped notion of free variable,
     which is what function capture qualifiers default to.
     """
-    if isinstance(t, (Const, UnitLit)):
-        return frozenset()
-    if isinstance(t, Var):
-        return frozenset() if t.name in bound else frozenset({VarAtom(t.name)})
-    if isinstance(t, LocTerm):
-        return frozenset({LocAtom(t.loc)})
-    if isinstance(t, Abs):
-        inner = bound | {t.self_name, t.param}
-        out = free_term_atoms(t.body, inner, annotations)
-        if annotations:
-            out |= free_atoms_qtype(t.dom, bound)
-            if t.cod is not None:
-                out |= free_atoms_qtype(t.cod, inner)
-            if t.capture is not None:
-                out |= _qual_free(t.capture, bound)
-        return out
-    if isinstance(t, App):
-        return (free_term_atoms(t.fn, bound, annotations)
-                | free_term_atoms(t.arg, bound, annotations))
-    if isinstance(t, RefAlloc):
-        return free_term_atoms(t.init, bound, annotations)
-    if isinstance(t, Deref):
-        return free_term_atoms(t.ref, bound, annotations)
-    if isinstance(t, Assign):
-        return (free_term_atoms(t.lhs, bound, annotations)
-                | free_term_atoms(t.rhs, bound, annotations))
-    if isinstance(t, TAbs):
-        inner = bound | {t.self_name, t.tvar, t.qvar}
-        out = free_term_atoms(t.body, inner, annotations)
-        if annotations:
-            out |= free_atoms_qtype(t.bound, bound)
-            if t.capture is not None:
-                out |= _qual_free(t.capture, bound)
-        return out
-    if isinstance(t, TApp):
-        out = free_term_atoms(t.fn, bound, annotations)
-        if annotations:
-            out |= free_atoms_qtype(t.arg, bound)
-        return out
-    if isinstance(t, Ascribe):
-        out = free_term_atoms(t.term, bound, annotations)
-        if annotations:
-            out |= free_atoms_qtype(t.qtype, bound)
-        return out
-    if isinstance(t, Let):
-        return (free_term_atoms(t.rhs, bound, annotations)
-                | free_term_atoms(t.body, bound | {t.name}, annotations))
-    raise TypeError(f"not a term: {t!r}")
+    acc: set = set()
+    _collect(t, bound, annotations, acc)
+    return frozenset(acc)
 
 
 # ---------------------------------------------------------------------------
 # Substitution primitives
 #
 # subst_atom_in_qual is the seed everything else extends homomorphically;
-# the qualifier-algebra module re-exports it as q_subst.
+# the qualifier-algebra module re-exports it as q_subst. Substitution
+# stops under a binder of the substituted name.
 
 
 def subst_atom_in_qual(q: Qualifier, atom: Atom, payload: Qualifier) -> Qualifier:
@@ -442,53 +527,56 @@ def subst_atom_in_qual(q: Qualifier, atom: Atom, payload: Qualifier) -> Qualifie
     return Qualifier(q.fresh or payload.fresh, (q.atoms - {atom}) | payload.atoms)
 
 
-def subst_qual_in_type(ty: Type, atom: Atom, payload: Qualifier) -> Type:
-    if isinstance(ty, (Base, Top, TVar)):
-        return ty
-    if isinstance(ty, RefT):
-        return RefT(subst_qual_in_qtype(ty.content, atom, payload))
-    if isinstance(ty, Fun):
-        return Fun(ty.self_name, ty.param,
-                   subst_qual_in_qtype(ty.dom, atom, payload),
-                   subst_qual_in_qtype(ty.cod, atom, payload))
-    if isinstance(ty, All):
-        return All(ty.self_name, ty.tvar, ty.qvar,
-                   subst_qual_in_qtype(ty.bound, atom, payload),
-                   subst_qual_in_qtype(ty.body, atom, payload))
-    raise TypeError(f"not a type: {ty!r}")
+class _Substitution:
+    """Puts payload in for atom and, when tvar is given, ty for the type
+    variable tvar, stopping under a binder of either name. Calling it
+    maps a qualified type; unchanged parts are shared, not copied. (An
+    object rather than a recursive closure, which would leave a reference
+    cycle behind for the collector on every call.)"""
+
+    __slots__ = ("atom", "payload", "tvar", "ty", "names")
+
+    def __init__(self, atom: Atom, payload: Qualifier,
+                 tvar: Optional[str] = None, ty: Optional[Type] = None):
+        self.atom, self.payload, self.tvar, self.ty = atom, payload, tvar, ty
+        self.names = {tvar, atom.name} if isinstance(atom, VarAtom) else {tvar}
+
+    def qual(self, q: Qualifier) -> Qualifier:
+        return subst_atom_in_qual(q, self.atom, self.payload)
+
+    def __call__(self, qty: QualifiedType) -> QualifiedType:
+        if type(qty.ty) is TVar and qty.ty.name == self.tvar:
+            ty = self.ty
+        else:
+            ty = map_parts(qty.ty, None, self, None, self.names)
+        q = subst_atom_in_qual(qty.q, self.atom, self.payload)
+        if ty is qty.ty and q is qty.q:
+            return qty
+        return QualifiedType(ty, q)
+
+    def term(self, t: Term, var: Optional[str] = None, v: Optional[Term] = None) -> Term:
+        """t with the substitution applied to every annotation and capture,
+        and, when var is given, the value v put in for the variable var."""
+        qual, names = self.qual, self.names
+
+        def go(t: Term) -> Term:
+            if type(t) is Var:
+                return v if t.name == var else t
+            return map_parts(t, go, self, qual, names)
+
+        return go(t)
 
 
 def subst_qual_in_qtype(qty: QualifiedType, atom: Atom,
                         payload: Qualifier) -> QualifiedType:
-    return QualifiedType(subst_qual_in_type(qty.ty, atom, payload),
-                         subst_atom_in_qual(qty.q, atom, payload))
-
-
-def subst_tvar_in_type(ty: Type, tvar: str, qvar: str,
-                       payload: QualifiedType) -> Type:
-    """Replace the type variable by payload.ty and its paired qualifier
-    variable by payload.q, in one pass."""
-    if isinstance(ty, (Base, Top)):
-        return ty
-    if isinstance(ty, TVar):
-        return payload.ty if ty.name == tvar else ty
-    if isinstance(ty, RefT):
-        return RefT(subst_tvar_in_qtype(ty.content, tvar, qvar, payload))
-    if isinstance(ty, Fun):
-        return Fun(ty.self_name, ty.param,
-                   subst_tvar_in_qtype(ty.dom, tvar, qvar, payload),
-                   subst_tvar_in_qtype(ty.cod, tvar, qvar, payload))
-    if isinstance(ty, All):
-        return All(ty.self_name, ty.tvar, ty.qvar,
-                   subst_tvar_in_qtype(ty.bound, tvar, qvar, payload),
-                   subst_tvar_in_qtype(ty.body, tvar, qvar, payload))
-    raise TypeError(f"not a type: {ty!r}")
+    return _Substitution(atom, payload)(qty)
 
 
 def subst_tvar_in_qtype(qty: QualifiedType, tvar: str, qvar: str,
                         payload: QualifiedType) -> QualifiedType:
-    return QualifiedType(subst_tvar_in_type(qty.ty, tvar, qvar, payload),
-                         subst_atom_in_qual(qty.q, VarAtom(qvar), payload.q))
+    """Replace the type variable by payload.ty and its paired qualifier
+    variable by payload.q, in one pass."""
+    return _Substitution(VarAtom(qvar), payload.q, tvar, payload.ty)(qty)
 
 
 def value_qualifier(v: Term) -> Qualifier:
@@ -508,89 +596,13 @@ def subst_term(t: Term, name: str, v: Term) -> Term:
     Annotation qualifiers mentioning the variable are rewritten with the
     value's syntactic qualifier so reduced terms stay checkable.
     """
-    vq = value_qualifier(v)
-    atom = VarAtom(name)
-
-    def in_qtype(qty: QualifiedType) -> QualifiedType:
-        return subst_qual_in_qtype(qty, atom, vq)
-
-    def go(t: Term) -> Term:
-        if isinstance(t, (Const, UnitLit, LocTerm)):
-            return t
-        if isinstance(t, Var):
-            return v if t.name == name else t
-        if isinstance(t, Abs):
-            if name in (t.self_name, t.param):
-                return t
-            return Abs(t.self_name, t.param, in_qtype(t.dom),
-                       None if t.cod is None else in_qtype(t.cod), go(t.body),
-                       None if t.capture is None
-                       else subst_atom_in_qual(t.capture, atom, vq))
-        if isinstance(t, App):
-            return App(go(t.fn), go(t.arg))
-        if isinstance(t, RefAlloc):
-            return RefAlloc(go(t.init))
-        if isinstance(t, Deref):
-            return Deref(go(t.ref))
-        if isinstance(t, Assign):
-            return Assign(go(t.lhs), go(t.rhs))
-        if isinstance(t, TAbs):
-            if name in (t.self_name, t.qvar):
-                return t
-            return TAbs(t.self_name, t.tvar, t.qvar, in_qtype(t.bound), go(t.body),
-                        None if t.capture is None
-                        else subst_atom_in_qual(t.capture, atom, vq))
-        if isinstance(t, TApp):
-            return TApp(go(t.fn), in_qtype(t.arg))
-        if isinstance(t, Ascribe):
-            return Ascribe(go(t.term), in_qtype(t.qtype))
-        if isinstance(t, Let):
-            if name == t.name:
-                return Let(t.name, go(t.rhs), t.body)
-            return Let(t.name, go(t.rhs), go(t.body))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t)
+    return _Substitution(VarAtom(name), value_qualifier(v)).term(t, name, v)
 
 
 def subst_qtype_in_term(t: Term, tvar: str, qvar: str,
                         payload: QualifiedType) -> Term:
     """Type-application substitution pushed through a term body."""
-
-    def in_qtype(qty: QualifiedType) -> QualifiedType:
-        return subst_tvar_in_qtype(qty, tvar, qvar, payload)
-
-    def go(t: Term) -> Term:
-        if isinstance(t, (Const, UnitLit, LocTerm, Var)):
-            return t
-        if isinstance(t, Abs):
-            return Abs(t.self_name, t.param, in_qtype(t.dom),
-                       None if t.cod is None else in_qtype(t.cod), go(t.body),
-                       None if t.capture is None
-                       else subst_atom_in_qual(t.capture, VarAtom(qvar), payload.q))
-        if isinstance(t, App):
-            return App(go(t.fn), go(t.arg))
-        if isinstance(t, RefAlloc):
-            return RefAlloc(go(t.init))
-        if isinstance(t, Deref):
-            return Deref(go(t.ref))
-        if isinstance(t, Assign):
-            return Assign(go(t.lhs), go(t.rhs))
-        if isinstance(t, TAbs):
-            if tvar == t.tvar:
-                return t
-            return TAbs(t.self_name, t.tvar, t.qvar, in_qtype(t.bound), go(t.body),
-                        None if t.capture is None
-                        else subst_atom_in_qual(t.capture, VarAtom(qvar), payload.q))
-        if isinstance(t, TApp):
-            return TApp(go(t.fn), in_qtype(t.arg))
-        if isinstance(t, Ascribe):
-            return Ascribe(go(t.term), in_qtype(t.qtype))
-        if isinstance(t, Let):
-            return Let(t.name, go(t.rhs), go(t.body))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t)
+    return _Substitution(VarAtom(qvar), payload.q, tvar, payload.ty).term(t)
 
 
 # ---------------------------------------------------------------------------
@@ -609,94 +621,38 @@ def _alpha_qual(q1: Qualifier, q2: Qualifier, ren: dict) -> bool:
     return mapped == set(q2.atoms)
 
 
-def _alpha_type(t1: Type, t2: Type, ren: dict) -> bool:
-    if type(t1) is not type(t2):
-        return False
-    if isinstance(t1, Base):
-        return t1.name == t2.name
-    if isinstance(t1, Top):
-        return True
-    if isinstance(t1, TVar):
-        return ren.get(t1.name, t1.name) == t2.name
-    if isinstance(t1, RefT):
-        return _alpha_qtype(t1.content, t2.content, ren)
-    if isinstance(t1, Fun):
-        inner = dict(ren)
-        inner[t1.self_name] = t2.self_name
-        inner[t1.param] = t2.param
-        return (_alpha_qtype(t1.dom, t2.dom, ren)
-                and _alpha_qtype(t1.cod, t2.cod, inner))
-    if isinstance(t1, All):
-        inner = dict(ren)
-        inner[t1.self_name] = t2.self_name
-        inner[t1.tvar] = t2.tvar
-        inner[t1.qvar] = t2.qvar
-        return (_alpha_qtype(t1.bound, t2.bound, ren)
-                and _alpha_qtype(t1.body, t2.body, inner))
-    raise TypeError(f"not a type: {t1!r}")
-
-
 def _alpha_qtype(q1: QualifiedType, q2: QualifiedType, ren: dict) -> bool:
-    return _alpha_type(q1.ty, q2.ty, ren) and _alpha_qual(q1.q, q2.q, ren)
+    return _alpha(q1.ty, q2.ty, ren) and _alpha_qual(q1.q, q2.q, ren)
 
 
-def _alpha_term(t1: Term, t2: Term, ren: dict) -> bool:
-    if type(t1) is not type(t2):
+def _alpha(x, y, ren: dict) -> bool:
+    """Alpha-equivalence of two terms or two types, ren mapping the bound
+    names of x to those of y."""
+    if type(x) is not type(y):
         return False
-    if isinstance(t1, Const):
-        return t1.value == t2.value
-    if isinstance(t1, UnitLit):
-        return True
-    if isinstance(t1, Var):
-        return ren.get(t1.name, t1.name) == t2.name
-    if isinstance(t1, LocTerm):
-        return t1.loc == t2.loc
-    if isinstance(t1, Abs):
+    shape = SHAPES[type(x)]
+    if shape.occurs is not None:
+        a, b = getattr(x, shape.occurs[0]), getattr(y, shape.occurs[0])
+        return ren.get(a, a) == b
+    for f in shape.data:
+        if getattr(x, f) != getattr(y, f):
+            return False
+    inner = ren
+    if shape.binds:
         inner = dict(ren)
-        inner[t1.self_name] = t2.self_name
-        inner[t1.param] = t2.param
-        if (t1.cod is None) != (t2.cod is None):
+        for f, _ in shape.binds:
+            inner[getattr(x, f)] = getattr(y, f)
+    for f, role, under in shape.parts:
+        a, b = getattr(x, f), getattr(y, f)
+        if a is None or b is None:
+            if a is not b:
+                return False
+        elif not _ALPHA_PART[role](a, b, inner if under else ren):
             return False
-        if t1.cod is not None and not _alpha_qtype(t1.cod, t2.cod, inner):
-            return False
-        if (t1.capture is None) != (t2.capture is None):
-            return False
-        if t1.capture is not None and not _alpha_qual(t1.capture, t2.capture, ren):
-            return False
-        return (_alpha_qtype(t1.dom, t2.dom, ren)
-                and _alpha_term(t1.body, t2.body, inner))
-    if isinstance(t1, App):
-        return _alpha_term(t1.fn, t2.fn, ren) and _alpha_term(t1.arg, t2.arg, ren)
-    if isinstance(t1, RefAlloc):
-        return _alpha_term(t1.init, t2.init, ren)
-    if isinstance(t1, Deref):
-        return _alpha_term(t1.ref, t2.ref, ren)
-    if isinstance(t1, Assign):
-        return (_alpha_term(t1.lhs, t2.lhs, ren)
-                and _alpha_term(t1.rhs, t2.rhs, ren))
-    if isinstance(t1, TAbs):
-        inner = dict(ren)
-        inner[t1.self_name] = t2.self_name
-        inner[t1.tvar] = t2.tvar
-        inner[t1.qvar] = t2.qvar
-        if (t1.capture is None) != (t2.capture is None):
-            return False
-        if t1.capture is not None and not _alpha_qual(t1.capture, t2.capture, ren):
-            return False
-        return (_alpha_qtype(t1.bound, t2.bound, ren)
-                and _alpha_term(t1.body, t2.body, inner))
-    if isinstance(t1, TApp):
-        return (_alpha_term(t1.fn, t2.fn, ren)
-                and _alpha_qtype(t1.arg, t2.arg, ren))
-    if isinstance(t1, Ascribe):
-        return (_alpha_term(t1.term, t2.term, ren)
-                and _alpha_qtype(t1.qtype, t2.qtype, ren))
-    if isinstance(t1, Let):
-        inner = dict(ren)
-        inner[t1.name] = t2.name
-        return (_alpha_term(t1.rhs, t2.rhs, ren)
-                and _alpha_term(t1.body, t2.body, inner))
-    raise TypeError(f"not a term: {t1!r}")
+    return True
+
+
+_ALPHA_PART = {TERM: _alpha, QTYPE: _alpha_qtype, QUAL: _alpha_qual}
 
 
 def alpha_eq(a, b) -> bool:
@@ -705,23 +661,11 @@ def alpha_eq(a, b) -> bool:
         return _alpha_qtype(a, b, {})
     if isinstance(a, Qualifier) and isinstance(b, Qualifier):
         return a == b
-    if isinstance(a, (Base, Top, TVar, RefT, Fun, All)):
-        return _alpha_type(a, b, {})
-    return _alpha_term(a, b, {})
+    return _alpha(a, b, {})
 
 
 # ---------------------------------------------------------------------------
 # Scope checks
-
-
-def well_scoped_qual(q: Qualifier, env: TypeEnv, store: StoreTyping) -> bool:
-    for a in q.atoms:
-        if isinstance(a, VarAtom):
-            if env.binding_qualifier(a) is None:
-                return False
-        elif a.loc not in store:
-            return False
-    return True
 
 
 def well_scoped_qtype(qty: QualifiedType, env: TypeEnv, store: StoreTyping) -> bool:

@@ -8,13 +8,14 @@ enforcement. Every rejection carries exactly one primary error code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
-from .errors import FuelExhausted, RqError
+from .errors import CheckError, FuelExhausted, InternalError
 from .qualifiers import overlap, qual_sub
-from .subtyping import DEFAULT_FUEL, qtype_sub, type_sub
+from .subtyping import DEFAULT_FUEL, type_sub
+from .surface import pretty as _pretty
 from .syntax import (
-    Abs, All, App, Ascribe, Assign, Base, Const, Deref, Fun, INT, Let,
+    Abs, All, App, Ascribe, Assign, Const, Deref, Fun, INT, Let,
     LocTerm, LocAtom, QualifiedType, Qualifier, RefAlloc, RefT, StoreTyping,
     TAbs, TApp, TermBind, Term, Top, TypeBind, TypeEnv, UNIT, UnitLit, Var,
     VarAtom, free_atoms_qtype, free_atoms_type, free_term_atoms,
@@ -34,29 +35,14 @@ FUEL_EXHAUSTED = "FuelExhausted"
 SCOPE_ERROR = "ScopeError"
 
 
-class CheckError(RqError):
-    def __init__(self, code: str, detail: str, span=None):
-        super().__init__(f"{code}: {detail}")
-        self.code = code
-        self.detail = detail
-        self.span = span
-
-
 @dataclass
 class TypingResult:
     qtype: QualifiedType
     trace: List[str] = field(default_factory=list)
 
 
-def _pretty(x) -> str:
-    # local import: surface depends on this module's error codes
-    from .surface import pretty
-    return pretty(x)
-
-
 class _Checker:
-    def __init__(self, env: TypeEnv, store: StoreTyping, fuel: int = DEFAULT_FUEL):
-        self.env0 = env
+    def __init__(self, store: StoreTyping, fuel: int = DEFAULT_FUEL):
         self.store = store
         self.fuel = fuel
         self.trace: List[str] = []
@@ -372,7 +358,7 @@ class _Checker:
 def synthesize(env: TypeEnv, store: StoreTyping, phi: frozenset, t: Term,
                fuel: int = DEFAULT_FUEL) -> TypingResult:
     """Synthesize a qualified type; raises CheckError on rejection."""
-    checker = _Checker(env, store, fuel)
+    checker = _Checker(store, fuel)
     qty = checker.synth(env, frozenset(phi), t)
     return TypingResult(qty, checker.trace)
 
@@ -384,6 +370,6 @@ def check_program(env: TypeEnv, store: StoreTyping, t: Term,
         raise CheckError(SCOPE_ERROR, "environment is not a telescope")
     phi = env.dom() | store.dom()
     result = synthesize(env, store, phi, t, fuel)
-    # observability invariant; failure here is an implementation bug
-    assert result.qtype.q.atoms <= phi, "synthesized an unobservable qualifier"
+    if not result.qtype.q.atoms <= phi:
+        raise InternalError("synthesized an unobservable qualifier")
     return result

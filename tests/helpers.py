@@ -10,7 +10,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from rqcheck.cli import CorpusEntry, check_source, corpus_text, load_corpus
 from rqcheck.machine import Store
-from rqcheck.qualifiers import saturate
+from rqcheck.qualifiers import qual_sub, saturate
 from rqcheck.surface import elaborate, parse, parse_pair
 from rqcheck.syntax import (
     Fun, INT, LocAtom, QualifiedType, Qualifier, StoreTyping, TermBind, Term,
@@ -108,18 +108,13 @@ def oracle_sweep(max_entries: int = 4) -> Tuple[int, int, int, int]:
             for p in quals:
                 for q in quals:
                     n_pairs += 1
-                    algo = qual_sub_cached(env, store, p, q)
+                    algo = qual_sub(env, store, p, q)
                     decl = (p, q) in derivable
                     if algo and not decl:
                         unsound += 1
                     if decl and not algo:
                         gaps += 1
     return n_envs, n_pairs, unsound, gaps
-
-
-def qual_sub_cached(env, store, p, q):
-    from rqcheck.qualifiers import qual_sub
-    return qual_sub(env, store, p, q)
 
 
 # ---------------------------------------------------------------------------

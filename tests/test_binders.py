@@ -6,9 +6,10 @@ that shadows the substituted name."""
 import pytest
 
 from rqcheck.syntax import (
-    Abs, App, Ascribe, Assign, Const, Deref, INT, Let, LocAtom, LocTerm,
-    RefAlloc, RefT, TAbs, TApp, TVar, UnitLit, Var, VarAtom, alpha_eq,
-    free_term_atoms, qt, qual, subst_qtype_in_term, subst_term,
+    Abs, All, App, Ascribe, Assign, Const, Deref, Fun, INT, Let, LocAtom,
+    LocTerm, RefAlloc, RefT, TAbs, TApp, TVar, UnitLit, Var, VarAtom,
+    alpha_eq, free_term_atoms, qt, qual, subst_qtype_in_term,
+    subst_qual_in_qtype, subst_term,
 )
 
 X, Y = VarAtom("x"), VarAtom("y")
@@ -104,3 +105,13 @@ def test_type_substitution_stops_under_a_shadowing_type_abstraction():
     assert subst_qtype_in_term(inner, "T", "t", payload) == inner
     assert subst_qtype_in_term(outer, "T", "t", payload) == TAbs(
         "f", "S", "s", INT_Q, Ascribe(Const(2), qt(INT)))
+
+
+def test_qualifier_substitution_in_types_stops_under_a_shadowing_binder():
+    # the domain is outside the binder x, the codomain inside it
+    fun = qt(Fun("f", "x", qt(INT, qual("x")), qt(INT, qual("x"))))
+    assert subst_qual_in_qtype(fun, X, qual(locs=[0])) == qt(
+        Fun("f", "x", qt(INT, qual(locs=[0])), qt(INT, qual("x"))))
+    univ = qt(All("g", "T", "x", qt(INT, qual("x")), qt(TVar("T"), qual("x"))))
+    assert subst_qual_in_qtype(univ, X, qual(locs=[0])) == qt(
+        All("g", "T", "x", qt(INT, qual(locs=[0])), qt(TVar("T"), qual("x"))))

@@ -52,6 +52,17 @@ def test_check_json_matches_the_golden_file(capsys):
         assert json.loads(out) == json.load(fh)
 
 
+def test_check_fuel_exhaustion_is_exit_three(capsys):
+    code, _, err = run(capsys, "check", "--fuel", "0", corpus_path("pair_fst.rq"))
+    assert code == 3
+    assert "FuelExhausted" in err
+    code, out, _ = run(capsys, "check", "--json", "--fuel", "0",
+                       corpus_path("pair_fst.rq"))
+    assert code == 3
+    assert json.loads(out)["status"] == "fuel"
+    assert json.loads(out)["error"]["code"] == "FuelExhausted"
+
+
 def test_check_json_rejection_schema(capsys):
     code, out, _ = run(capsys, "check", corpus_path("fakeid.rq"), "--json")
     assert code == 1
@@ -103,6 +114,17 @@ def test_eval_rejects_ill_typed_input(capsys):
     assert "RefContentFresh" in err
 
 
+def test_eval_json_reports_errors_in_the_envelope(capsys):
+    code, out, err = run(capsys, "eval", "--json", corpus_path("ref_content_fresh.rq"))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"status": "rejected", "error": {
+        "code": "RefContentFresh", "detail": json.loads(out)["error"]["detail"]}}
+    code, out, _ = run(capsys, "eval", "--json", "--fuel", "5",
+                       corpus_path("diverge.rq"))
+    assert code == 3
+    assert json.loads(out)["status"] == "fuel"
+
+
 # ---------------------------------------------------------------------------
 # sep
 
@@ -111,6 +133,68 @@ def test_sep_verdict_separate(capsys):
     code, out, _ = run(capsys, "sep", corpus_path("sep_alloc_assign.rq"))
     assert code == 0
     assert out.strip().endswith("verdict SEPARATE")
+
+
+def test_sep_json_is_one_envelope(capsys):
+    code, out, _ = run(capsys, "sep", "--json", corpus_path("sep_alloc_assign.rq"))
+    assert code == 0
+    record = json.loads(out)
+    assert record["status"] == "separate" and record["steps"]
+    code, out, _ = run(capsys, "sep", "--json", corpus_path("malformed.rq"))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "ParseError"
+
+
+# ---------------------------------------------------------------------------
+# flags and internal faults
+
+
+@pytest.mark.parametrize("command,fuel", [("check", "-5"), ("eval", "-5"),
+                                          ("sep", "-1"), ("eval", "many")])
+def test_invalid_fuel_is_rejected_with_exit_two(capsys, command, fuel):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--fuel", fuel, corpus_path("sep_alloc_assign.rq")])
+    assert info.value.code == 2
+    assert "fuel must be a non-negative integer" in capsys.readouterr().err
+
+
+def _deep_nesting(tmp_path):
+    src = tmp_path / "deep.rq"
+    src.write_text("(" * 3000 + "1" + ")" * 3000 + "\n", encoding="utf-8")
+    return str(src)
+
+
+def _many_vals(tmp_path):
+    src = tmp_path / "vals.rq"
+    src.write_text("".join(f"val v{i} = {i};\n" for i in range(1500)) + "v0\n",
+                   encoding="utf-8")
+    return str(src)
+
+
+@pytest.mark.parametrize("command,program", [
+    ("check", _deep_nesting), ("eval", _deep_nesting), ("eval", _many_vals)])
+def test_an_internal_fault_is_exit_two_without_a_traceback(
+        capsys, tmp_path, command, program):
+    path = program(tmp_path)
+    code, out, err = run(capsys, command, path)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "RecursionError" in err
+    code, out, err = run(capsys, command, "--json", path)
+    assert code == 2 and err == ""
+    assert json.loads(out)["status"] == "error"
+    assert json.loads(out)["error"]["code"] == "RecursionError"
+
+
+def test_every_error_shares_one_hierarchy():
+    from rqcheck import errors, surface, typecheck
+    assert surface.ScopeError is errors.ScopeError
+    assert surface.ParseError is errors.ParseError
+    assert typecheck.CheckError is errors.CheckError
+    for cls in (errors.ParseError, errors.ScopeError, errors.CheckError,
+                errors.FuelExhausted, errors.InternalError):
+        assert issubclass(cls, errors.RqError)
 
 
 # ---------------------------------------------------------------------------

@@ -162,3 +162,20 @@ def test_synthesis_is_deterministic():
         second = check_source(corpus_text(entry))
         assert pretty(first.qtype) == pretty(second.qtype)
         assert first.trace == second.trace
+
+
+def test_the_observability_invariant_holds_under_python_o(monkeypatch):
+    # a checker bug that synthesizes an unobservable qualifier is an
+    # internal error raised by code, not by an assert that -O removes
+    from rqcheck import typecheck
+    from rqcheck.errors import InternalError, RqError
+    from rqcheck.syntax import Const
+
+    def buggy(env, store, phi, t, fuel):
+        return typecheck.TypingResult(qt(INT, qual("ghost")))
+
+    monkeypatch.setattr(typecheck, "synthesize", buggy)
+    with pytest.raises(InternalError) as info:
+        check_program(EMPTY_ENV, EMPTY_STORE, Const(1))
+    assert isinstance(info.value, RqError)
+    assert not isinstance(info.value, CheckError)
