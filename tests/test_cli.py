@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from rqcheck.cli import main
+from rqcheck.cli import load_corpus, main
 
 CORPUS = resources.files("rqcheck") / "corpus"
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -232,6 +232,22 @@ def test_color_disabled_by_environment(monkeypatch):
     assert cli._style("boom", "31") == "boom"
     monkeypatch.setenv("RQ_COLOR", "1")
     assert cli._style("boom", "31") == "\x1b[31mboom\x1b[0m"
+
+
+def check_corpus_lines(capsys) -> str:
+    """One JSON line per corpus check entry: its exit code and the full
+    `rq check --json` output at the default fuel."""
+    lines = []
+    for entry in load_corpus():
+        if entry.kind == "check":
+            code, out, _ = run(capsys, "check", "--json", corpus_path(entry.file))
+            lines.append(json.dumps({"entry": entry.name, "exit": code, "stdout": out}))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_check_json_on_the_corpus_matches_the_golden_file(capsys):
+    with open(os.path.join(GOLDEN, "check_corpus.jsonl"), encoding="utf-8") as fh:
+        assert check_corpus_lines(capsys) == fh.read()
 
 
 def test_corpus_output_matches_the_golden_file(capsys):

@@ -134,6 +134,63 @@ def test_fresh_argument_may_not_leak_into_the_result_type():
 
 
 # ---------------------------------------------------------------------------
+# Every rejection branch of the abstraction and application rules
+#
+# (rule, program, code, a fragment of the detail that tells apart the
+# branches sharing a code). T-TAbs/T-TApp are T-Abs/T-App with the
+# qualifier variable in the parameter's place, so each branch has a row
+# for both.
+
+REJECTIONS = [
+    ("t-app", "1(2)", "TypeMismatch", "non-function"),
+    ("t-app", "(fn f(x: Int^{}) { x })(unit)", "TypeMismatch", "Unit"),
+    ("t-app", "(fn f(x: Ref[Int]^{}) { x })(ref 0)", "FreshnessViolation", "{*}"),
+    ("t-app", "val c = ref 0; (fn f(x: Ref[Int]^{}) { x })(c)",
+     "QualifierMismatch", "{c}"),
+    ("t-app", "val c = ref 0; val f = fn f(x: Ref[Int]^{*}) { val d = !c; !x }; f(c)",
+     "OverlapViolation", "{c, *}"),
+    ("t-app", "(fn f(x: Ref[Int]^{*}) { fn g^{x}(u: Unit^{}) : Unit^{x} { u } })(ref 0)",
+     "DependencyViolation", "depends on x"),
+    ("t-app", "(val c = ref 0; fn f(u: Unit^{}) : (Unit => Ref[Int]^{f})^{f} "
+              "{ fn g^{c}(v: Unit^{}) { c } })(unit)",
+     "DependencyViolation", "depends on f"),
+    ("t-app", "val c = ref 0; val h = fn h(x: Int^{}) : Ref[Int]^{c} { c }; "
+              "fn g^{h}(u: Unit^{}) { h(1) }",
+     "Unobservable", "result qualifier"),
+    ("t-tapp", "1[Int^{}]", "TypeMismatch", "non-universal"),
+    ("t-tapp", "(tfn [X^x <: Int^{}] { unit })[Unit^{}]", "TypeMismatch", "bound"),
+    ("t-tapp", "val c = ref 0; fn g^{}(u: Unit^{}) "
+               "{ (tfn [X^x <: Top^{*}] { unit })[Ref[Int]^{c}] }",
+     "Unobservable", "type argument qualifier"),
+    ("t-tapp", "(tfn [X^x <: Top^{}] { unit })[Int^{*}]", "FreshnessViolation", "{*}"),
+    ("t-tapp", "val c = ref 0; (tfn [X^x <: Top^{}] { unit })[Ref[Int]^{c}]",
+     "QualifierMismatch", "{c}"),
+    ("t-tapp", "val c = ref 0; val t = tfn t[X^x <: Top^{*}] { !c }; t[Ref[Int]^{c}]",
+     "OverlapViolation", "{c, *}"),
+    ("t-tapp", "(tfn [X^x <: Top^{*}] { fn g^{}(u: Unit^{}) : Unit^{x} { u } })[Int^{*}]",
+     "DependencyViolation", "depends on x"),
+    ("t-tapp", "(val c = ref 0; tfn t[X^x <: Top^{}] "
+               "{ val d = !c; fn g^{t}(u: Unit^{}) : Unit^{t} { u } })[Int^{}]",
+     "DependencyViolation", "depends on t"),
+    ("t-tapp", "val c = ref 0; val h = tfn h[X^x <: Top^{}] { c }; "
+               "fn g^{h}(u: Unit^{}) { h[Int^{}] }",
+     "Unobservable", "result qualifier"),
+    ("t-abs", "fn f^{*}(u: Unit^{}) { u }", "FreshnessViolation", "capture"),
+    ("t-tabs", "tfn t^{*}[X^x <: Top^{}] { unit }", "FreshnessViolation", "capture"),
+    ("t-abs", "val c = ref 0; fn f^{}(u: Unit^{}) { !c }", "Unobservable", "c"),
+    ("t-tabs", "val c = ref 0; tfn t^{}[X^x <: Top^{}] { !c }", "Unobservable", "c"),
+]
+
+
+@pytest.mark.parametrize("rule,text,code,fragment", REJECTIONS)
+def test_each_rejection_branch_of_the_binding_rules(rule, text, code, fragment):
+    with pytest.raises(CheckError) as exc:
+        check_source(text)
+    assert exc.value.code == code, exc.value
+    assert fragment in exc.value.detail, exc.value
+
+
+# ---------------------------------------------------------------------------
 # Invariants on the corpus
 
 
