@@ -23,9 +23,7 @@ from .machine import (
 from .subtyping import DEFAULT_FUEL
 from .surface import elaborate, parse, parse_pair, pretty
 from .syntax import StoreTyping, TermBind, TypeEnv
-from .typecheck import (
-    FUEL_EXHAUSTED, TypingResult, check_program, synthesize,
-)
+from .typecheck import TypingResult, check_program, synthesize
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -84,8 +82,6 @@ STATUS = {EXIT_REJECTED: "rejected", EXIT_ERROR: "error", EXIT_FUEL: "fuel"}
 def failure(exc: Exception) -> Tuple[int, str, str, str]:
     """(exit code, label, error code, detail) of an exception: the one
     mapping from what went wrong to how every command reports it."""
-    if isinstance(exc, CheckError) and exc.code == FUEL_EXHAUSTED:
-        return EXIT_FUEL, "fuel exhausted", exc.code, exc.detail
     if isinstance(exc, Rejection):
         label = "type error" if isinstance(exc, CheckError) else "rejected"
         return EXIT_REJECTED, label, exc.code, exc.detail

@@ -9,7 +9,6 @@ returning a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import FuelExhausted
 from .qualifiers import qual_sub
@@ -26,7 +25,6 @@ DEFAULT_FUEL = 512
 class _Ctx:
     fuel: int
     counter: int = 0
-    notes: Optional[list] = None
 
     def spend(self):
         if self.fuel <= 0:
@@ -97,7 +95,7 @@ def _type_sub(env: TypeEnv, store: StoreTyping, s: Type, t: Type, ctx: _Ctx) -> 
 def _qtype_sub(env: TypeEnv, store: StoreTyping, p: QualifiedType,
                q: QualifiedType, ctx: _Ctx) -> bool:
     # qualifier obligation first, for qualifier-level diagnostics
-    if not qual_sub(env, store, p.q, q.q, ctx.notes):
+    if not qual_sub(env, store, p.q, q.q):
         return False
     return _type_sub(env, store, p.ty, q.ty, ctx)
 
@@ -108,6 +106,5 @@ def type_sub(env: TypeEnv, store: StoreTyping, s: Type, t: Type,
 
 
 def qtype_sub(env: TypeEnv, store: StoreTyping, p: QualifiedType,
-              q: QualifiedType, fuel: int = DEFAULT_FUEL,
-              notes: Optional[list] = None) -> bool:
-    return _qtype_sub(env, store, p, q, _Ctx(fuel, notes=notes))
+              q: QualifiedType, fuel: int = DEFAULT_FUEL) -> bool:
+    return _qtype_sub(env, store, p, q, _Ctx(fuel))

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import ParseError, ScopeError
 from .syntax import (
-    QTYPE, QUAL, SHAPES, Abs, All, App, Ascribe, Assign, Base, Const, Deref,
-    Fun, Let, LocAtom, LocTerm, QualifiedType, Qualifier, RefAlloc, RefT, TAbs,
-    TApp, Term, Top, TVar, Type, UnitLit, Var, VarAtom, free_atoms_qtype,
+    INT, QTYPE, QUAL, SHAPES, UNIT, Abs, All, App, Ascribe, Assign, Base,
+    Const, Deref, Fun, Let, LocAtom, LocTerm, QualifiedType, Qualifier,
+    RefAlloc, RefT, TAbs, TApp, Term, Top, TVar, Type, UnitLit, Var, VarAtom,
+    free_atoms_qtype,
 )
 
 
@@ -69,6 +70,9 @@ def tokenize(text: str) -> List[Token]:
 class SourceProgram:
     decls: List[tuple]          # ("val", name, Term) | ("assume", name, QualifiedType)
     main: Term
+
+
+_NAMED_TYPES = {"Int": INT, "Unit": UNIT, "Top": Top()}
 
 
 class Parser:
@@ -127,12 +131,7 @@ class Parser:
                 self.next()
                 fresh = True
             elif self.at("@"):
-                self.next()
-                num = self.peek()
-                if num.kind != "int":
-                    raise ParseError("expected a location number after '@'",
-                                     num.line, num.col)
-                atoms.add(LocAtom(int(self.next().value)))
+                atoms.add(LocAtom(self.location()))
             elif tok.kind == "ident":
                 atoms.add(VarAtom(self.next().value))
             else:
@@ -159,15 +158,9 @@ class Parser:
 
     def type_atom(self) -> Type:
         tok = self.peek()
-        if tok.value == "Int":
+        if tok.value in _NAMED_TYPES:
             self.next()
-            return Base("Int")
-        if tok.value == "Unit":
-            self.next()
-            return Base("Unit")
-        if tok.value == "Top":
-            self.next()
-            return Top()
+            return _NAMED_TYPES[tok.value]
         if tok.value == "Ref":
             self.next()
             self.expect("[")
@@ -179,12 +172,7 @@ class Parser:
             return self.forall_tail()
         if tok.value == "(":
             self.next()
-            if self.at("forall"):
-                self.next()
-                ty = self.forall_tail()
-                self.expect(")")
-                return ty
-            ty = self.fun_inner()
+            ty = self.type_atom() if self.at("forall") else self.fun_inner()
             self.expect(")")
             return ty
         if tok.kind == "ident":
@@ -194,6 +182,12 @@ class Parser:
 
     def forall_tail(self) -> All:
         self_name = self.ident() if not self.at("[") else self.gen("f")
+        tvar, qvar, bound = self.type_params()
+        self.expect(".")
+        return All(self_name, tvar, qvar, bound, self.qtype())
+
+    def type_params(self) -> Tuple[str, str, QualifiedType]:
+        """`[X^x <: T^q]`: the parameter of a universal type or a `tfn`."""
         self.expect("[")
         tvar = self.ident()
         self.expect("^")
@@ -201,9 +195,7 @@ class Parser:
         self.expect("<:")
         bound = self.qtype()
         self.expect("]")
-        self.expect(".")
-        body = self.qtype()
-        return All(self_name, tvar, qvar, bound, body)
+        return tvar, qvar, bound
 
     def fun_inner(self) -> Fun:
         """The inside of a parenthesized function type."""
@@ -234,14 +226,18 @@ class Parser:
 
     def expr(self) -> Term:
         if self.at("val"):
-            self.next()
-            name = self.ident()
-            self.expect("=")
-            rhs = self.assign_expr()
-            self.expect(";")
-            body = self.expr()
-            return Let(name, rhs, body)
+            name, rhs = self.binding()
+            return Let(name, rhs, self.expr())
         return self.assign_expr()
+
+    def binding(self) -> Tuple[str, Term]:
+        """`val x = t;`, at the `val`."""
+        self.next()
+        name = self.ident()
+        self.expect("=")
+        rhs = self.assign_expr()
+        self.expect(";")
+        return name, rhs
 
     def assign_expr(self) -> Term:
         lhs = self.prefix_expr()
@@ -285,54 +281,11 @@ class Parser:
             self.next()
             return UnitLit()
         if tok.value == "@":
-            self.next()
-            num = self.peek()
-            if num.kind != "int":
-                raise ParseError("expected a location number after '@'",
-                                 num.line, num.col)
-            return LocTerm(int(self.next().value))
+            return LocTerm(self.location())
         if tok.value == "fn":
-            self.next()
-            self_name = (self.ident()
-                         if not self.at("(") and not self.at("^")
-                         else self.gen("f"))
-            capture = None
-            if self.at("^"):
-                self.next()
-                capture = self.qualifier()
-            self.expect("(")
-            param = self.ident()
-            self.expect(":")
-            dom = self.qtype()
-            self.expect(")")
-            cod = None
-            if self.at(":"):
-                self.next()
-                cod = self.qtype()
-            self.expect("{")
-            body = self.expr()
-            self.expect("}")
-            return Abs(self_name, param, dom, cod, body, capture)
+            return self.abstraction("(", self.fn_params, Abs)
         if tok.value == "tfn":
-            self.next()
-            self_name = (self.ident()
-                         if not self.at("[") and not self.at("^")
-                         else self.gen("f"))
-            capture = None
-            if self.at("^"):
-                self.next()
-                capture = self.qualifier()
-            self.expect("[")
-            tvar = self.ident()
-            self.expect("^")
-            qvar = self.ident()
-            self.expect("<:")
-            bound = self.qtype()
-            self.expect("]")
-            self.expect("{")
-            body = self.expr()
-            self.expect("}")
-            return TAbs(self_name, tvar, qvar, bound, body, capture)
+            return self.abstraction("[", self.type_params, TAbs)
         if tok.value == "(":
             self.next()
             inner = self.expr()
@@ -348,6 +301,46 @@ class Parser:
         raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}",
                          tok.line, tok.col)
 
+    def location(self) -> int:
+        """The number of an `@n` location, at its `@`."""
+        self.next()
+        num = self.peek()
+        if num.kind != "int":
+            raise ParseError("expected a location number after '@'",
+                             num.line, num.col)
+        return int(self.next().value)
+
+    def abstraction(self, opener: str, params, cls) -> Term:
+        """`fn` and `tfn`, at the keyword: an optional self-name and
+        `^{...}` capture, the parameters (`params`, which start at
+        `opener`) and the `{ body }` block."""
+        self.next()
+        self_name = (self.ident()
+                     if not self.at(opener) and not self.at("^")
+                     else self.gen("f"))
+        capture = None
+        if self.at("^"):
+            self.next()
+            capture = self.qualifier()
+        head = params()
+        self.expect("{")
+        body = self.expr()
+        self.expect("}")
+        return cls(self_name, *head, body, capture)
+
+    def fn_params(self) -> Tuple[str, QualifiedType, Optional[QualifiedType]]:
+        """`(x: T^q)` and an optional `: U^r`: the parameter and result of a `fn`."""
+        self.expect("(")
+        param = self.ident()
+        self.expect(":")
+        dom = self.qtype()
+        self.expect(")")
+        cod = None
+        if self.at(":"):
+            self.next()
+            cod = self.qtype()
+        return param, dom, cod
+
     # -- programs -------------------------------------------------------------
 
     def program(self) -> SourceProgram:
@@ -362,12 +355,7 @@ class Parser:
                 decls.append(("assume", name, ann))
             elif self.at("val"):
                 # top-level val: binds a declaration, main follows
-                self.next()
-                name = self.ident()
-                self.expect("=")
-                rhs = self.assign_expr()
-                self.expect(";")
-                decls.append(("val", name, rhs))
+                decls.append(("val",) + self.binding())
             else:
                 break
         main = self.expr()

@@ -12,9 +12,9 @@ kind (term, tvar or qvar), and which parts the binders scope over. Free
 atoms, substitution, alpha-equivalence, scope resolution
 (`surface.resolve_term`) and the evaluation contexts of `machine.step`
 are written once against it. A new term form adds its dataclass, one
-`Shape` row and, if it can be the subject of a reduction, a rule in
-`machine._RULES`; its typing rule (`typecheck`) and concrete syntax
-(`surface`) are the only other places that need a clause.
+`Shape` row, one `_SYNTH` row (its typing rule, in `typecheck`) and, if
+it can be the subject of a reduction, a rule in `machine._RULES`; its
+concrete syntax (`surface`) is the only other place that needs a clause.
 """
 
 from __future__ import annotations
@@ -66,14 +66,8 @@ class Qualifier:
     def with_atoms(self, extra: Iterable[Atom]) -> "Qualifier":
         return Qualifier(self.fresh, self.atoms | frozenset(extra))
 
-    def without(self, atom: Atom) -> "Qualifier":
-        return Qualifier(self.fresh, self.atoms - {atom})
-
     def is_empty(self) -> bool:
         return not self.fresh and not self.atoms
-
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self.atoms
 
 
 EMPTY = Qualifier()
@@ -247,7 +241,7 @@ def is_value(t: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Environments, store typings, observations
+# Environments and store typings
 
 
 @dataclass(frozen=True)
@@ -337,15 +331,6 @@ class StoreTyping:
 
     def dom(self) -> frozenset:
         return frozenset(LocAtom(l) for l in self.mapping)
-
-    def __contains__(self, loc: int) -> bool:
-        return loc in self.mapping
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-
-Observation = frozenset  # of Atom; never contains the freshness marker
 
 
 # ---------------------------------------------------------------------------
@@ -528,17 +513,21 @@ def subst_atom_in_qual(q: Qualifier, atom: Atom, payload: Qualifier) -> Qualifie
 
 
 class _Substitution:
-    """Puts payload in for atom and, when tvar is given, ty for the type
-    variable tvar, stopping under a binder of either name. Calling it
-    maps a qualified type; unchanged parts are shared, not copied. (An
-    object rather than a recursive closure, which would leave a reference
-    cycle behind for the collector on every call.)"""
+    """Puts payload in for atom, ty for the type variable tvar when tvar
+    is given and, in terms, the value v for the variable var when var is
+    given, stopping under a binder of the atom's or the type variable's
+    name. Calling it maps a qualified type; `term` maps a term; unchanged
+    parts are shared, not copied. (An object rather than a recursive
+    closure, which would leave a reference cycle behind for the collector
+    on every call.)"""
 
-    __slots__ = ("atom", "payload", "tvar", "ty", "names")
+    __slots__ = ("atom", "payload", "tvar", "ty", "var", "v", "names")
 
     def __init__(self, atom: Atom, payload: Qualifier,
-                 tvar: Optional[str] = None, ty: Optional[Type] = None):
+                 tvar: Optional[str] = None, ty: Optional[Type] = None,
+                 var: Optional[str] = None, v: Optional[Term] = None):
         self.atom, self.payload, self.tvar, self.ty = atom, payload, tvar, ty
+        self.var, self.v = var, v
         self.names = {tvar, atom.name} if isinstance(atom, VarAtom) else {tvar}
 
     def qual(self, q: Qualifier) -> Qualifier:
@@ -554,17 +543,10 @@ class _Substitution:
             return qty
         return QualifiedType(ty, q)
 
-    def term(self, t: Term, var: Optional[str] = None, v: Optional[Term] = None) -> Term:
-        """t with the substitution applied to every annotation and capture,
-        and, when var is given, the value v put in for the variable var."""
-        qual, names = self.qual, self.names
-
-        def go(t: Term) -> Term:
-            if type(t) is Var:
-                return v if t.name == var else t
-            return map_parts(t, go, self, qual, names)
-
-        return go(t)
+    def term(self, t: Term) -> Term:
+        if type(t) is Var:
+            return self.v if t.name == self.var else t
+        return map_parts(t, self.term, self, self.qual, self.names)
 
 
 def subst_qual_in_qtype(qty: QualifiedType, atom: Atom,
@@ -596,7 +578,7 @@ def subst_term(t: Term, name: str, v: Term) -> Term:
     Annotation qualifiers mentioning the variable are rewritten with the
     value's syntactic qualifier so reduced terms stay checkable.
     """
-    return _Substitution(VarAtom(name), value_qualifier(v)).term(t, name, v)
+    return _Substitution(VarAtom(name), value_qualifier(v), var=name, v=v).term(t)
 
 
 def subst_qtype_in_term(t: Term, tvar: str, qvar: str,
