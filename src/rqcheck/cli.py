@@ -91,7 +91,7 @@ def failure(exc: Exception) -> Tuple[int, str, str, str]:
         return EXIT_FUEL, "fuel exhausted", "FuelExhausted", str(exc)
     if isinstance(exc, ParseError):
         return EXIT_ERROR, "parse error", "ParseError", str(exc)
-    if isinstance(exc, OSError):
+    if isinstance(exc, (OSError, UnicodeDecodeError)):
         return EXIT_ERROR, "cannot read the program", type(exc).__name__, str(exc)
     return EXIT_ERROR, "internal error", type(exc).__name__, str(exc)
 

@@ -15,6 +15,20 @@ are written once against it. A new term form adds its dataclass, one
 `Shape` row, one `_SYNTH` row (its typing rule, in `typecheck`) and, if
 it can be the subject of a reduction, a rule in `machine._RULES`; its
 concrete syntax (`surface`) is the only other place that needs a clause.
+
+Term substitution touches only the subterms that mention a substituted
+name (section "Free-name masks"). Each node lazily memoizes, as an
+attribute outside its dataclass fields, a bitmask of the names free in
+it: variables, qualifier atoms and type variables, with bits from one
+name table for the process. The mask is built from the parts' masks,
+and a node that substitution rebuilds takes its mask from the node it
+replaces, so rebuilding a spine costs O(1) per node. `_Substitution.term`
+returns a subterm whose mask misses the substituted names as it is. A
+closed λ or Λ value also memoizes its free atoms in `value_qualifier`,
+which `free_term_atoms` reuses, so closures that reduction nests inside
+one another are not walked again. Neither memo shows in `==`, `hash`,
+`repr`, `alpha_eq` or `pretty`, and nodes are immutable, so a memo
+stays true for the node's lifetime.
 """
 
 from __future__ import annotations
@@ -447,6 +461,11 @@ def _collect(x, bound: frozenset, annotations: bool, acc: set):
     """Add the free atoms of a term or type to acc; type variables count
     as VarAtoms. A term's annotations and captures only count when
     `annotations` is set."""
+    if not annotations:
+        memo = getattr(x, "_closed_atoms", None)
+        if memo is not None:  # set by value_qualifier on closed terms only
+            acc.update(memo)
+            return
     shape = SHAPES[type(x)]
     if shape.occurs is not None:
         field, kind = shape.occurs
@@ -499,6 +518,64 @@ def free_term_atoms(t: Term, bound: frozenset = frozenset(),
 
 
 # ---------------------------------------------------------------------------
+# Free-name masks
+#
+# A name's bit is fixed the first time the name is seen and never
+# reused, so a mask stays valid for as long as the process runs.
+
+_NAME_BITS: dict = {}
+
+
+def _bit(name: str) -> int:
+    bit = _NAME_BITS.get(name)
+    if bit is None:
+        bit = _NAME_BITS[name] = 1 << len(_NAME_BITS)
+    return bit
+
+
+def _free_names(x) -> int:
+    """Bitmask of the names free in a term, type, qualified type or
+    qualifier: variables, qualifier atoms and type variables. Memoized
+    on x, so a node built over old parts costs O(1) per part. A mask
+    that substitution set may also cover names no longer free (see
+    `_Substitution`)."""
+    mask = getattr(x, "_free_names", None)
+    if mask is not None:
+        return mask
+    cls = type(x)
+    mask = 0
+    if cls is Qualifier:
+        for a in x.atoms:
+            if type(a) is VarAtom:
+                mask |= _bit(a.name)
+    elif cls is QualifiedType:
+        mask = _free_names(x.ty) | _free_names(x.q)
+    else:
+        shape = SHAPES[cls]
+        if shape.occurs is not None:
+            field, kind = shape.occurs
+            if kind != "loc":
+                mask = _bit(getattr(x, field))
+        inner = 0
+        for f, _, under in shape.parts:
+            part = getattr(x, f)
+            if part is None:
+                continue
+            if under:
+                inner |= _free_names(part)
+            else:
+                mask |= _free_names(part)
+        if inner:
+            for f, _ in shape.binds:
+                bit = _NAME_BITS.get(getattr(x, f))
+                if bit is not None:
+                    inner &= ~bit
+            mask |= inner
+    object.__setattr__(x, "_free_names", mask)
+    return mask
+
+
+# ---------------------------------------------------------------------------
 # Substitution primitives
 #
 # subst_atom_in_qual is the seed everything else extends homomorphically;
@@ -519,9 +596,18 @@ class _Substitution:
     name. Calling it maps a qualified type; `term` maps a term; unchanged
     parts are shared, not copied. (An object rather than a recursive
     closure, which would leave a reference cycle behind for the collector
-    on every call.)"""
+    on every call.)
 
-    __slots__ = ("atom", "payload", "tvar", "ty", "var", "v", "names")
+    `term` returns a subterm whose free-name mask misses `mask`, the
+    bits of the substituted names, as it is, so a reduction step
+    rebuilds only the paths down to the occurrences. A rebuilt node's
+    mask is the old node's without `mask` and with `added`, the free
+    names of what is put in: a superset of its free names, which is all
+    a skip needs. Only term substitutions set these (`_in_term`); the
+    qualified-type substitutions of type checking never pay for them."""
+
+    __slots__ = ("atom", "payload", "tvar", "ty", "var", "v", "names", "mask",
+                 "added")
 
     def __init__(self, atom: Atom, payload: Qualifier,
                  tvar: Optional[str] = None, ty: Optional[Type] = None,
@@ -543,10 +629,29 @@ class _Substitution:
             return qty
         return QualifiedType(ty, q)
 
+    def _in_term(self, t: Term, brought) -> Term:
+        """t with the substitution applied. `brought` is the value or
+        qualified type put in; its free names cover all that the
+        substitution can bring into t, qualifier payload included."""
+        self.mask = 0
+        for name in self.names:
+            if name is not None:
+                self.mask |= _bit(name)
+        self.added = _free_names(brought)
+        return self.term(t)
+
     def term(self, t: Term) -> Term:
+        names = getattr(t, "_free_names", None)
+        if names is None:
+            names = _free_names(t)
+        if not names & self.mask:
+            return t
         if type(t) is Var:
             return self.v if t.name == self.var else t
-        return map_parts(t, self.term, self, self.qual, self.names)
+        out = map_parts(t, self.term, self, self.qual, self.names)
+        if out is not t:
+            object.__setattr__(out, "_free_names", names & ~self.mask | self.added)
+        return out
 
 
 def subst_qual_in_qtype(qty: QualifiedType, atom: Atom,
@@ -565,11 +670,20 @@ def value_qualifier(v: Term) -> Qualifier:
     """Syntactic qualifier of a closed value: its free locations.
 
     An explicit capture annotation wins when present; the checker has
-    already made sure it covers the free variables.
+    already made sure it covers the free variables. A closure's atoms
+    are memoized when they are locations only, which no bound set can
+    hide (see _collect), so nested closures are walked once.
     """
-    if isinstance(v, (Abs, TAbs)) and v.capture is not None:
+    if not isinstance(v, (Abs, TAbs)):
+        return Qualifier(False, free_term_atoms(v))
+    if v.capture is not None:
         return Qualifier(False, v.capture.atoms)
-    return Qualifier(False, free_term_atoms(v))
+    atoms = getattr(v, "_closed_atoms", None)
+    if atoms is None:
+        atoms = free_term_atoms(v)
+        if all(type(a) is LocAtom for a in atoms):
+            object.__setattr__(v, "_closed_atoms", atoms)
+    return Qualifier(False, atoms)
 
 
 def subst_term(t: Term, name: str, v: Term) -> Term:
@@ -578,13 +692,15 @@ def subst_term(t: Term, name: str, v: Term) -> Term:
     Annotation qualifiers mentioning the variable are rewritten with the
     value's syntactic qualifier so reduced terms stay checkable.
     """
-    return _Substitution(VarAtom(name), value_qualifier(v), var=name, v=v).term(t)
+    sub = _Substitution(VarAtom(name), value_qualifier(v), var=name, v=v)
+    return sub._in_term(t, v)
 
 
 def subst_qtype_in_term(t: Term, tvar: str, qvar: str,
                         payload: QualifiedType) -> Term:
     """Type-application substitution pushed through a term body."""
-    return _Substitution(VarAtom(qvar), payload.q, tvar, payload.ty).term(t)
+    sub = _Substitution(VarAtom(qvar), payload.q, tvar, payload.ty)
+    return sub._in_term(t, payload)
 
 
 # ---------------------------------------------------------------------------

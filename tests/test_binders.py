@@ -1,15 +1,25 @@
 """Binder structure, one row per term constructor: which atoms are free,
 what substituting a closed value for `x` gives, and which renamings
 keep a term alpha-equivalent. Substitution must stop under a binder
-that shadows the substituted name."""
+that shadows the substituted name. Guarded substitution, which skips
+subterms whose free-name mask misses the substituted names, must agree
+with an unguarded rewrite, and its memos must stay invisible."""
+
+from collections import Counter
 
 import pytest
 
+from helpers import corpus_entries
+from rqcheck import machine, syntax
+from rqcheck.cli import corpus_text
+from rqcheck.machine import eval_term
+from rqcheck.surface import elaborate, parse, pretty
 from rqcheck.syntax import (
     Abs, All, App, Ascribe, Assign, Const, Deref, Fun, INT, Let, LocAtom,
-    LocTerm, RefAlloc, RefT, TAbs, TApp, TVar, UnitLit, Var, VarAtom,
-    alpha_eq, free_term_atoms, qt, qual, subst_qtype_in_term,
-    subst_qual_in_qtype, subst_term,
+    LocTerm, Qualifier, RefAlloc, RefT, TAbs, TApp, TVar, UnitLit, Var,
+    VarAtom, alpha_eq, free_term_atoms, map_parts, qt, qual,
+    subst_atom_in_qual, subst_qtype_in_term, subst_qual_in_qtype, subst_term,
+    subst_tvar_in_qtype, value_qualifier,
 )
 
 X, Y = VarAtom("x"), VarAtom("y")
@@ -115,3 +125,167 @@ def test_qualifier_substitution_in_types_stops_under_a_shadowing_binder():
     univ = qt(All("g", "T", "x", qt(INT, qual("x")), qt(TVar("T"), qual("x"))))
     assert subst_qual_in_qtype(univ, X, qual(locs=[0])) == qt(
         All("g", "T", "x", qt(INT, qual(locs=[0])), qt(TVar("T"), qual("x"))))
+
+
+# ---------------------------------------------------------------------------
+# Guarded substitution against an unguarded reference
+
+LET_SPINE = """
+val a = ref 1;
+val b = ref 0;
+val c = ref 0;
+val unused = 5;
+val d = b := !a;
+val e = c := !b;
+!c
+"""
+
+CLOSURE_TOWER = """
+val c = ref 7;
+val f0 = fn f0(u: Unit^{}) { !c };
+val f1 = fn f1(u: Unit^{}) { f0(u) };
+val f2 = fn f2(u: Unit^{}) { f1(u) };
+f2(unit)
+"""
+
+
+def _locations(t) -> frozenset:
+    """The locations a term mentions outside its annotations, found by a
+    walk that visits every node."""
+    found = set()
+
+    def visit(s):
+        if type(s) is LocTerm:
+            found.add(LocAtom(s.loc))
+        return map_parts(s, term=visit)
+
+    visit(t)
+    return frozenset(found)
+
+
+def _rewrite(t, names, var, v, qtype, qual_fn):
+    """Substitution with no guard: every node is visited."""
+    def term(s):
+        if type(s) is Var:
+            return v if s.name == var else s
+        return map_parts(s, term, qtype, qual_fn, names)
+    return term(t)
+
+
+def reference_subst_term(t, name, v):
+    if isinstance(v, (Abs, TAbs)) and v.capture is not None:
+        payload = Qualifier(False, v.capture.atoms)
+    else:
+        payload = Qualifier(False, _locations(v))  # v is closed
+    assert value_qualifier(v) == payload
+    atom = VarAtom(name)
+    return _rewrite(t, {name}, name, v,
+                    lambda q: subst_qual_in_qtype(q, atom, payload),
+                    lambda q: subst_atom_in_qual(q, atom, payload))
+
+
+def reference_subst_qtype_in_term(t, tvar, qvar, payload):
+    return _rewrite(t, {tvar, qvar}, None, None,
+                    lambda q: subst_tvar_in_qtype(q, tvar, qvar, payload),
+                    lambda q: subst_atom_in_qual(q, VarAtom(qvar), payload.q))
+
+
+def _differential_run(monkeypatch, term, fuel) -> Counter:
+    """Evaluate term, checking every substitution the machine makes
+    against the reference; counts (function, whether it left t as is)."""
+    seen = Counter()
+
+    def check(guarded, reference, t, names, *args):
+        out = guarded(t, *args)
+        assert out == reference(t, *args)
+        free = free_term_atoms(t, annotations=True)
+        unchanged = not any(VarAtom(n) in free for n in names)
+        if unchanged:
+            assert out is t
+        seen[guarded.__name__, unchanged] += 1
+        return out
+
+    monkeypatch.setattr(machine, "subst_term", lambda t, name, v: check(
+        subst_term, reference_subst_term, t, (name,), name, v))
+    monkeypatch.setattr(machine, "subst_qtype_in_term", lambda t, tv, qv, p: check(
+        subst_qtype_in_term, reference_subst_qtype_in_term, t, (tv, qv), tv, qv, p))
+    eval_term(term, fuel=fuel)
+    return seen
+
+
+DIFFERENTIAL = [(e.name, corpus_text(e)) for e in corpus_entries("eval")] + [
+    ("let-spine", LET_SPINE), ("closure-tower", CLOSURE_TOWER)]
+
+
+@pytest.mark.parametrize("name,text", DIFFERENTIAL, ids=[d[0] for d in DIFFERENTIAL])
+def test_guarded_substitution_matches_the_unguarded_rewrite(monkeypatch, name, text):
+    assert _differential_run(monkeypatch, elaborate(parse(text)), 300)
+
+
+def test_the_differential_run_reaches_both_substitutions_and_both_outcomes(
+        monkeypatch):
+    seen = Counter()
+    for _, text in DIFFERENTIAL:
+        seen += _differential_run(monkeypatch, elaborate(parse(text)), 300)
+    assert seen["subst_term", True] and seen["subst_term", False]
+    assert seen["subst_qtype_in_term", False]
+
+
+# ---------------------------------------------------------------------------
+# The memos are invisible and safe
+
+
+def test_filled_memos_are_invisible():
+    text = """
+val f0 = fn f0(u: Unit^{}) { 7 };
+val f1 = fn f1(u: Unit^{}) { f0(u) };
+f1(unit)
+"""
+    term = elaborate(parse(text))
+    before = pretty(term)
+    assert pretty(eval_term(term).term) == "7"   # fills the memos below
+    spine, value = term.body, term.rhs           # f1's let, the closed f0
+    assert "_free_names" in vars(spine) and "_closed_atoms" in vars(value)
+    fresh = elaborate(parse(text))
+    for filled, copy in ((term, fresh), (spine, fresh.body), (value, fresh.rhs)):
+        assert filled == copy and hash(filled) == hash(copy)
+        assert repr(filled) == repr(copy)
+        assert alpha_eq(filled, copy) and alpha_eq(copy, filled)
+    assert pretty(term) == before == pretty(fresh)
+
+
+def test_an_open_payload_leaves_no_memo_behind():
+    open_fn = Abs("g", "z", INT_Q, None, Var("y"))    # y is free
+    assert subst_term(Var("x"), "x", open_fn) is open_fn
+    binder = Let("y", Const(1), App(open_fn, Const(2)))
+    assert free_term_atoms(binder) == set()
+    assert free_term_atoms(open_fn) == {Y}
+    assert subst_term(binder, "y", V) is binder
+
+
+def test_a_rebuilt_node_keeps_the_names_its_payload_brought():
+    open_fn = Abs("g", "z", INT_Q, None, Deref(Var("y")))
+    typed = TAbs("h", "T", "t", INT_Q, Ascribe(Var("x"), qt(TVar("S"), qual("x"))))
+    once = subst_term(typed, "x", open_fn)            # brings y in
+    assert subst_term(once, "y", V) == subst_term(
+        TAbs("h", "T", "t", INT_Q, Ascribe(open_fn, qt(TVar("S"), qual("y")))), "y", V)
+    assert subst_term(once, "y", V) != once
+    poly = subst_qtype_in_term(once, "S", "s", qt(TVar("R"), qual("r")))
+    assert subst_qtype_in_term(poly, "R", "r", qt(INT)) == TAbs(
+        "h", "T", "t", INT_Q, Ascribe(open_fn, qt(INT, qual("y"))))
+
+
+def test_an_unused_name_is_substituted_without_a_rewrite(monkeypatch):
+    body = Var("v299")
+    for i in reversed(range(1, 300)):
+        body = Let(f"v{i}", Const(i), body)
+    spine = Let("v0", Const(0), body)      # v0 is never used
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return map_parts(*args, **kwargs)
+
+    monkeypatch.setattr(syntax, "map_parts", counted)
+    assert subst_term(spine.body, spine.name, spine.rhs) is body
+    assert calls == []

@@ -187,6 +187,20 @@ def test_an_internal_fault_is_exit_two_without_a_traceback(
     assert json.loads(out)["error"]["code"] == "RecursionError"
 
 
+@pytest.mark.parametrize("command", ["check", "eval", "sep"])
+def test_a_file_that_is_not_utf8_cannot_be_read(capsys, tmp_path, command):
+    src = tmp_path / "latin1.rq"
+    src.write_bytes(b"\xffval x = 1;\nx\n")
+    code, out, err = run(capsys, command, str(src))
+    assert code == 2 and out == ""
+    assert err.startswith("cannot read the program [UnicodeDecodeError]: ")
+    assert len(err.strip().splitlines()) == 1
+    code, out, err = run(capsys, command, "--json", str(src))
+    assert code == 2 and err == ""
+    assert json.loads(out)["status"] == "error"
+    assert json.loads(out)["error"]["code"] == "UnicodeDecodeError"
+
+
 def test_every_error_shares_one_hierarchy():
     from rqcheck import errors, surface, typecheck
     assert surface.ScopeError is errors.ScopeError
