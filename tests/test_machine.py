@@ -1,10 +1,16 @@
 """Unit tests for the small-step machine and its metatheory harnesses."""
 
+import importlib
+import json
+import sys
+from pathlib import Path
+
+from rqcheck.cli import corpus_text, load_corpus
 from rqcheck.machine import (
-    Store, Stepped, Value, check_preservation, erase_ascriptions, eval_term,
-    separation_experiment, step, store_wf,
+    DEFAULT_EVAL_FUEL, Store, Stepped, Value, check_preservation,
+    erase_ascriptions, eval_term, separation_experiment, step, store_wf,
 )
-from rqcheck.surface import parse_term, pretty
+from rqcheck.surface import elaborate, parse, parse_term, pretty
 from rqcheck.syntax import (
     Assign, Const, Deref, INT, LocAtom, LocTerm, RefAlloc, StoreTyping,
     UnitLit, alpha_eq, qt, qual,
@@ -188,3 +194,69 @@ def test_dereferencing_untracked_content_is_separate():
     report = separation_experiment(Deref(LocTerm(0)), Deref(LocTerm(0)),
                                    sigma, store0=store)
     assert report.premise_ok and report.ok
+
+
+# ---------------------------------------------------------------------------
+# Golden evaluation behaviour
+
+GOLDEN = Path(__file__).parent / "golden" / "eval_corpus.jsonl"
+GOLDEN_FUELS = (0, 1, 2, 3, 7, None)      # None: the entry's own fuel
+
+
+def _bench_families():
+    """bench/families.py, imported read-only."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    return importlib.import_module("families")
+
+
+def _golden_programs():
+    """(name, term, fuel of the entry) for every corpus eval entry and
+    the four generated families at n=1..5."""
+    for entry in load_corpus():
+        if entry.kind == "eval":
+            term = elaborate(parse(corpus_text(entry)))
+            yield entry.name, term, entry.expect.get("fuel", DEFAULT_EVAL_FUEL)
+    families = _bench_families()
+    for family in sorted(families.FAMILIES):
+        for n in range(1, 6):
+            program = families.FAMILIES[family](n)
+            yield program.name, elaborate(parse(program.text)), DEFAULT_EVAL_FUEL
+
+
+def _events(events) -> str:
+    return " ".join(e.rule if e.loc is None else f"{e.rule}@{e.loc}" for e in events)
+
+
+def _store(store) -> dict:
+    return {str(loc): pretty(v) for loc, v in sorted(store.cells.items())}
+
+
+def eval_golden_lines() -> str:
+    """One JSON line per (program, fuel): everything `eval_term` reports;
+    then, for each corpus eval entry, the `check_preservation` report."""
+    lines = []
+    for name, term, own_fuel in _golden_programs():
+        for fuel in GOLDEN_FUELS:
+            result = eval_term(term, fuel=own_fuel if fuel is None else fuel)
+            lines.append({"program": name, "fuel": fuel, "status": result.status,
+                          "steps": result.steps, "reason": result.reason,
+                          "events": _events(result.events),
+                          "term": pretty(result.term), "store": _store(result.store)})
+    for entry in load_corpus():
+        if entry.kind == "eval":
+            term = elaborate(parse(corpus_text(entry)))
+            report = check_preservation(term, EMPTY_SIGMA,
+                                        fuel=entry.expect.get("fuel", DEFAULT_EVAL_FUEL))
+            steps = [[s.index, s.rule, sorted(a.render() for a in s.witness),
+                      pretty(s.q_before), pretty(s.q_after), s.ok, s.detail]
+                     for s in report.steps]
+            final = None if report.final_term is None else pretty(report.final_term)
+            lines.append({"preservation": entry.name, "ok": report.ok,
+                          "status": report.status, "steps": steps, "final": final})
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
+def test_eval_and_preservation_match_the_golden_file():
+    assert eval_golden_lines() == GOLDEN.read_text(encoding="utf-8")
