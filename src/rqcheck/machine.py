@@ -1,5 +1,33 @@
 """Call-by-value small-step reduction with a store, plus runtime
-validation of the preservation, progress, and separation properties."""
+validation of the preservation, progress, and separation properties.
+
+The machine runs on a `Configuration`, after Danvy and Nielsen's
+refocusing ("Refocusing in Reduction Semantics", 2004): a focus term; the
+focus's pending substitution, which maps variables to closed values; and
+a stack of evaluation-context frames, each holding a node, the field that
+is the hole and that node's pending substitution. A step searches for
+the next redex from the focus, not from the root: it descends into the
+first evaluation position that holds no value, looks a variable in
+focus up in the pending substitution (which is not a step), and plugs a
+value in focus into the top frame. Let-β and β do not rewrite the rest of
+the program: `Let x = v in b` goes on with b under the substitution
+extended by x ↦ v, and β with the body under {self ↦ fn, param ↦ arg}
+alone. β_t substitutes its type argument at once.
+
+The pending substitution is applied in three places only: to what a
+redex reads (its evaluation positions and annotations; of a `Let`, only
+the right-hand side), to a value plugged into a frame, and when the
+whole term is needed (`Configuration.plug`). Only closed values enter
+it, so applying it at once equals applying its bindings one at a time,
+as the eager rules did.
+
+`step` takes a term or a configuration. Given a term it makes one
+transition and plugs, so `Stepped.term` is the whole next term, which is
+what the preservation and separation harnesses re-type. Given a
+configuration it advances that configuration in place; `eval_term` runs
+this way, so a step costs the search from the last redex, not a walk
+over the program.
+"""
 
 from __future__ import annotations
 
@@ -8,10 +36,10 @@ from typing import List, Optional, Tuple, Union
 
 from .qualifiers import overlap, q_grow, qual_sub, saturate
 from .syntax import (
-    SHAPES, Abs, App, Ascribe, Assign, Deref, Let, LocAtom, LocTerm,
-    QualifiedType, Qualifier, RefAlloc, StoreTyping, TAbs, TApp, Term, TypeEnv,
-    UnitLit, alpha_eq, free_atoms_qtype, free_term_atoms, is_value, map_parts,
-    subst_qtype_in_term, subst_term, with_part,
+    EMPTY_SUBSTITUTION, SHAPES, Abs, App, Ascribe, Assign, Deref, Let,
+    LocAtom, LocTerm, QualifiedType, Qualifier, RefAlloc, StoreTyping, TAbs,
+    TApp, Term, TypeEnv, UnitLit, Var, alpha_eq, free_atoms_qtype,
+    free_term_atoms, is_value, map_parts, subst_qtype_in_term, with_part,
 )
 from .subtyping import type_sub
 from .typecheck import check_program
@@ -52,9 +80,27 @@ class Event:
     loc: Optional[int] = None
 
 
+class Configuration:
+    """A term split into the focus, the focus's pending substitution
+    and the frames of the evaluation context around it, innermost last:
+    (node, the field that is the hole, the node's pending substitution)."""
+
+    __slots__ = ("focus", "sub", "frames")
+
+    def __init__(self, t: Term):
+        self.focus, self.sub, self.frames = t, EMPTY_SUBSTITUTION, []
+
+    def plug(self) -> Term:
+        """The whole term, every pending substitution applied."""
+        t = self.sub.term(self.focus)
+        for node, hole, sub in reversed(self.frames):
+            t = sub.term(with_part(node, hole, t))
+        return t
+
+
 @dataclass
 class Stepped:
-    term: Term
+    term: Union[Term, Configuration]   # what step was given, one step on
     store: Store
     event: Event
 
@@ -77,78 +123,107 @@ def erase_ascriptions(t: Term) -> Term:
     return map_parts(t, term=erase_ascriptions)
 
 
-# Reduction rules, one per redex form; each sees its evaluation
-# positions (SHAPES[...].evals) already reduced to values.
+# Reduction rules, one per redex form. Each sees its evaluation positions
+# (SHAPES[...].evals) already reduced to values, with the node's pending
+# substitution `sub` still to apply to what it reads, and returns the
+# term to go on with, that term's pending substitution, the store and
+# the event; or Stuck. A location needs no substitution.
 
 
-def _beta(t: App, store: Store):
-    if not isinstance(t.fn, Abs):
+def _beta(t: App, sub, store: Store):
+    fn = sub.term(t.fn)
+    if not isinstance(fn, Abs):
         return Stuck("applied a non-function value")
-    fn = t.fn
-    body = subst_term(fn.body, fn.param, t.arg)
-    body = subst_term(body, fn.self_name, fn)
-    return Stepped(body, store, Event("beta"))
+    # the parameter wins when it has the self-reference's name
+    body_sub = EMPTY_SUBSTITUTION.extended(fn.self_name, fn)
+    return fn.body, body_sub.extended(fn.param, sub.term(t.arg)), store, Event("beta")
 
 
-def _beta_t(t: TApp, store: Store):
-    if not isinstance(t.fn, TAbs):
+def _beta_t(t: TApp, sub, store: Store):
+    fn = sub.term(t.fn)
+    if not isinstance(fn, TAbs):
         return Stuck("type-applied a non-type-abstraction value")
-    fn = t.fn
-    body = subst_qtype_in_term(fn.body, fn.tvar, fn.qvar, t.arg)
-    body = subst_term(body, fn.self_name, fn)
-    return Stepped(body, store, Event("beta_t"))
+    body = subst_qtype_in_term(fn.body, fn.tvar, fn.qvar, sub(t.arg))
+    return (body, EMPTY_SUBSTITUTION.extended(fn.self_name, fn), store,
+            Event("beta_t"))
 
 
-def _ref(t: RefAlloc, store: Store):
-    loc, store2 = store.alloc(t.init)
-    return Stepped(LocTerm(loc), store2, Event("ref", loc))
+def _ref(t: RefAlloc, sub, store: Store):
+    loc, store2 = store.alloc(sub.term(t.init))
+    return LocTerm(loc), EMPTY_SUBSTITUTION, store2, Event("ref", loc)
 
 
-def _deref(t: Deref, store: Store):
+def _deref(t: Deref, sub, store: Store):
     if not isinstance(t.ref, LocTerm) or t.ref.loc not in store.cells:
         return Stuck("dereferenced a non-location")
-    return Stepped(store.get(t.ref.loc), store, Event("deref", t.ref.loc))
+    return store.get(t.ref.loc), EMPTY_SUBSTITUTION, store, Event("deref", t.ref.loc)
 
 
-def _assign(t: Assign, store: Store):
+def _assign(t: Assign, sub, store: Store):
     if not isinstance(t.lhs, LocTerm) or t.lhs.loc not in store.cells:
         return Stuck("assigned to a non-location")
-    return Stepped(UnitLit(), store.updated(t.lhs.loc, t.rhs),
-                   Event("assign", t.lhs.loc))
+    return (UnitLit(), EMPTY_SUBSTITUTION,
+            store.updated(t.lhs.loc, sub.term(t.rhs)), Event("assign", t.lhs.loc))
 
 
-def _let(t: Let, store: Store):
-    return Stepped(subst_term(t.body, t.name, t.rhs), store, Event("beta"))
+def _let(t: Let, sub, store: Store):
+    return t.body, sub.extended(t.name, sub.term(t.rhs)), store, Event("beta")
 
 
-def _ascribe(t: Ascribe, store: Store):
+def _ascribe(t: Ascribe, sub, store: Store):
     # ascriptions evaluate their subject, then vanish; keeping them
     # until that point lets every intermediate term re-typecheck
-    return Stepped(t.term, store, Event("ascribe"))
+    return t.term, sub, store, Event("ascribe")
 
 
 _RULES = {App: _beta, TApp: _beta_t, RefAlloc: _ref, Deref: _deref,
           Assign: _assign, Let: _let, Ascribe: _ascribe}
 
 
-def step(t: Term, store: Store) -> Union[Stepped, Value, Stuck]:
+def step(t: Union[Term, Configuration],
+         store: Store) -> Union[Stepped, Value, Stuck]:
     """One leftmost-innermost reduction step.
 
     The first evaluation position holding a non-value is reduced in
-    place; when every one holds a value the node's own rule fires."""
-    if is_value(t):
-        return Value(t)
-    for name in SHAPES[type(t)].evals:
-        part = getattr(t, name)
-        if not is_value(part):
-            out = step(part, store)
-            if isinstance(out, Stepped):
-                return Stepped(with_part(t, name, out.term), out.store, out.event)
-            return out
-    rule = _RULES.get(type(t))
-    if rule is None:
-        return Stuck(f"open or ill-formed term: {t!r}")
-    return rule(t, store)
+    place; when every one holds a value the node's own rule fires. A
+    term is split into a configuration, stepped and plugged again; a
+    configuration is stepped in place and is the `term` of the result."""
+    c = t if type(t) is Configuration else Configuration(t)
+    out = _transition(c, store)
+    if c is t or type(out) is not Stepped:
+        return out
+    return Stepped(c.plug(), out.store, out.event)
+
+
+def _transition(c: Configuration, store: Store) -> Union[Stepped, Value, Stuck]:
+    t, sub, frames = c.focus, c.sub, c.frames
+    while True:
+        if type(t) is Var:
+            v = sub.values.get(t.name)
+            if v is None:
+                c.focus, c.sub = t, sub
+                return Stuck(f"open or ill-formed term: {t!r}")
+            t, sub = v, EMPTY_SUBSTITUTION
+        if is_value(t):
+            v = sub.term(t)
+            if not frames:
+                c.focus, c.sub = v, EMPTY_SUBSTITUTION
+                return Value(v)
+            node, hole, sub = frames.pop()
+            t = with_part(node, hole, v)
+        for name in SHAPES[type(t)].evals:
+            part = getattr(t, name)
+            if not is_value(part):
+                frames.append((t, name, sub))
+                t = part
+                break
+        else:
+            out = _RULES[type(t)](t, sub, store)
+            if type(out) is Stuck:
+                c.focus, c.sub = t, sub
+                return out
+            c.focus, c.sub, store, event = out
+            return Stepped(c, store, event)
 
 
 @dataclass
@@ -165,15 +240,16 @@ def eval_term(t: Term, store: Optional[Store] = None,
               fuel: int = DEFAULT_EVAL_FUEL) -> EvalResult:
     store = store if store is not None else Store.empty()
     events: List[Event] = []
+    config = Configuration(t)
     for i in range(fuel):
-        out = step(t, store)
+        out = step(config, store)
         if isinstance(out, Value):
             return EvalResult("value", out.term, store, i, events=events)
         if isinstance(out, Stuck):
-            return EvalResult("stuck", t, store, i, out.reason, events)
-        t, store = out.term, out.store
+            return EvalResult("stuck", config.plug(), store, i, out.reason, events)
+        store = out.store
         events.append(out.event)
-    return EvalResult("fuel", t, store, fuel, "fuel exhausted", events)
+    return EvalResult("fuel", config.plug(), store, fuel, "fuel exhausted", events)
 
 
 def store_wf(sigma: StoreTyping) -> bool:

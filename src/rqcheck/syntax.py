@@ -23,7 +23,10 @@ it: variables, qualifier atoms and type variables, with bits from one
 name table for the process. The mask is built from the parts' masks,
 and a node that substitution rebuilds takes its mask from the node it
 replaces, so rebuilding a spine costs O(1) per node. `_Substitution.term`
-returns a subterm whose mask misses the substituted names as it is. A
+returns a subterm whose mask misses the substituted names as it is. One
+substitution can put several closed values in at once: the machine's
+pending substitution grows from `EMPTY_SUBSTITUTION` by `extended`, and
+`subst_term` is its one-name case. A
 closed λ or Λ value also memoizes its free atoms in `value_qualifier`,
 which `free_term_atoms` reuses, so closures that reduction nests inside
 one another are not walked again. Neither memo shows in `==`, `hash`,
@@ -330,10 +333,12 @@ class TypeEnv:
 
 
 class StoreTyping:
-    """Location typings; treated as immutable, extension copies."""
+    """Location typings; treated as immutable, extension copies, so the
+    domain is computed once."""
 
     def __init__(self, mapping: Optional[dict] = None):
         self.mapping = dict(mapping or {})
+        self._dom: Optional[frozenset] = None
 
     def get(self, loc: int) -> Optional[QualifiedType]:
         return self.mapping.get(loc)
@@ -344,7 +349,9 @@ class StoreTyping:
         return StoreTyping(new)
 
     def dom(self) -> frozenset:
-        return frozenset(LocAtom(l) for l in self.mapping)
+        if self._dom is None:
+            self._dom = frozenset(LocAtom(l) for l in self.mapping)
+        return self._dom
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +585,10 @@ def _free_names(x) -> int:
 # ---------------------------------------------------------------------------
 # Substitution primitives
 #
-# subst_atom_in_qual is the seed everything else extends homomorphically;
-# the qualifier-algebra module re-exports it as q_subst. Substitution
-# stops under a binder of the substituted name.
+# subst_atom_in_qual is the seed everything else extends homomorphically
+# (`_Substitution.qual` is its form for several atoms at once); the
+# qualifier-algebra module re-exports it as q_subst. Substitution stops
+# under a binder of a substituted name.
 
 
 def subst_atom_in_qual(q: Qualifier, atom: Atom, payload: Qualifier) -> Qualifier:
@@ -590,65 +598,94 @@ def subst_atom_in_qual(q: Qualifier, atom: Atom, payload: Qualifier) -> Qualifie
 
 
 class _Substitution:
-    """Puts payload in for atom, ty for the type variable tvar when tvar
-    is given and, in terms, the value v for the variable var when var is
-    given, stopping under a binder of the atom's or the type variable's
-    name. Calling it maps a qualified type; `term` maps a term; unchanged
-    parts are shared, not copied. (An object rather than a recursive
-    closure, which would leave a reference cycle behind for the collector
-    on every call.)
+    """Puts payload in for atom and ty for the type variable tvar, each
+    when given, and, in terms, each closed value of `values` in for its
+    variable, all at once, stopping under a binder of any substituted
+    name; `quals` maps each substituted atom to the qualifier put in for
+    it, and `atoms` holds its keys. Calling it maps a qualified type;
+    `term` maps a term; unchanged parts are shared, not copied. (An object
+    rather than a recursive closure, which would leave a reference cycle
+    behind for the collector on every call.)
 
-    `term` returns a subterm whose free-name mask misses `mask`, the
-    bits of the substituted names, as it is, so a reduction step
-    rebuilds only the paths down to the occurrences. A rebuilt node's
-    mask is the old node's without `mask` and with `added`, the free
-    names of what is put in: a superset of its free names, which is all
-    a skip needs. Only term substitutions set these (`_in_term`); the
+    A substitution of closed values starts from `EMPTY_SUBSTITUTION` and
+    grows by `extended`, which also puts the value's qualifier in for the
+    variable's atom. The values are closed, so putting them in at once
+    equals putting them in one at a time, in any order.
+
+    `term` returns a subterm whose free-name mask misses `mask`, the bits
+    of the substituted names, as it is, so a reduction step rebuilds only
+    the paths down to the occurrences. A rebuilt node's mask is the old
+    node's without `mask` and with `added`, the free names of what is put
+    in: a superset of its free names, which is all a skip needs. Only
+    term substitutions set these (`_for_terms`, `extended`); the
     qualified-type substitutions of type checking never pay for them."""
 
-    __slots__ = ("atom", "payload", "tvar", "ty", "var", "v", "names", "mask",
+    __slots__ = ("quals", "atoms", "tvar", "ty", "values", "names", "mask",
                  "added")
 
-    def __init__(self, atom: Atom, payload: Qualifier,
-                 tvar: Optional[str] = None, ty: Optional[Type] = None,
-                 var: Optional[str] = None, v: Optional[Term] = None):
-        self.atom, self.payload, self.tvar, self.ty = atom, payload, tvar, ty
-        self.var, self.v = var, v
-        self.names = {tvar, atom.name} if isinstance(atom, VarAtom) else {tvar}
+    def __init__(self, atom: Optional[VarAtom] = None, payload: Qualifier = EMPTY,
+                 tvar: Optional[str] = None, ty: Optional[Type] = None):
+        self.quals = {} if atom is None else {atom: payload}
+        self.atoms = frozenset(self.quals)
+        self.tvar, self.ty = tvar, ty
+        self.values: dict = {}
+        self.names = {tvar} if atom is None else {tvar, atom.name}
+
+    def _for_terms(self) -> "_Substitution":
+        self.mask = 0
+        for name in self.names:
+            if name is not None:
+                self.mask |= _bit(name)
+        self.added = 0 if self.ty is None else _free_names(self.ty)
+        for payload in self.quals.values():
+            self.added |= _free_names(payload)
+        return self
+
+    def extended(self, name: str, v: Term) -> "_Substitution":
+        """This substitution with the closed value v put in for name."""
+        atom = VarAtom(name)
+        new = object.__new__(_Substitution)
+        new.quals = {**self.quals, atom: value_qualifier(v)}
+        new.atoms = self.atoms | {atom}
+        new.tvar, new.ty = self.tvar, self.ty
+        new.values = {**self.values, name: v}
+        new.names = self.names | {name}
+        new.mask = self.mask | _bit(name)
+        new.added = self.added | _free_names(v)
+        return new
 
     def qual(self, q: Qualifier) -> Qualifier:
-        return subst_atom_in_qual(q, self.atom, self.payload)
+        if q.atoms.isdisjoint(self.atoms):
+            return q
+        fresh, atoms = q.fresh, q.atoms - self.atoms
+        for a in q.atoms & self.atoms:
+            payload = self.quals[a]
+            fresh, atoms = fresh or payload.fresh, atoms | payload.atoms
+        return Qualifier(fresh, atoms)
 
     def __call__(self, qty: QualifiedType) -> QualifiedType:
         if type(qty.ty) is TVar and qty.ty.name == self.tvar:
             ty = self.ty
         else:
             ty = map_parts(qty.ty, None, self, None, self.names)
-        q = subst_atom_in_qual(qty.q, self.atom, self.payload)
+        q = self.qual(qty.q)
         if ty is qty.ty and q is qty.q:
             return qty
         return QualifiedType(ty, q)
 
-    def _in_term(self, t: Term, brought) -> Term:
-        """t with the substitution applied. `brought` is the value or
-        qualified type put in; its free names cover all that the
-        substitution can bring into t, qualifier payload included."""
-        self.mask = 0
-        for name in self.names:
-            if name is not None:
-                self.mask |= _bit(name)
-        self.added = _free_names(brought)
-        return self.term(t)
-
     def term(self, t: Term) -> Term:
+        """t with the substitution applied."""
+        return self._term(t) if self.mask else t
+
+    def _term(self, t: Term) -> Term:
         names = getattr(t, "_free_names", None)
         if names is None:
             names = _free_names(t)
         if not names & self.mask:
             return t
         if type(t) is Var:
-            return self.v if t.name == self.var else t
-        out = map_parts(t, self.term, self, self.qual, self.names)
+            return self.values.get(t.name, t)
+        out = map_parts(t, self._term, self, self.qual, self.names)
         if out is not t:
             object.__setattr__(out, "_free_names", names & ~self.mask | self.added)
         return out
@@ -686,21 +723,23 @@ def value_qualifier(v: Term) -> Qualifier:
     return Qualifier(False, atoms)
 
 
+EMPTY_SUBSTITUTION = _Substitution()._for_terms()
+
+
 def subst_term(t: Term, name: str, v: Term) -> Term:
     """Replace a variable by a closed value.
 
     Annotation qualifiers mentioning the variable are rewritten with the
     value's syntactic qualifier so reduced terms stay checkable.
     """
-    sub = _Substitution(VarAtom(name), value_qualifier(v), var=name, v=v)
-    return sub._in_term(t, v)
+    return EMPTY_SUBSTITUTION.extended(name, v).term(t)
 
 
 def subst_qtype_in_term(t: Term, tvar: str, qvar: str,
                         payload: QualifiedType) -> Term:
     """Type-application substitution pushed through a term body."""
     sub = _Substitution(VarAtom(qvar), payload.q, tvar, payload.ty)
-    return sub._in_term(t, payload)
+    return sub._for_terms().term(t)
 
 
 # ---------------------------------------------------------------------------

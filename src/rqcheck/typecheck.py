@@ -302,15 +302,24 @@ class _Checker:
         return t.qtype
 
     def _let(self, env: TypeEnv, phi: frozenset, t: Let) -> QualifiedType:
-        rhs_q = self.synth(env, phi, t.rhs)
-        inner_env = env.extended(TermBind(t.name, rhs_q))
-        body_q = self.synth(inner_env, phi | {VarAtom(t.name)}, t.body)
-        if rhs_q.q.fresh and VarAtom(t.name) in free_atoms_type(body_q.ty):
-            raise CheckError(
-                DEPENDENCY_VIOLATION,
-                f"result type depends on {t.name} whose binding is fresh")
-        self.trace.append(f"t-let {t.name}")
-        return subst_qual_in_qtype(body_q, VarAtom(t.name), rhs_q.q)
+        # a loop down the spine of nested lets, not a recursion, so the
+        # number of top-level `val`s is not bounded by the recursion limit
+        spine = []
+        while type(t) is Let:
+            rhs_q = self.synth(env, phi, t.rhs)
+            spine.append((t.name, rhs_q))
+            env = env.extended(TermBind(t.name, rhs_q))
+            phi = phi | {VarAtom(t.name)}
+            t = t.body
+        body_q = self.synth(env, phi, t)
+        for name, rhs_q in reversed(spine):
+            if rhs_q.q.fresh and VarAtom(name) in free_atoms_type(body_q.ty):
+                raise CheckError(
+                    DEPENDENCY_VIOLATION,
+                    f"result type depends on {name} whose binding is fresh")
+            self.trace.append(f"t-let {name}")
+            body_q = subst_qual_in_qtype(body_q, VarAtom(name), rhs_q.q)
+        return body_q
 
 
 # The typing rule of each term constructor.

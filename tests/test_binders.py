@@ -12,12 +12,12 @@ import pytest
 from helpers import corpus_entries
 from rqcheck import machine, syntax
 from rqcheck.cli import corpus_text
-from rqcheck.machine import eval_term
+from rqcheck.machine import check_preservation, eval_term
 from rqcheck.surface import elaborate, parse, pretty
 from rqcheck.syntax import (
     Abs, All, App, Ascribe, Assign, Const, Deref, Fun, INT, Let, LocAtom,
-    LocTerm, Qualifier, RefAlloc, RefT, TAbs, TApp, TVar, UnitLit, Var,
-    VarAtom, alpha_eq, free_term_atoms, map_parts, qt, qual,
+    LocTerm, Qualifier, RefAlloc, RefT, StoreTyping, TAbs, TApp, TVar,
+    UnitLit, Var, VarAtom, alpha_eq, free_term_atoms, map_parts, qt, qual,
     subst_atom_in_qual, subst_qtype_in_term, subst_qual_in_qtype, subst_term,
     subst_tvar_in_qtype, value_qualifier,
 )
@@ -191,24 +191,40 @@ def reference_subst_qtype_in_term(t, tvar, qvar, payload):
 
 
 def _differential_run(monkeypatch, term, fuel) -> Counter:
-    """Evaluate term, checking every substitution the machine makes
-    against the reference; counts (function, whether it left t as is)."""
+    """Evaluate term, checking every substitution the machine applies
+    against the reference, which puts the pending bindings in one at a
+    time; counts (kind, whether it left t as is)."""
     seen = Counter()
+    guarded = syntax._Substitution.term
 
-    def check(guarded, reference, t, names, *args):
-        out = guarded(t, *args)
-        assert out == reference(t, *args)
+    def check(out, t, expected, names, kind):
+        assert out == expected
         free = free_term_atoms(t, annotations=True)
         unchanged = not any(VarAtom(n) in free for n in names)
         if unchanged:
             assert out is t
-        seen[guarded.__name__, unchanged] += 1
+        seen[kind, unchanged] += 1
         return out
 
-    monkeypatch.setattr(machine, "subst_term", lambda t, name, v: check(
-        subst_term, reference_subst_term, t, (name,), name, v))
-    monkeypatch.setattr(machine, "subst_qtype_in_term", lambda t, tv, qv, p: check(
-        subst_qtype_in_term, reference_subst_qtype_in_term, t, (tv, qv), tv, qv, p))
+    def pending(sub, t):
+        out = guarded(sub, t)
+        if sub.tvar is not None:         # β_t's, checked as a whole below
+            return out
+        if not sub.values:
+            assert out is t
+            return out
+        expected = t
+        for name, v in sub.values.items():
+            expected = reference_subst_term(expected, name, v)
+        return check(out, t, expected, sub.values, "values")
+
+    def type_argument(t, tv, qv, p):
+        return check(subst_qtype_in_term(t, tv, qv, p), t,
+                     reference_subst_qtype_in_term(t, tv, qv, p), (tv, qv),
+                     "subst_qtype_in_term")
+
+    monkeypatch.setattr(syntax._Substitution, "term", pending)
+    monkeypatch.setattr(machine, "subst_qtype_in_term", type_argument)
     eval_term(term, fuel=fuel)
     return seen
 
@@ -227,7 +243,7 @@ def test_the_differential_run_reaches_both_substitutions_and_both_outcomes(
     seen = Counter()
     for _, text in DIFFERENTIAL:
         seen += _differential_run(monkeypatch, elaborate(parse(text)), 300)
-    assert seen["subst_term", True] and seen["subst_term", False]
+    assert seen["values", True] and seen["values", False]
     assert seen["subst_qtype_in_term", False]
 
 
@@ -243,7 +259,9 @@ f1(unit)
 """
     term = elaborate(parse(text))
     before = pretty(term)
-    assert pretty(eval_term(term).term) == "7"   # fills the memos below
+    # re-typing every whole term puts f0 into the spine: fills the memos
+    report = check_preservation(term, StoreTyping())
+    assert pretty(report.final_term) == "7"
     spine, value = term.body, term.rhs           # f1's let, the closed f0
     assert "_free_names" in vars(spine) and "_closed_atoms" in vars(value)
     fresh = elaborate(parse(text))

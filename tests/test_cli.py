@@ -172,7 +172,7 @@ def _many_vals(tmp_path):
 
 
 @pytest.mark.parametrize("command,program", [
-    ("check", _deep_nesting), ("eval", _deep_nesting), ("eval", _many_vals)])
+    ("check", _deep_nesting), ("eval", _deep_nesting)])
 def test_an_internal_fault_is_exit_two_without_a_traceback(
         capsys, tmp_path, command, program):
     path = program(tmp_path)
@@ -185,6 +185,13 @@ def test_an_internal_fault_is_exit_two_without_a_traceback(
     assert code == 2 and err == ""
     assert json.loads(out)["status"] == "error"
     assert json.loads(out)["error"]["code"] == "RecursionError"
+
+
+def test_many_top_level_vals_evaluate(capsys, tmp_path):
+    # `eval` types and runs 1,500 nested lets: both loop down the spine,
+    # so its length is not bounded by the recursion limit
+    code, out, err = run(capsys, "eval", _many_vals(tmp_path))
+    assert (code, out, err) == (0, "value 0 (store size 0, 1500 steps)\n", "")
 
 
 @pytest.mark.parametrize("command", ["check", "eval", "sep"])

@@ -11,9 +11,10 @@ from rqcheck.machine import (
     erase_ascriptions, eval_term, separation_experiment, step, store_wf,
 )
 from rqcheck.surface import elaborate, parse, parse_term, pretty
+from rqcheck import syntax
 from rqcheck.syntax import (
-    Assign, Const, Deref, INT, LocAtom, LocTerm, RefAlloc, StoreTyping,
-    UnitLit, alpha_eq, qt, qual,
+    Assign, Const, Deref, INT, Let, LocAtom, LocTerm, RefAlloc, StoreTyping,
+    UnitLit, Var, alpha_eq, map_parts, qt, qual,
 )
 
 EMPTY_SIGMA = StoreTyping()
@@ -110,6 +111,35 @@ def test_store_domain_only_grows():
         t, store = out.term, out.store
         assert doms[-1] <= set(store.cells)
         doms.append(set(store.cells))
+
+
+def test_a_let_step_rewrites_none_of_the_remaining_program(monkeypatch):
+    # each cell of the ring is used near the end of the program; a
+    # machine that substitutes at once rebuilds every let in between
+    # (41,200 calls), a delayed substitution none
+    program = _bench_families().assign_ring(200)
+    term = elaborate(parse(program.text))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return map_parts(*args, **kwargs)
+
+    monkeypatch.setattr(syntax, "map_parts", counted)
+    result = eval_term(term)
+    assert (result.status, pretty(result.term)) == ("value", program.value)
+    assert len(calls) <= 1000
+
+
+def test_a_deep_let_spine_runs_within_the_recursion_limit():
+    depth = 3000
+    body = Deref(Var("v0"))
+    for i in reversed(range(depth)):
+        body = Let(f"v{i}", RefAlloc(Const(i)), body)
+    result = eval_term(body)
+    assert (result.status, result.term, result.steps) == ("value", Const(0),
+                                                         2 * depth + 1)
+    assert len(result.store) == depth
 
 
 # ---------------------------------------------------------------------------
