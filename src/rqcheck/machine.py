@@ -136,7 +136,8 @@ def _beta(t: App, sub, store: Store):
         return Stuck("applied a non-function value")
     # the parameter wins when it has the self-reference's name
     body_sub = EMPTY_SUBSTITUTION.extended(fn.self_name, fn)
-    return fn.body, body_sub.extended(fn.param, sub.term(t.arg)), store, Event("beta")
+    body_sub = body_sub.extended(fn.param, sub.term(t.arg))
+    return fn.body, body_sub, store, Event("beta")
 
 
 def _beta_t(t: TApp, sub, store: Store):
@@ -156,14 +157,16 @@ def _ref(t: RefAlloc, sub, store: Store):
 def _deref(t: Deref, sub, store: Store):
     if not isinstance(t.ref, LocTerm) or t.ref.loc not in store.cells:
         return Stuck("dereferenced a non-location")
-    return store.get(t.ref.loc), EMPTY_SUBSTITUTION, store, Event("deref", t.ref.loc)
+    loc = t.ref.loc
+    return store.get(loc), EMPTY_SUBSTITUTION, store, Event("deref", loc)
 
 
 def _assign(t: Assign, sub, store: Store):
     if not isinstance(t.lhs, LocTerm) or t.lhs.loc not in store.cells:
         return Stuck("assigned to a non-location")
-    return (UnitLit(), EMPTY_SUBSTITUTION,
-            store.updated(t.lhs.loc, sub.term(t.rhs)), Event("assign", t.lhs.loc))
+    loc = t.lhs.loc
+    return (UnitLit(), EMPTY_SUBSTITUTION, store.updated(loc, sub.term(t.rhs)),
+            Event("assign", loc))
 
 
 def _let(t: Let, sub, store: Store):

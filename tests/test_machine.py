@@ -5,13 +5,13 @@ import json
 import sys
 from pathlib import Path
 
+from rqcheck import syntax
 from rqcheck.cli import corpus_text, load_corpus
 from rqcheck.machine import (
     DEFAULT_EVAL_FUEL, Store, Stepped, Value, check_preservation,
     erase_ascriptions, eval_term, separation_experiment, step, store_wf,
 )
 from rqcheck.surface import elaborate, parse, parse_term, pretty
-from rqcheck import syntax
 from rqcheck.syntax import (
     Assign, Const, Deref, INT, Let, LocAtom, LocTerm, RefAlloc, StoreTyping,
     UnitLit, Var, alpha_eq, map_parts, qt, qual,
