@@ -3,23 +3,25 @@ validation of the preservation, progress, and separation properties.
 
 The machine runs on a `Configuration`, after Danvy and Nielsen's
 refocusing ("Refocusing in Reduction Semantics", 2004): a focus term; the
-focus's pending substitution, which maps variables to closed values; and
-a stack of evaluation-context frames, each holding a node, the field that
-is the hole and that node's pending substitution. A step searches for
-the next redex from the focus, not from the root: it descends into the
-first evaluation position that holds no value, looks a variable in
-focus up in the pending substitution (which is not a step), and plugs a
-value in focus into the top frame. Let-β and β do not rewrite the rest of
-the program: `Let x = v in b` goes on with b under the substitution
-extended by x ↦ v, and β with the body under {self ↦ fn, param ↦ arg}
-alone. β_t substitutes its type argument at once.
+focus's pending substitution, which maps variables to closed values and
+type and qualifier variables to a closed type argument; and a stack of
+evaluation-context frames, each holding a node, the index of the
+evaluation position that is the hole and that node's pending
+substitution. A step searches for the next redex from the focus, not
+from the root: it focuses each evaluation position of a node in turn,
+looks a variable in focus up in the pending substitution (which is not a
+step), and plugs a value in focus into the top frame. No rule rewrites
+the rest of the program: `Let x = v in b` goes on with b under the
+substitution extended by x ↦ v, β with the body under {self ↦ fn,
+param ↦ arg} alone, and β_t with the body under {self ↦ fn, X^x ↦ T^q}.
 
-The pending substitution is applied in three places only: to what a
-redex reads (its evaluation positions and annotations; of a `Let`, only
-the right-hand side), to a value plugged into a frame, and when the
-whole term is needed (`Configuration.plug`). Only closed values enter
-it, so applying it at once equals applying its bindings one at a time,
-as the eager rules did.
+The pending substitution is applied in three places only: to a value in
+focus, once, before it is plugged; to a redex's annotations (the type
+argument of β_t); and when the whole term is needed
+(`Configuration.plug`). So a frame's earlier evaluation positions and a
+redex's are closed values. Only closed values and types enter it, so
+applying it at once equals applying its bindings one at a time, as the
+eager rules did.
 
 `step` takes a term or a configuration. Given a term it makes one
 transition and plugs, so `Stepped.term` is the whole next term, which is
@@ -39,7 +41,7 @@ from .syntax import (
     EMPTY_SUBSTITUTION, SHAPES, Abs, App, Ascribe, Assign, Deref, Let,
     LocAtom, LocTerm, QualifiedType, Qualifier, RefAlloc, StoreTyping, TAbs,
     TApp, Term, TypeEnv, UnitLit, Var, alpha_eq, free_atoms_qtype,
-    free_term_atoms, is_value, map_parts, subst_qtype_in_term, with_part,
+    free_term_atoms, is_value, map_parts, with_part,
 )
 from .subtyping import type_sub
 from .typecheck import check_program
@@ -83,7 +85,9 @@ class Event:
 class Configuration:
     """A term split into the focus, the focus's pending substitution
     and the frames of the evaluation context around it, innermost last:
-    (node, the field that is the hole, the node's pending substitution)."""
+    (node, the index of the hole among the node's evaluation positions,
+    the node's pending substitution). The positions before the hole hold
+    closed values."""
 
     __slots__ = ("focus", "sub", "frames")
 
@@ -93,8 +97,8 @@ class Configuration:
     def plug(self) -> Term:
         """The whole term, every pending substitution applied."""
         t = self.sub.term(self.focus)
-        for node, hole, sub in reversed(self.frames):
-            t = sub.term(with_part(node, hole, t))
+        for node, i, sub in reversed(self.frames):
+            t = sub.term(with_part(node, SHAPES[type(node)].evals[i], t))
         return t
 
 
@@ -124,33 +128,32 @@ def erase_ascriptions(t: Term) -> Term:
 
 
 # Reduction rules, one per redex form. Each sees its evaluation positions
-# (SHAPES[...].evals) already reduced to values, with the node's pending
-# substitution `sub` still to apply to what it reads, and returns the
-# term to go on with, that term's pending substitution, the store and
-# the event; or Stuck. A location needs no substitution.
+# (SHAPES[...].evals) already reduced to closed values, with the node's
+# pending substitution `sub` still to apply to its annotations, and
+# returns the term to go on with, that term's pending substitution, the
+# store and the event; or Stuck.
 
 
 def _beta(t: App, sub, store: Store):
-    fn = sub.term(t.fn)
+    fn = t.fn
     if not isinstance(fn, Abs):
         return Stuck("applied a non-function value")
     # the parameter wins when it has the self-reference's name
     body_sub = EMPTY_SUBSTITUTION.extended(fn.self_name, fn)
-    body_sub = body_sub.extended(fn.param, sub.term(t.arg))
-    return fn.body, body_sub, store, Event("beta")
+    return fn.body, body_sub.extended(fn.param, t.arg), store, Event("beta")
 
 
 def _beta_t(t: TApp, sub, store: Store):
-    fn = sub.term(t.fn)
+    fn = t.fn
     if not isinstance(fn, TAbs):
         return Stuck("type-applied a non-type-abstraction value")
-    body = subst_qtype_in_term(fn.body, fn.tvar, fn.qvar, sub(t.arg))
-    return (body, EMPTY_SUBSTITUTION.extended(fn.self_name, fn), store,
-            Event("beta_t"))
+    body_sub = EMPTY_SUBSTITUTION.extended(fn.self_name, fn)
+    body_sub = body_sub.with_type(fn.tvar, fn.qvar, sub(t.arg))
+    return fn.body, body_sub, store, Event("beta_t")
 
 
 def _ref(t: RefAlloc, sub, store: Store):
-    loc, store2 = store.alloc(sub.term(t.init))
+    loc, store2 = store.alloc(t.init)
     return LocTerm(loc), EMPTY_SUBSTITUTION, store2, Event("ref", loc)
 
 
@@ -165,18 +168,18 @@ def _assign(t: Assign, sub, store: Store):
     if not isinstance(t.lhs, LocTerm) or t.lhs.loc not in store.cells:
         return Stuck("assigned to a non-location")
     loc = t.lhs.loc
-    return (UnitLit(), EMPTY_SUBSTITUTION, store.updated(loc, sub.term(t.rhs)),
+    return (UnitLit(), EMPTY_SUBSTITUTION, store.updated(loc, t.rhs),
             Event("assign", loc))
 
 
 def _let(t: Let, sub, store: Store):
-    return t.body, sub.extended(t.name, sub.term(t.rhs)), store, Event("beta")
+    return t.body, sub.extended(t.name, t.rhs), store, Event("beta")
 
 
 def _ascribe(t: Ascribe, sub, store: Store):
     # ascriptions evaluate their subject, then vanish; keeping them
     # until that point lets every intermediate term re-typecheck
-    return t.term, sub, store, Event("ascribe")
+    return t.term, EMPTY_SUBSTITUTION, store, Event("ascribe")
 
 
 _RULES = {App: _beta, TApp: _beta_t, RefAlloc: _ref, Deref: _deref,
@@ -187,8 +190,8 @@ def step(t: Union[Term, Configuration],
          store: Store) -> Union[Stepped, Value, Stuck]:
     """One leftmost-innermost reduction step.
 
-    The first evaluation position holding a non-value is reduced in
-    place; when every one holds a value the node's own rule fires. A
+    The evaluation positions of a node are reduced to values left to
+    right; when every one holds a value the node's own rule fires. A
     term is split into a configuration, stepped and plugged again; a
     configuration is stepped in place and is the `term` of the result."""
     c = t if type(t) is Configuration else Configuration(t)
@@ -206,27 +209,31 @@ def _transition(c: Configuration, store: Store) -> Union[Stepped, Value, Stuck]:
             if v is None:
                 c.focus, c.sub = t, sub
                 return Stuck(f"open or ill-formed term: {t!r}")
-            t, sub = v, EMPTY_SUBSTITUTION
-        if is_value(t):
+        elif is_value(t):
             v = sub.term(t)
-            if not frames:
-                c.focus, c.sub = v, EMPTY_SUBSTITUTION
-                return Value(v)
-            node, hole, sub = frames.pop()
-            t = with_part(node, hole, v)
-        for name in SHAPES[type(t)].evals:
-            part = getattr(t, name)
-            if not is_value(part):
-                frames.append((t, name, sub))
-                t = part
-                break
         else:
-            out = _RULES[type(t)](t, sub, store)
-            if type(out) is Stuck:
-                c.focus, c.sub = t, sub
-                return out
-            c.focus, c.sub, store, event = out
-            return Stepped(c, store, event)
+            frames.append((t, 0, sub))
+            t = getattr(t, SHAPES[type(t)].evals[0])
+            continue
+        # v is a closed value: plug it into the top frame
+        if not frames:
+            c.focus, c.sub = v, EMPTY_SUBSTITUTION
+            return Value(v)
+        t, i, sub = frames.pop()
+        evals = SHAPES[type(t)].evals
+        if v is not getattr(t, evals[i]):
+            t = with_part(t, evals[i], v)
+        i += 1
+        if i < len(evals):
+            frames.append((t, i, sub))
+            t = getattr(t, evals[i])
+            continue
+        out = _RULES[type(t)](t, sub, store)
+        if type(out) is Stuck:
+            c.focus, c.sub = t, sub
+            return out
+        c.focus, c.sub, store, event = out
+        return Stepped(c, store, event)
 
 
 @dataclass

@@ -11,7 +11,6 @@ from typing import Optional
 from .errors import ScopeError
 from .syntax import (
     All, Atom, Fun, LocAtom, Qualifier, StoreTyping, TypeEnv, VarAtom,
-    subst_atom_in_qual,
 )
 
 
@@ -20,7 +19,9 @@ def q_subst(q: Qualifier, atom: Atom, p: Qualifier) -> Qualifier:
 
     Freshness flags are or-ed on the union.
     """
-    return subst_atom_in_qual(q, atom, p)
+    if atom not in q.atoms:
+        return q
+    return Qualifier(q.fresh or p.fresh, (q.atoms - {atom}) | p.atoms)
 
 
 def q_grow(q: Qualifier, p: Qualifier) -> Qualifier:

@@ -16,22 +16,11 @@ are written once against it. A new term form adds its dataclass, one
 it can be the subject of a reduction, a rule in `machine._RULES`; its
 concrete syntax (`surface`) is the only other place that needs a clause.
 
-Term substitution touches only the subterms that mention a substituted
-name (section "Free-name masks"). Each node lazily memoizes, as an
-attribute outside its dataclass fields, a bitmask of the names free in
-it: variables, qualifier atoms and type variables, with bits from one
-name table for the process. The mask is built from the parts' masks,
-and a node that substitution rebuilds takes its mask from the node it
-replaces, so rebuilding a spine costs O(1) per node. `_Substitution.term`
-returns a subterm whose mask misses the substituted names as it is. One
-substitution can put several closed values in at once: the machine's
-pending substitution grows from `EMPTY_SUBSTITUTION` by `extended`, and
-`subst_term` is its one-name case. A
-closed λ or Λ value also memoizes its free atoms in `value_qualifier`,
-which `free_term_atoms` reuses, so closures that reduction nests inside
-one another are not walked again. Neither memo shows in `==`, `hash`,
-`repr`, `alpha_eq` or `pretty`, and nodes are immutable, so a memo
-stays true for the node's lifetime.
+One substitution (`_Substitution`) puts closed values in for variables
+and closed type arguments in for type and qualifier variables, all in
+one pass. The machine's pending substitution grows from
+`EMPTY_SUBSTITUTION` by `extended` and `with_type`; `subst_term` and
+`subst_qtype_in_term` are its one-binding cases.
 """
 
 from __future__ import annotations
@@ -468,11 +457,6 @@ def _collect(x, bound: frozenset, annotations: bool, acc: set):
     """Add the free atoms of a term or type to acc; type variables count
     as VarAtoms. A term's annotations and captures only count when
     `annotations` is set."""
-    if not annotations:
-        memo = getattr(x, "_closed_atoms", None)
-        if memo is not None:  # set by value_qualifier on closed terms only
-            acc.update(memo)
-            return
     shape = SHAPES[type(x)]
     if shape.occurs is not None:
         field, kind = shape.occurs
@@ -524,148 +508,87 @@ def free_term_atoms(t: Term, bound: frozenset = frozenset(),
     return frozenset(acc)
 
 
-# ---------------------------------------------------------------------------
-# Free-name masks
-#
-# A name's bit is fixed the first time the name is seen and never
-# reused, so a mask stays valid for as long as the process runs.
+def value_qualifier(v: Term) -> Qualifier:
+    """Syntactic qualifier of a closed value: its free locations.
 
-_NAME_BITS: dict = {}
-
-
-def _bit(name: str) -> int:
-    bit = _NAME_BITS.get(name)
-    if bit is None:
-        bit = _NAME_BITS[name] = 1 << len(_NAME_BITS)
-    return bit
-
-
-def _free_names(x) -> int:
-    """Bitmask of the names free in a term, type, qualified type or
-    qualifier: variables, qualifier atoms and type variables. Memoized
-    on x, so a node built over old parts costs O(1) per part. A mask
-    that substitution set may also cover names no longer free (see
-    `_Substitution`)."""
-    mask = getattr(x, "_free_names", None)
-    if mask is not None:
-        return mask
-    cls = type(x)
-    mask = 0
-    if cls is Qualifier:
-        for a in x.atoms:
-            if type(a) is VarAtom:
-                mask |= _bit(a.name)
-    elif cls is QualifiedType:
-        mask = _free_names(x.ty) | _free_names(x.q)
-    else:
-        shape = SHAPES[cls]
-        if shape.occurs is not None:
-            field, kind = shape.occurs
-            if kind != "loc":
-                mask = _bit(getattr(x, field))
-        inner = 0
-        for f, _, under in shape.parts:
-            part = getattr(x, f)
-            if part is None:
-                continue
-            if under:
-                inner |= _free_names(part)
-            else:
-                mask |= _free_names(part)
-        if inner:
-            for f, _ in shape.binds:
-                bit = _NAME_BITS.get(getattr(x, f))
-                if bit is not None:
-                    inner &= ~bit
-            mask |= inner
-    object.__setattr__(x, "_free_names", mask)
-    return mask
+    An explicit capture annotation wins when present; the checker has
+    already made sure it covers the free variables.
+    """
+    if isinstance(v, (Abs, TAbs)) and v.capture is not None:
+        return Qualifier(False, v.capture.atoms)
+    return Qualifier(False, free_term_atoms(v))
 
 
 # ---------------------------------------------------------------------------
-# Substitution primitives
+# Substitution
 #
-# subst_atom_in_qual is the seed everything else extends homomorphically
-# (`_Substitution.qual` is its form for several atoms at once); the
-# qualifier-algebra module re-exports it as q_subst. Substitution stops
-# under a binder of a substituted name.
-
-
-def subst_atom_in_qual(q: Qualifier, atom: Atom, payload: Qualifier) -> Qualifier:
-    if atom not in q.atoms:
-        return q
-    return Qualifier(q.fresh or payload.fresh, (q.atoms - {atom}) | payload.atoms)
+# The qualifier-algebra form for one atom is `qualifiers.q_subst`.
+# Substitution stops under a binder of a substituted name.
 
 
 class _Substitution:
-    """Puts payload in for atom and ty for the type variable tvar, each
-    when given, and, in terms, each closed value of `values` in for its
-    variable, all at once, stopping under a binder of any substituted
-    name; `quals` maps each substituted atom to the qualifier put in for
-    it, and `atoms` holds its keys. Calling it maps a qualified type;
-    `term` maps a term; unchanged parts are shared, not copied. (An object
-    rather than a recursive closure, which would leave a reference cycle
-    behind for the collector on every call.)
+    """Puts, all at once, each closed value of `values` in for its
+    variable, each type of `types` in for its type variable and each
+    qualifier of `quals` in for its atom, stopping under a binder of any
+    substituted name (`names`). A value's variable is also an atom, which
+    `value_qualifier(v)` replaces; that qualifier is computed when a
+    qualifier first mentions the atom. `atoms` holds every substituted
+    atom. Calling it maps a qualified type; `term` maps a term; unchanged
+    parts are shared, not copied. (An object rather than a recursive
+    closure, which would leave a reference cycle behind for the collector
+    on every call.)
 
-    A substitution of closed values starts from `EMPTY_SUBSTITUTION` and
-    grows by `extended`, which also puts the value's qualifier in for the
-    variable's atom. The values are closed, so putting them in at once
-    equals putting them in one at a time, in any order.
+    The machine's pending substitution starts from `EMPTY_SUBSTITUTION`
+    and grows by `extended` and `with_type`. What it puts in is closed,
+    so putting it in at once equals putting it in one binding at a time,
+    in any order."""
 
-    `term` returns a subterm whose free-name mask misses `mask`, the bits
-    of the substituted names, as it is, so a reduction step rebuilds only
-    the paths down to the occurrences. A rebuilt node's mask is the old
-    node's without `mask` and with `added`, the free names of what is put
-    in: a superset of its free names, which is all a skip needs. Only
-    term substitutions set these (`_for_terms`, `extended`); the
-    qualified-type substitutions of type checking never pay for them."""
-
-    __slots__ = ("quals", "atoms", "tvar", "ty", "values", "names", "mask",
-                 "added")
+    __slots__ = ("values", "types", "quals", "atoms", "names")
 
     def __init__(self, atom: Optional[VarAtom] = None, payload: Qualifier = EMPTY,
                  tvar: Optional[str] = None, ty: Optional[Type] = None):
+        self.values: dict = {}
+        self.types = {} if tvar is None else {tvar: ty}
         self.quals = {} if atom is None else {atom: payload}
         self.atoms = frozenset(self.quals)
-        self.tvar, self.ty = tvar, ty
-        self.values: dict = {}
         self.names = {tvar} if atom is None else {tvar, atom.name}
 
-    def _for_terms(self) -> "_Substitution":
-        self.mask = 0
-        for name in self.names:
-            if name is not None:
-                self.mask |= _bit(name)
-        self.added = 0 if self.ty is None else _free_names(self.ty)
-        for payload in self.quals.values():
-            self.added |= _free_names(payload)
-        return self
+    def _grown(self, values, types, quals, atom, names) -> "_Substitution":
+        new = object.__new__(_Substitution)
+        new.values, new.types, new.quals = values, types, quals
+        new.atoms, new.names = self.atoms | {atom}, self.names | names
+        return new
 
     def extended(self, name: str, v: Term) -> "_Substitution":
         """This substitution with the closed value v put in for name."""
         atom = VarAtom(name)
-        new = object.__new__(_Substitution)
-        new.quals = {**self.quals, atom: value_qualifier(v)}
-        new.atoms = self.atoms | {atom}
-        new.tvar, new.ty = self.tvar, self.ty
-        new.values = {**self.values, name: v}
-        new.names = self.names | {name}
-        new.mask = self.mask | _bit(name)
-        new.added = self.added | _free_names(v)
-        return new
+        quals = dict(self.quals)
+        quals.pop(atom, None)     # a qualifier the old value left behind
+        return self._grown({**self.values, name: v}, self.types, quals, atom,
+                           {name})
+
+    def with_type(self, tvar: str, qvar: str,
+                  payload: QualifiedType) -> "_Substitution":
+        """This substitution with the closed type argument payload put in
+        for tvar^qvar: payload.ty for tvar and payload.q for qvar."""
+        atom = VarAtom(qvar)
+        return self._grown(self.values, {**self.types, tvar: payload.ty},
+                           {**self.quals, atom: payload.q}, atom, {tvar, qvar})
 
     def qual(self, q: Qualifier) -> Qualifier:
         if q.atoms.isdisjoint(self.atoms):
             return q
         fresh, atoms = q.fresh, q.atoms - self.atoms
         for a in q.atoms & self.atoms:
-            payload = self.quals[a]
+            payload = self.quals.get(a)
+            if payload is None:
+                payload = self.quals[a] = value_qualifier(self.values[a.name])
             fresh, atoms = fresh or payload.fresh, atoms | payload.atoms
         return Qualifier(fresh, atoms)
 
     def __call__(self, qty: QualifiedType) -> QualifiedType:
-        if type(qty.ty) is TVar and qty.ty.name == self.tvar:
-            ty = self.ty
+        if type(qty.ty) is TVar:
+            ty = self.types.get(qty.ty.name, qty.ty)
         else:
             ty = map_parts(qty.ty, None, self, None, self.names)
         q = self.qual(qty.q)
@@ -675,20 +598,27 @@ class _Substitution:
 
     def term(self, t: Term) -> Term:
         """t with the substitution applied."""
-        return self._term(t) if self.mask else t
+        return self._term(t) if self.atoms or self.types else t
 
     def _term(self, t: Term) -> Term:
-        names = getattr(t, "_free_names", None)
-        if names is None:
-            names = _free_names(t)
-        if not names & self.mask:
-            return t
+        # a loop down a spine of lets, not a recursion, so the number of
+        # top-level `val`s is not bounded by the recursion limit
+        spine = []
+        while type(t) is Let and t.name not in self.names:
+            spine.append((t, self._term(t.rhs)))
+            t = t.body
         if type(t) is Var:
-            return self.values.get(t.name, t)
-        out = map_parts(t, self._term, self, self.qual, self.names)
-        if out is not t:
-            object.__setattr__(out, "_free_names", names & ~self.mask | self.added)
+            out = self.values.get(t.name, t)
+        else:
+            out = map_parts(t, self._term, self, self.qual, self.names)
+        for let, rhs in reversed(spine):
+            if rhs is not let.rhs or out is not let.body:
+                let = Let(let.name, rhs, out)
+            out = let
         return out
+
+
+EMPTY_SUBSTITUTION = _Substitution()
 
 
 def subst_qual_in_qtype(qty: QualifiedType, atom: Atom,
@@ -703,29 +633,6 @@ def subst_tvar_in_qtype(qty: QualifiedType, tvar: str, qvar: str,
     return _Substitution(VarAtom(qvar), payload.q, tvar, payload.ty)(qty)
 
 
-def value_qualifier(v: Term) -> Qualifier:
-    """Syntactic qualifier of a closed value: its free locations.
-
-    An explicit capture annotation wins when present; the checker has
-    already made sure it covers the free variables. A closure's atoms
-    are memoized when they are locations only, which no bound set can
-    hide (see _collect), so nested closures are walked once.
-    """
-    if not isinstance(v, (Abs, TAbs)):
-        return Qualifier(False, free_term_atoms(v))
-    if v.capture is not None:
-        return Qualifier(False, v.capture.atoms)
-    atoms = getattr(v, "_closed_atoms", None)
-    if atoms is None:
-        atoms = free_term_atoms(v)
-        if all(type(a) is LocAtom for a in atoms):
-            object.__setattr__(v, "_closed_atoms", atoms)
-    return Qualifier(False, atoms)
-
-
-EMPTY_SUBSTITUTION = _Substitution()._for_terms()
-
-
 def subst_term(t: Term, name: str, v: Term) -> Term:
     """Replace a variable by a closed value.
 
@@ -738,8 +645,7 @@ def subst_term(t: Term, name: str, v: Term) -> Term:
 def subst_qtype_in_term(t: Term, tvar: str, qvar: str,
                         payload: QualifiedType) -> Term:
     """Type-application substitution pushed through a term body."""
-    sub = _Substitution(VarAtom(qvar), payload.q, tvar, payload.ty)
-    return sub._for_terms().term(t)
+    return EMPTY_SUBSTITUTION.with_type(tvar, qvar, payload).term(t)
 
 
 # ---------------------------------------------------------------------------

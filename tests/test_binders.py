@@ -1,25 +1,25 @@
 """Binder structure, one row per term constructor: which atoms are free,
 what substituting a closed value for `x` gives, and which renamings
 keep a term alpha-equivalent. Substitution must stop under a binder
-that shadows the substituted name. Guarded substitution, which skips
-subterms whose free-name mask misses the substituted names, must agree
-with an unguarded rewrite, and its memos must stay invisible."""
+that shadows the substituted name. The machine's pending substitution,
+which puts closed values and type arguments in all at once, must agree
+with a reference rewrite that puts them in one binding at a time."""
 
 from collections import Counter
 
 import pytest
 
 from helpers import corpus_entries
-from rqcheck import machine, syntax
+from rqcheck import syntax
 from rqcheck.cli import corpus_text
 from rqcheck.machine import check_preservation, eval_term
-from rqcheck.surface import elaborate, parse, pretty
+from rqcheck.qualifiers import q_subst
+from rqcheck.surface import elaborate, parse
 from rqcheck.syntax import (
     Abs, All, App, Ascribe, Assign, Const, Deref, Fun, INT, Let, LocAtom,
     LocTerm, Qualifier, RefAlloc, RefT, StoreTyping, TAbs, TApp, TVar,
     UnitLit, Var, VarAtom, alpha_eq, free_term_atoms, map_parts, qt, qual,
-    subst_atom_in_qual, subst_qtype_in_term, subst_qual_in_qtype, subst_term,
-    subst_tvar_in_qtype, value_qualifier,
+    subst_qtype_in_term, subst_qual_in_qtype, subst_term, value_qualifier,
 )
 
 X, Y = VarAtom("x"), VarAtom("y")
@@ -128,7 +128,7 @@ def test_qualifier_substitution_in_types_stops_under_a_shadowing_binder():
 
 
 # ---------------------------------------------------------------------------
-# Guarded substitution against an unguarded reference
+# The pending substitution against a one-binding-at-a-time reference
 
 LET_SPINE = """
 val a = ref 1;
@@ -163,12 +163,25 @@ def _locations(t) -> frozenset:
     return frozenset(found)
 
 
-def _rewrite(t, names, var, v, qtype, qual_fn):
-    """Substitution with no guard: every node is visited."""
+def _rewrite(t, name, value=None, ty=None, payload=None):
+    """t with one name replaced wherever it is free: a variable by value,
+    a type variable by ty and an atom by payload, each when given. Every
+    node is visited."""
+    names, atom = {name}, VarAtom(name)
+
+    def qual_fn(q):
+        return q if payload is None else q_subst(q, atom, payload)
+
+    def qtype(q):
+        if type(q.ty) is TVar and q.ty.name == name and ty is not None:
+            return qt(ty, qual_fn(q.q))
+        return qt(map_parts(q.ty, None, qtype, None, names), qual_fn(q.q))
+
     def term(s):
-        if type(s) is Var:
-            return v if s.name == var else s
+        if type(s) is Var and s.name == name and value is not None:
+            return value
         return map_parts(s, term, qtype, qual_fn, names)
+
     return term(t)
 
 
@@ -178,54 +191,42 @@ def reference_subst_term(t, name, v):
     else:
         payload = Qualifier(False, _locations(v))  # v is closed
     assert value_qualifier(v) == payload
-    atom = VarAtom(name)
-    return _rewrite(t, {name}, name, v,
-                    lambda q: subst_qual_in_qtype(q, atom, payload),
-                    lambda q: subst_atom_in_qual(q, atom, payload))
-
-
-def reference_subst_qtype_in_term(t, tvar, qvar, payload):
-    return _rewrite(t, {tvar, qvar}, None, None,
-                    lambda q: subst_tvar_in_qtype(q, tvar, qvar, payload),
-                    lambda q: subst_atom_in_qual(q, VarAtom(qvar), payload.q))
+    return _rewrite(t, name, value=v, payload=payload)
 
 
 def _differential_run(monkeypatch, term, fuel) -> Counter:
-    """Evaluate term, checking every substitution the machine applies
-    against the reference, which puts the pending bindings in one at a
-    time; counts (kind, whether it left t as is)."""
+    """Evaluate term, and step it as whole terms the way the
+    preservation harness does, checking every non-empty pending
+    substitution the machine applies against the reference, which puts
+    its bindings in one at a time; counts (kind, whether it left t as
+    is), the kind "types" when a type argument is among the bindings."""
     seen = Counter()
-    guarded = syntax._Substitution.term
-
-    def check(out, t, expected, names, kind):
-        assert out == expected
-        free = free_term_atoms(t, annotations=True)
-        unchanged = not any(VarAtom(n) in free for n in names)
-        if unchanged:
-            assert out is t
-        seen[kind, unchanged] += 1
-        return out
+    applied = syntax._Substitution.term
 
     def pending(sub, t):
-        out = guarded(sub, t)
-        if sub.tvar is not None:         # β_t's, checked as a whole below
-            return out
-        if not sub.values:
+        out = applied(sub, t)
+        if not sub.values and not sub.types:
             assert out is t
             return out
         expected = t
         for name, v in sub.values.items():
             expected = reference_subst_term(expected, name, v)
-        return check(out, t, expected, sub.values, "values")
-
-    def type_argument(t, tv, qv, p):
-        return check(subst_qtype_in_term(t, tv, qv, p), t,
-                     reference_subst_qtype_in_term(t, tv, qv, p), (tv, qv),
-                     "subst_qtype_in_term")
+        for tvar, ty in sub.types.items():
+            expected = _rewrite(expected, tvar, ty=ty)
+        for atom, q in sub.quals.items():
+            if atom.name not in sub.values:
+                expected = _rewrite(expected, atom.name, payload=q)
+        assert out == expected
+        free = free_term_atoms(t, annotations=True)
+        unchanged = not any(VarAtom(n) in free for n in sub.names if n)
+        if unchanged:
+            assert out is t
+        seen["types" if sub.types else "values", unchanged] += 1
+        return out
 
     monkeypatch.setattr(syntax._Substitution, "term", pending)
-    monkeypatch.setattr(machine, "subst_qtype_in_term", type_argument)
     eval_term(term, fuel=fuel)
+    check_preservation(term, StoreTyping(), fuel=fuel)
     return seen
 
 
@@ -244,32 +245,11 @@ def test_the_differential_run_reaches_both_substitutions_and_both_outcomes(
     for _, text in DIFFERENTIAL:
         seen += _differential_run(monkeypatch, elaborate(parse(text)), 300)
     assert seen["values", True] and seen["values", False]
-    assert seen["subst_qtype_in_term", False]
+    assert seen["types", False]
 
 
 # ---------------------------------------------------------------------------
-# The memos are invisible and safe
-
-
-def test_filled_memos_are_invisible():
-    text = """
-val f0 = fn f0(u: Unit^{}) { 7 };
-val f1 = fn f1(u: Unit^{}) { f0(u) };
-f1(unit)
-"""
-    term = elaborate(parse(text))
-    before = pretty(term)
-    # re-typing every whole term puts f0 into the spine: fills the memos
-    report = check_preservation(term, StoreTyping())
-    assert pretty(report.final_term) == "7"
-    spine, value = term.body, term.rhs           # f1's let, the closed f0
-    assert "_free_names" in vars(spine) and "_closed_atoms" in vars(value)
-    fresh = elaborate(parse(text))
-    for filled, copy in ((term, fresh), (spine, fresh.body), (value, fresh.rhs)):
-        assert filled == copy and hash(filled) == hash(copy)
-        assert repr(filled) == repr(copy)
-        assert alpha_eq(filled, copy) and alpha_eq(copy, filled)
-    assert pretty(term) == before == pretty(fresh)
+# Substitution with open payloads
 
 
 def test_an_open_payload_leaves_no_memo_behind():
@@ -293,17 +273,9 @@ def test_a_rebuilt_node_keeps_the_names_its_payload_brought():
         "h", "T", "t", INT_Q, Ascribe(open_fn, qt(INT, qual("y"))))
 
 
-def test_an_unused_name_is_substituted_without_a_rewrite(monkeypatch):
-    body = Var("v299")
-    for i in reversed(range(1, 300)):
-        body = Let(f"v{i}", Const(i), body)
-    spine = Let("v0", Const(0), body)      # v0 is never used
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return map_parts(*args, **kwargs)
-
-    monkeypatch.setattr(syntax, "map_parts", counted)
-    assert subst_term(spine.body, spine.name, spine.rhs) is body
-    assert calls == []
+def test_a_rebound_variable_takes_its_new_value_qualifier():
+    # a name bound again (a term built without the elaborator may shadow)
+    # must not keep the qualifier computed for its old value
+    sub = syntax.EMPTY_SUBSTITUTION.extended("x", LocTerm(0))
+    assert sub.qual(qual("x")) == qual(locs=[0])      # computed on first use
+    assert sub.extended("x", LocTerm(1)).qual(qual("x")) == qual(locs=[1])

@@ -3,10 +3,13 @@ output, tracing, and the corpus runner."""
 
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import rqcheck
 from rqcheck.cli import load_corpus, main
 
 CORPUS = resources.files("rqcheck") / "corpus"
@@ -276,3 +279,17 @@ def test_corpus_output_matches_the_golden_file(capsys):
     assert code == 0
     with open(os.path.join(GOLDEN, "corpus.txt"), encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+def test_corpus_output_is_the_same_under_python_o():
+    # `-O` strips assert statements: every invariant must be checked by
+    # code that still runs there
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(rqcheck.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-O", "-m", "rqcheck.cli", "corpus"],
+                          capture_output=True, env=env, timeout=600)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    with open(os.path.join(GOLDEN, "corpus.txt"), "rb") as fh:
+        assert proc.stdout == fh.read()

@@ -5,7 +5,7 @@ import json
 import sys
 from pathlib import Path
 
-from rqcheck import syntax
+from rqcheck import machine, syntax
 from rqcheck.cli import corpus_text, load_corpus
 from rqcheck.machine import (
     DEFAULT_EVAL_FUEL, Store, Stepped, Value, check_preservation,
@@ -14,7 +14,7 @@ from rqcheck.machine import (
 from rqcheck.surface import elaborate, parse, parse_term, pretty
 from rqcheck.syntax import (
     Assign, Const, Deref, INT, Let, LocAtom, LocTerm, RefAlloc, StoreTyping,
-    UnitLit, Var, alpha_eq, map_parts, qt, qual,
+    Term, UnitLit, Var, alpha_eq, map_parts, qt, qual,
 )
 
 EMPTY_SIGMA = StoreTyping()
@@ -131,15 +131,54 @@ def test_a_let_step_rewrites_none_of_the_remaining_program(monkeypatch):
     assert len(calls) <= 1000
 
 
-def test_a_deep_let_spine_runs_within_the_recursion_limit():
-    depth = 3000
+def test_a_type_application_rewrites_no_node_of_the_body(monkeypatch):
+    # a β_t step substitutes only into its type argument; a machine that
+    # rewrites the Λ body at once walks its annotations too (72 calls at
+    # n = 8, 9 per β_t), a delayed substitution 2 per β_t
+    n = 8
+    program = _bench_families().pair_tower(n)
+    term = elaborate(parse(program.text))
+    calls, in_beta_t = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return map_parts(*args, **kwargs)
+
+    def stepped(c, store):
+        before = len(calls)
+        out = step(c, store)
+        if isinstance(out, Stepped) and out.event.rule == "beta_t":
+            in_beta_t.extend(calls[before:])
+        return out
+
+    monkeypatch.setattr(syntax, "map_parts", counted)
+    monkeypatch.setattr(machine, "step", stepped)
+    result = eval_term(term)
+    assert (result.status, pretty(result.term)) == ("value", program.value)
+    assert [e.rule for e in result.events].count("beta_t") == n
+    assert not any(isinstance(x, Term.__args__) for x in in_beta_t)
+    assert len(in_beta_t) <= 3 * n
+
+
+def _let_spine(depth: int):
     body = Deref(Var("v0"))
     for i in reversed(range(depth)):
         body = Let(f"v{i}", RefAlloc(Const(i)), body)
-    result = eval_term(body)
+    return body
+
+
+def test_a_deep_let_spine_runs_within_the_recursion_limit():
+    depth = 3000
+    result = eval_term(_let_spine(depth))
     assert (result.status, result.term, result.steps) == ("value", Const(0),
                                                          2 * depth + 1)
     assert len(result.store) == depth
+
+
+def test_a_deep_let_spine_is_rechecked_within_the_recursion_limit():
+    report = check_preservation(_let_spine(3000), EMPTY_SIGMA, fuel=3)
+    assert report.status == "fuel"
+    assert len(report.steps) == 3 and all(s.ok for s in report.steps)
 
 
 # ---------------------------------------------------------------------------
