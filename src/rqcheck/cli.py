@@ -22,7 +22,7 @@ from .machine import (
 )
 from .subtyping import DEFAULT_FUEL
 from .surface import elaborate, parse, parse_pair, pretty
-from .syntax import StoreTyping, TermBind, TypeEnv
+from .syntax import StoreTyping, TermBind, TypeEnv, VarAtom
 from .typecheck import TypingResult, check_program, synthesize
 
 EXIT_OK = 0
@@ -47,15 +47,19 @@ def check_source(text: str, fuel: int = DEFAULT_FUEL) -> TypingResult:
     prog = parse(text)
     env = TypeEnv()
     store = StoreTyping()
+    # only term bindings are made, so phi is env.dom(), grown one atom at
+    # a time rather than rebuilt from every entry per declaration
+    phi: frozenset = frozenset()
     for decl in prog.decls:
         if decl[0] == "assume":
             _, name, ann = decl
             env = env.extended(TermBind(name, ann))
         else:
             _, name, rhs = decl
-            result = synthesize(env, store, env.dom(), rhs, fuel)
+            result = synthesize(env, store, phi, rhs, fuel)
             env = env.extended(TermBind(name, result.qtype))
-    return synthesize(env, store, env.dom(), prog.main, fuel)
+        phi = phi | {VarAtom(name)}
+    return synthesize(env, store, phi, prog.main, fuel)
 
 
 def load(path, kind: str, fuel: int = DEFAULT_FUEL):

@@ -1,7 +1,21 @@
 """Operations on reachability qualifiers.
 
 Substitution, growth, one-step reachability, saturation, overlap, and the
-decision procedure for qualifier subtyping. All functions are pure.
+decision procedure for qualifier subtyping.
+
+Every function but `qual_sub` is pure. `qual_sub` keeps one table for the
+last (environment, store typing) pair it was asked about, held by
+identity: `TypeEnv` is frozen and a `StoreTyping` is never changed after
+it is built. A call on any other pair replaces the table. For each
+`q.atoms` asked about, the table holds `self_closure(q)`, the atoms proven
+below q and the atoms proven not below q. Reusing them is exact. An atom
+outside the closure has exactly one rule (every atom of its binding
+qualifier is below q), so whether it is below q is the least fixpoint of
+those rules, whatever was asked before. The search from a top-level call
+computes it, so the table keeps what such a search proves, the fresh
+bindings it meets and its top-level refutations, and not a refutation
+made by cutting a cycle deeper down. The atoms of p are still tried in
+their own order, so a query that reaches an unbound atom still raises.
 """
 
 from __future__ import annotations
@@ -97,6 +111,34 @@ def self_closure(env: TypeEnv, q: Qualifier) -> frozenset:
     return frozenset(atoms)
 
 
+# qual_sub's table: the (environment, store typing) pair it is for, and
+# its rows, q.atoms -> (self_closure(q), atoms proven below q, atoms refuted)
+_table: tuple = (None, None, {})
+
+
+def _covered(env: TypeEnv, store: StoreTyping, proven: set, refuted: set,
+             notes: Optional[list], a: Atom, stack: frozenset) -> bool:
+    """Whether a is below the qualifier whose cover `proven` starts from,
+    by chasing one-step reachability; adds each proof to `proven` and each
+    fresh binding met to `refuted`."""
+    if a in proven:
+        return True
+    if a in refuted or a in stack:
+        return False
+    b = one_step(env, store, a)
+    if b.fresh:
+        refuted.add(a)
+        return False
+    inner = stack | {a}
+    if not all(_covered(env, store, proven, refuted, notes, x, inner)
+               for x in b.atoms):
+        return False
+    proven.add(a)
+    if notes is not None and isinstance(a, LocAtom):
+        notes.append(f"location @{a.loc} upcast through the store typing")
+    return True
+
+
 def qual_sub(env: TypeEnv, store: StoreTyping, p: Qualifier, q: Qualifier,
              notes: Optional[list] = None) -> bool:
     """Decide whether p is below q.
@@ -105,29 +147,29 @@ def qual_sub(env: TypeEnv, store: StoreTyping, p: Qualifier, q: Qualifier,
     self-reference absorption, upcast of a variable to its binding
     qualifier, the analogous chase of a location through the store
     typing, and transitivity); may reject exotic transitive chains.
+
+    A call that passes `notes` appends each location upcast its search
+    makes, once, in search order; so it searches from q's closure alone
+    and leaves the table's proofs aside.
     """
+    global _table
     if p.fresh and not q.fresh:
         return False
-    cover = self_closure(env, q)
-    memo: dict = {}
-
-    def covered(a: Atom, stack: frozenset) -> bool:
-        if a in cover:
-            return True
-        if a in memo:
-            return memo[a]
-        if a in stack:
+    last_env, last_store, rows = _table
+    if env is not last_env or store is not last_store:
+        rows = {}
+        _table = (env, store, rows)
+    row = rows.get(q.atoms)
+    if row is None:
+        cover = self_closure(env, q)
+        row = rows[q.atoms] = (cover, set(cover), set())
+    cover, proven, refuted = row
+    if notes is not None:
+        proven, refuted = set(cover), set()
+    elif p.atoms <= proven:
+        return True
+    for a in p.atoms:
+        if not _covered(env, store, proven, refuted, notes, a, frozenset()):
+            refuted.add(a)
             return False
-        b = one_step(env, store, a)
-        if b.fresh:
-            memo[a] = False
-            return False
-        inner = stack | {a}
-        ok = all(covered(x, inner) for x in b.atoms)
-        if ok:
-            memo[a] = True
-            if notes is not None and isinstance(a, LocAtom):
-                notes.append(f"location @{a.loc} upcast through the store typing")
-        return ok
-
-    return all(covered(a, frozenset()) for a in p.atoms)
+    return True

@@ -1,11 +1,15 @@
-"""Shared helpers for the test suite: corpus access, environment
-enumeration and randomization, and store-typing reconstruction."""
+"""Shared helpers for the test suite: corpus access, the benchmark's
+generated program families, environment enumeration and randomization,
+and store-typing reconstruction."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
+import sys
 from functools import lru_cache
+from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 from rqcheck.cli import CorpusEntry, check_source, corpus_text, load_corpus
@@ -64,6 +68,14 @@ def store_typing_for(store: Store) -> StoreTyping:
                               saturate(TypeEnv(), sigma, result.qtype.q))
         sigma = sigma.extended(loc, entry)
     return sigma
+
+
+def bench_families():
+    """bench/families.py, imported read-only."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    return importlib.import_module("families")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from importlib import resources
 import pytest
 
 import rqcheck
-from rqcheck.cli import load_corpus, main
+from rqcheck.cli import check_source, load_corpus, main
+from rqcheck.surface import pretty
+from rqcheck.syntax import TypeEnv
 
 CORPUS = resources.files("rqcheck") / "corpus"
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -195,6 +197,22 @@ def test_many_top_level_vals_evaluate(capsys, tmp_path):
     # so its length is not bounded by the recursion limit
     code, out, err = run(capsys, "eval", _many_vals(tmp_path))
     assert (code, out, err) == (0, "value 0 (store size 0, 1500 steps)\n", "")
+
+
+def test_checking_declarations_builds_no_domain_per_declaration(monkeypatch):
+    # the observed atoms grow one declaration at a time, so checking
+    # n `val`s asks TypeEnv.dom the same number of times for every n
+    calls = []
+    dom = TypeEnv.dom
+    monkeypatch.setattr(TypeEnv, "dom", lambda env: calls.append(1) or dom(env))
+
+    def dom_calls(n):
+        calls.clear()
+        text = "".join(f"val v{i} = ref {i};\n" for i in range(n)) + f"v{n - 1}\n"
+        assert pretty(check_source(text).qtype) == f"Ref[Int]^{{v{n - 1}}}"
+        return len(calls)
+
+    assert dom_calls(2000) == dom_calls(1000)
 
 
 @pytest.mark.parametrize("command", ["check", "eval", "sep"])

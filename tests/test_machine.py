@@ -1,10 +1,9 @@
 """Unit tests for the small-step machine and its metatheory harnesses."""
 
-import importlib
 import json
-import sys
 from pathlib import Path
 
+from helpers import bench_families
 from rqcheck import machine, syntax
 from rqcheck.cli import corpus_text, load_corpus
 from rqcheck.machine import (
@@ -117,7 +116,7 @@ def test_a_let_step_rewrites_none_of_the_remaining_program(monkeypatch):
     # each cell of the ring is used near the end of the program; a
     # machine that substitutes at once rebuilds every let in between
     # (41,200 calls), a delayed substitution none
-    program = _bench_families().assign_ring(200)
+    program = bench_families().assign_ring(200)
     term = elaborate(parse(program.text))
     calls = []
 
@@ -136,7 +135,7 @@ def test_a_type_application_rewrites_no_node_of_the_body(monkeypatch):
     # rewrites the Λ body at once walks its annotations too (72 calls at
     # n = 8, 9 per β_t), a delayed substitution 2 per β_t
     n = 8
-    program = _bench_families().pair_tower(n)
+    program = bench_families().pair_tower(n)
     term = elaborate(parse(program.text))
     calls, in_beta_t = [], []
 
@@ -272,14 +271,6 @@ GOLDEN = Path(__file__).parent / "golden" / "eval_corpus.jsonl"
 GOLDEN_FUELS = (0, 1, 2, 3, 7, None)      # None: the entry's own fuel
 
 
-def _bench_families():
-    """bench/families.py, imported read-only."""
-    bench = str(Path(__file__).resolve().parents[1] / "bench")
-    if bench not in sys.path:
-        sys.path.append(bench)
-    return importlib.import_module("families")
-
-
 def _golden_programs():
     """(name, term, fuel of the entry) for every corpus eval entry and
     the four generated families at n=1..5."""
@@ -287,7 +278,7 @@ def _golden_programs():
         if entry.kind == "eval":
             term = elaborate(parse(corpus_text(entry)))
             yield entry.name, term, entry.expect.get("fuel", DEFAULT_EVAL_FUEL)
-    families = _bench_families()
+    families = bench_families()
     for family in sorted(families.FAMILIES):
         for n in range(1, 6):
             program = families.FAMILIES[family](n)
