@@ -92,13 +92,12 @@ ORDERS = ("row-major", "column-major", "shuffled")
 @pytest.mark.parametrize("order", ORDERS)
 def test_telescope_sweeps_match_the_reference(order):
     envs = sampled_telescopes(7, 20)
-    quals = {id(env): all_qualifiers(env, EMPTY_STORE) for env in envs}
-    for env in envs:  # a few that reach the unbound atom
-        quals[id(env)] += [q.with_atoms([GHOST]) for q in quals[id(env)][::8]]
+    quals = [list(all_qualifiers(env, EMPTY_STORE)) for env in envs]
+    for qs in quals:  # a few that reach the unbound atom
+        qs += [q.with_atoms([GHOST]) for q in qs[::8]]
     seen = Counter()
     rng = random.Random(order)
-    for i, env in enumerate(envs):
-        qs = quals[id(env)]
+    for i, (env, qs) in enumerate(zip(envs, quals)):
         if order == "row-major":
             pairs = [(p, q) for p in qs for q in qs]
         elif order == "column-major":
@@ -106,8 +105,7 @@ def test_telescope_sweeps_match_the_reference(order):
         else:
             pairs = [(p, q) for p in qs for q in qs]
             rng.shuffle(pairs)
-        other = envs[(i + 1) % len(envs)]
-        other_qs = quals[id(other)]
+        other, other_qs = envs[i - 1], quals[i - 1]
         for k, (p, q) in enumerate(pairs):
             if k % 5 == 0:
                 same_as_reference(other, EMPTY_STORE, rng.choice(other_qs),
