@@ -29,6 +29,20 @@ what the preservation and separation harnesses re-type. Given a
 configuration it advances that configuration in place; `eval_term` runs
 this way, so a step costs the search from the last redex, not a walk
 over the program.
+
+The harnesses re-type every term they step to, with one
+`typecheck.Retyper` per call. It gives a λ or Λ that it met in the last
+step, as the same object, the qualified type it synthesized then, when
+the node is closed (no free variable atom, annotations included), the
+store typing is the same object and the type's capture is observable in
+the current φ. That is exact: every lookup of a name stops at its
+innermost binder, so a closed value is typed the same in any
+environment; φ reaches its typing only through the observability of its
+capture; and a store typing is never changed once built. A step shares
+every value it does not touch, the pending substitution shares the
+closed values it puts in, so most λs and Λs of a term are met again.
+Every other node is synthesized again, and every step is checked as
+before. The memo dies with the harness call.
 """
 
 from __future__ import annotations
@@ -44,7 +58,7 @@ from .syntax import (
     free_term_atoms, is_value, map_parts, with_part,
 )
 from .subtyping import type_sub
-from .typecheck import check_program
+from .typecheck import Retyper, check_program
 
 DEFAULT_EVAL_FUEL = 100_000
 
@@ -310,11 +324,14 @@ def check_preservation(t: Term, sigma0: StoreTyping, store0: Optional[Store] = N
     After a step the new qualifier must be derivably below the previous
     one grown with the newly allocated locations (growth only applies at
     the freshness marker), and the new type part below the previous one.
+    Each term is typed as `check_program(TypeEnv(), Σ, t)` types it; a
+    closed λ or Λ carried over from the step before keeps its typing
+    under the same Σ (see the module docstring), for this call only.
     """
     store = store0 if store0 is not None else Store.empty()
     sigma = sigma0
-    result = check_program(TypeEnv(), sigma, t)
-    qty = result.qtype
+    retype = Retyper()
+    qty = retype(sigma, t)
     report = PreservationReport(True, "value")
     for i in range(fuel):
         out = step(t, store)
@@ -330,21 +347,21 @@ def check_preservation(t: Term, sigma0: StoreTyping, store0: Optional[Store] = N
         if out.event.rule == "ref":
             sigma = _extend_store_typing(sigma, store, out.event.loc)
             new_locs = frozenset({LocAtom(out.event.loc)})
-        result2 = check_program(TypeEnv(), sigma, t)
-        q_after = result2.qtype.q
+        qty2 = retype(sigma, t)
+        q_after = qty2.q
         witness = Qualifier(False, new_locs)
         expected = q_grow(qty.q, witness)
         ok = qual_sub(TypeEnv(), sigma, q_after, expected)
         detail = "" if ok else "qualifier not below the grown previous one"
-        if ok and not (alpha_eq(result2.qtype.ty, qty.ty)
-                       or type_sub(TypeEnv(), sigma, result2.qtype.ty, qty.ty)):
+        if ok and not (alpha_eq(qty2.ty, qty.ty)
+                       or type_sub(TypeEnv(), sigma, qty2.ty, qty.ty)):
             ok = False
             detail = "type part not below the previous one"
         report.steps.append(StepReport(i, out.event.rule, new_locs,
                                        qty.q, q_after, ok, detail))
         if not ok:
             report.ok = False
-        qty = result2.qtype
+        qty = qty2
     report.status = "fuel"
     return report
 
@@ -378,11 +395,17 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
                           store0: Optional[Store] = None,
                           fuel: int = DEFAULT_EVAL_FUEL) -> SeparationReport:
     """Interleave two reductions in a shared store and check that their
-    qualifiers stay disjoint (overlap within the freshness marker)."""
+    qualifiers stay disjoint (overlap within the freshness marker).
+
+    Both sides are re-typed after every step, as `check_program` types
+    them, by one memo for this call: a closed λ or Λ that either side
+    carried over keeps its typing under the same Σ (see the module
+    docstring)."""
     store = store0 if store0 is not None else Store.empty()
     sigma = sigma0
-    q1 = check_program(TypeEnv(), sigma, t1).qtype.q
-    q2 = check_program(TypeEnv(), sigma, t2).qtype.q
+    retype = Retyper()
+    q1 = retype(sigma, t1).q
+    q2 = retype(sigma, t2).q
     ov = overlap(TypeEnv(), sigma, q1, q2)
     if ov.atoms:
         return SeparationReport(False, False,
@@ -404,8 +427,8 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
         terms[side], store = out.term, out.store
         if out.event.rule == "ref":
             sigma = _extend_store_typing(sigma, store, out.event.loc)
-        quals[0] = check_program(TypeEnv(), sigma, terms[0]).qtype.q
-        quals[1] = check_program(TypeEnv(), sigma, terms[1]).qtype.q
+        quals[0] = retype(sigma, terms[0]).q
+        quals[1] = retype(sigma, terms[1]).q
         ov = overlap(TypeEnv(), sigma, quals[0], quals[1])
         report.steps.append(
             f"step {i}: q1 atoms={len(quals[0].atoms)} q2 atoms={len(quals[1].atoms)} "

@@ -273,32 +273,37 @@ class TypeEnv:
     def extended(self, entry: EnvEntry) -> "TypeEnv":
         return TypeEnv(self.entries + (entry,))
 
-    def lookup_term(self, name: str) -> Optional[QualifiedType]:
+    def binder(self, name: str) -> Optional[EnvEntry]:
+        """The innermost entry that binds name, whatever its kind: a term
+        binding, or X^x binding X and x. Names share one scope, as in the
+        surface language; an inner binder of another kind hides an outer
+        one, which happens once a closed value is copied under a binder
+        of one of its own names."""
         for e in reversed(self.entries):
-            if isinstance(e, TermBind) and e.name == name:
-                return e.qtype
+            if (e.name == name if type(e) is TermBind
+                    else name == e.qvar or name == e.tvar):
+                return e
         return None
+
+    def lookup_term(self, name: str) -> Optional[QualifiedType]:
+        e = self.binder(name)
+        return e.qtype if type(e) is TermBind else None
 
     def lookup_tvar(self, name: str) -> Optional[QualifiedType]:
-        for e in reversed(self.entries):
-            if isinstance(e, TypeBind) and e.tvar == name:
-                return e.bound
-        return None
+        e = self.binder(name)
+        return e.bound if type(e) is TypeBind and e.tvar == name else None
 
     def lookup_qvar(self, name: str) -> Optional[QualifiedType]:
-        for e in reversed(self.entries):
-            if isinstance(e, TypeBind) and e.qvar == name:
-                return e.bound
-        return None
+        e = self.binder(name)
+        return e.bound if type(e) is TypeBind and e.qvar == name else None
 
     def binding_qualifier(self, atom: VarAtom) -> Optional[Qualifier]:
         """Qualifier the atom was assumed at: term binding or bound of X^x."""
-        qt_ = self.lookup_term(atom.name)
-        if qt_ is not None:
-            return qt_.q
-        bound = self.lookup_qvar(atom.name)
-        if bound is not None:
-            return bound.q
+        e = self.binder(atom.name)
+        if type(e) is TermBind:
+            return e.qtype.q
+        if type(e) is TypeBind and e.qvar == atom.name:
+            return e.bound.q
         return None
 
     def dom(self) -> frozenset:

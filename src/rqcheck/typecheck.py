@@ -351,3 +351,60 @@ def check_program(env: TypeEnv, store: StoreTyping, t: Term,
     if not result.qtype.q.atoms <= phi:
         raise InternalError("synthesized an unobservable qualifier")
     return result
+
+
+class Retyper(_Checker):
+    """`check_program(TypeEnv(), store, t).qtype` for the successive
+    terms of one run, reusing the typing of each closed λ and Λ that a
+    step left as it was.
+
+    A λ or Λ met again as the same object under the same store typing
+    object is given the qualified type synthesized for it before, once
+    it is found closed (no free variable atom, annotations included), if
+    that type's qualifier, its capture, is in φ. That is exact. Every
+    lookup of a name stops at the innermost binder of the name
+    (`TypeEnv.binder`), so a closed value is typed the same in every
+    environment. φ enters its typing only where its capture must be
+    observable, since the body is typed under capture ∪ {self, param}.
+    The memo holds the λs and Λs met in the last two calls, each as
+    (node, store typing, closed or None while not asked, qualified
+    type) under the node's id; an entry holds its node, so the id names
+    no other object while the entry lives."""
+
+    def __init__(self):
+        super().__init__(StoreTyping())
+        self._seen: dict = {}
+        self._last: dict = {}
+
+    def __call__(self, store: StoreTyping, t: Term) -> QualifiedType:
+        self.store, self.trace = store, []
+        self._last, self._seen = self._seen, {}
+        phi = store.dom()
+        qty = self.synth(TypeEnv(), phi, t)
+        if not qty.q.atoms <= phi:
+            raise InternalError("synthesized an unobservable qualifier")
+        return qty
+
+    def synth(self, env: TypeEnv, phi: frozenset, t: Term) -> QualifiedType:
+        kind = type(t)
+        rule = _SYNTH.get(kind)
+        if kind is not Abs and kind is not TAbs:
+            # _Checker.synth's dispatch, without a second frame per node
+            if rule is None:
+                return _Checker.synth(self, env, phi, t)
+            return rule(self, env, phi, t)
+        known = self._seen.get(id(t)) or self._last.get(id(t))
+        closed = None
+        if known is not None:
+            _, store, closed, qty = known
+            if closed is None:
+                # asked on a second sighting only, so a node that plug
+                # rebuilds on every step is never walked
+                closed = not any(type(a) is VarAtom for a in
+                                 free_term_atoms(t, annotations=True))
+            if closed and store is self.store and qty.q.atoms <= phi:
+                self._seen[id(t)] = (t, store, True, qty)
+                return qty
+        qty = rule(self, env, phi, t)
+        self._seen[id(t)] = (t, self.store, closed, qty)
+        return qty

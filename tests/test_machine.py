@@ -3,8 +3,10 @@
 import json
 from pathlib import Path
 
-from helpers import bench_families
-from rqcheck import machine, syntax
+import pytest
+
+from helpers import bench_families, runnable_programs, sep_pairs
+from rqcheck import machine, syntax, typecheck
 from rqcheck.cli import corpus_text, load_corpus
 from rqcheck.machine import (
     DEFAULT_EVAL_FUEL, Store, Stepped, Value, check_preservation,
@@ -12,9 +14,10 @@ from rqcheck.machine import (
 )
 from rqcheck.surface import elaborate, parse, parse_term, pretty
 from rqcheck.syntax import (
-    Assign, Const, Deref, INT, Let, LocAtom, LocTerm, RefAlloc, StoreTyping,
-    Term, UnitLit, Var, alpha_eq, map_parts, qt, qual,
+    Abs, Assign, Const, Deref, INT, Let, LocAtom, LocTerm, RefAlloc,
+    StoreTyping, Term, TypeEnv, UnitLit, Var, alpha_eq, map_parts, qt, qual,
 )
+from rqcheck.typecheck import check_program
 
 EMPTY_SIGMA = StoreTyping()
 
@@ -232,6 +235,18 @@ def test_preservation_of_a_pure_beta_step_has_empty_witness():
     assert [s.witness for s in report.steps] == [frozenset()]
 
 
+# once id is substituted into k's body, k's parameter x sits outside the
+# copy's X^x; the atom x in y's annotation is the inner one
+SHADOWED_QVAR = ("val id = tfn id[X^x <: Top^{}] { fn g(y: X^{x}) : X^{} { y } }; "
+                 "val k = fn k(x: Unit^{*}) { id }; 1")
+
+
+def test_a_copied_type_abstraction_keeps_its_own_qualifier_variable():
+    report = check_preservation(parse_term(SHADOWED_QVAR), EMPTY_SIGMA)
+    assert report.ok and report.status == "value"
+    assert [s.ok for s in report.steps] == [True, True]
+
+
 # ---------------------------------------------------------------------------
 # Separation harness
 
@@ -320,3 +335,112 @@ def eval_golden_lines() -> str:
 
 def test_eval_and_preservation_match_the_golden_file():
     assert eval_golden_lines() == GOLDEN.read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Re-typing in the harnesses
+
+class _FullRecheck:
+    """The reference: `check_program` on the whole term after every step."""
+
+    def __call__(self, store, t):
+        return check_program(TypeEnv(), store, t).qtype
+
+
+def _outcome(harness, *args, **kwargs):
+    try:
+        return harness(*args, **kwargs)
+    except Exception as exc:  # the same rejection on both sides
+        return type(exc).__name__, str(exc)
+
+
+def _both(monkeypatch, harness, *args, **kwargs):
+    memoized = _outcome(harness, *args, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(machine, "Retyper", _FullRecheck)
+        reference = _outcome(harness, *args, **kwargs)
+    return memoized, reference
+
+
+# h is open (x is free in it) and stays the same object while x's
+# ascription is dropped; reusing its type from the step before would keep
+# the wider codomain {a, b} of the ascription
+STALE_OPEN_CLOSURE = (
+    "val a = ref 0; val b = ref 1; "
+    "val g = fn g(w: Int^{}) : Ref[Int]^{a} { a }; "
+    "val x = (g : (g2(w: Int^{}) => Ref[Int]^{a, b})^{a, b}); "
+    "(fn h^{x, a, b}(y: Int^{}) { x(0) })(0)")
+
+
+def _differential_programs():
+    """(name, term): the runnable corpus, the four families at n=1..20
+    and the program whose copied Λ binds its enclosing parameter's name."""
+    for entry, term in runnable_programs():
+        yield entry.name, term
+    families = bench_families()
+    for family in sorted(families.FAMILIES):
+        for n in range(1, 21):
+            program = families.FAMILIES[family](n)
+            yield program.name, elaborate(parse(program.text))
+    yield "shadowed-qvar", parse_term(SHADOWED_QVAR)
+    yield "stale-open-closure", parse_term(STALE_OPEN_CLOSURE)
+
+
+DIFFERENTIAL = list(_differential_programs())
+
+
+@pytest.mark.parametrize("name,term", DIFFERENTIAL, ids=[d[0] for d in DIFFERENTIAL])
+def test_preservation_reports_equal_a_full_recheck_after_every_step(
+        monkeypatch, name, term):
+    memoized, reference = _both(monkeypatch, check_preservation, term,
+                                EMPTY_SIGMA, fuel=300)
+    assert memoized == reference
+    assert memoized.ok
+
+
+def test_separation_reports_equal_a_full_recheck_after_every_step(monkeypatch):
+    pairs = sep_pairs()
+    assert len(pairs) == 10
+    for entry, t1, t2 in pairs:
+        memoized, reference = _both(monkeypatch, separation_experiment, t1, t2,
+                                    EMPTY_SIGMA)
+        assert memoized == reference, entry.name
+
+
+def test_the_retyper_equals_check_program_on_any_store_typing_and_phi():
+    # the harness runs above only grow Σ and re-type well-typed terms, so
+    # they cannot tell a memo that skips the Σ test or the capture test
+    # apart; here one closed λ is typed under two store typings with one
+    # domain, then inside a λ whose empty capture hides its location
+    outer = parse_term("fn w^{}(z: Unit^{}) { fn f(u: Unit^{}) { @0 } }")
+    inner = outer.body
+    int_cell = EMPTY_SIGMA.extended(0, qt(INT))
+    unit_cell = EMPTY_SIGMA.extended(0, qt(syntax.UNIT))
+    retype = typecheck.Retyper()
+    for sigma, t in ((int_cell, inner), (unit_cell, inner), (int_cell, inner),
+                     (int_cell, outer), (int_cell, inner)):
+        memoized = _outcome(retype, sigma, t)
+        assert memoized == _outcome(_FullRecheck(), sigma, t)
+    assert memoized != _outcome(_FullRecheck(), unit_cell, inner)
+
+
+def test_a_value_carried_from_step_to_step_is_typed_once(monkeypatch):
+    # each of the divergent program's steps re-types the loop closure;
+    # the memo types it under the first store typing and φ only
+    entry = next(e for e in load_corpus() if e.name == "eval-diverge")
+    term = elaborate(parse(corpus_text(entry)))
+    calls = []
+    rule = typecheck._SYNTH[Abs]
+
+    def counted(checker, env, phi, t):
+        calls.append(t)
+        return rule(checker, env, phi, t)
+
+    monkeypatch.setitem(typecheck._SYNTH, Abs, counted)
+    counts = []
+    for fuel in (200, 2000):
+        calls.clear()
+        report = check_preservation(term, EMPTY_SIGMA, fuel=fuel)
+        assert report.status == "fuel" and len(report.steps) == fuel
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
