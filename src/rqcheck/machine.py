@@ -31,18 +31,18 @@ this way, so a step costs the search from the last redex, not a walk
 over the program.
 
 The harnesses re-type every term they step to, with one
-`typecheck.Retyper` per call. It gives a λ or Λ that it met in the last
-step, as the same object, the qualified type it synthesized then, when
+`typecheck.Retyper` per call. A λ or Λ that it met in the last step, as
+the same object, keeps the qualified type synthesized for it then, when
 the node is closed (no free variable atom, annotations included), the
-store typing is the same object and the type's capture is observable in
-the current φ. That is exact: every lookup of a name stops at its
-innermost binder, so a closed value is typed the same in any
-environment; φ reaches its typing only through the observability of its
-capture; and a store typing is never changed once built. A step shares
-every value it does not touch, the pending substitution shares the
-closed values it puts in, so most λs and Λs of a term are met again.
-Every other node is synthesized again, and every step is checked as
-before. The memo dies with the harness call.
+store typing is the same object and the type's capture is in the
+current φ. That is exact: every lookup of a name stops at its innermost
+binder, so a closed value is typed the same in any environment; φ
+reaches its typing only through the observability of its capture; and
+a store typing is never changed once built. A step shares every value
+it does not touch, and the pending substitution puts in the same closed
+values, not copies, so most λs and Λs of a term are met again. Every
+other node is synthesized again, and every step is checked as before.
+The memo dies with the harness call.
 """
 
 from __future__ import annotations
@@ -398,14 +398,15 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
     qualifiers stay disjoint (overlap within the freshness marker).
 
     Both sides are re-typed after every step, as `check_program` types
-    them, by one memo for this call: a closed λ or Λ that either side
+    them, each by its own memo for this call: a closed λ or Λ that a side
     carried over keeps its typing under the same Σ (see the module
-    docstring)."""
+    docstring). A memo keeps what the last two of its calls met, so the
+    two sides do not share one."""
     store = store0 if store0 is not None else Store.empty()
     sigma = sigma0
-    retype = Retyper()
-    q1 = retype(sigma, t1).q
-    q2 = retype(sigma, t2).q
+    retype = (Retyper(), Retyper())
+    q1 = retype[0](sigma, t1).q
+    q2 = retype[1](sigma, t2).q
     ov = overlap(TypeEnv(), sigma, q1, q2)
     if ov.atoms:
         return SeparationReport(False, False,
@@ -427,8 +428,8 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
         terms[side], store = out.term, out.store
         if out.event.rule == "ref":
             sigma = _extend_store_typing(sigma, store, out.event.loc)
-        quals[0] = retype(sigma, terms[0]).q
-        quals[1] = retype(sigma, terms[1]).q
+        quals[0] = retype[0](sigma, terms[0]).q
+        quals[1] = retype[1](sigma, terms[1]).q
         ov = overlap(TypeEnv(), sigma, quals[0], quals[1])
         report.steps.append(
             f"step {i}: q1 atoms={len(quals[0].atoms)} q2 atoms={len(quals[1].atoms)} "

@@ -7,7 +7,9 @@ enforcement. Every rejection carries exactly one primary error code.
 rules, since `tfn f[X^x <: T^q]` is an abstraction whose parameter is
 X^x: `_abstraction` serves T-Abs and T-TAbs, `_application` T-App and
 T-TApp. Running out of subtyping fuel is never a rejection:
-`FuelExhausted` reaches the caller as it is.
+`FuelExhausted` reaches the caller as it is. `Retyper` types the
+successive terms of a machine run as `check_program` does, reusing what
+it synthesized for a closed λ or Λ that a step left as it was.
 """
 
 from __future__ import annotations

@@ -426,9 +426,11 @@ def test_the_retyper_equals_check_program_on_any_store_typing_and_phi():
 
 def test_a_value_carried_from_step_to_step_is_typed_once(monkeypatch):
     # each of the divergent program's steps re-types the loop closure;
-    # the memo types it under the first store typing and φ only
+    # the memo types it once, and once per side when two copies of the
+    # program are interleaved
     entry = next(e for e in load_corpus() if e.name == "eval-diverge")
-    term = elaborate(parse(corpus_text(entry)))
+    text = corpus_text(entry)
+    term, other = elaborate(parse(text)), elaborate(parse(text))
     calls = []
     rule = typecheck._SYNTH[Abs]
 
@@ -442,5 +444,8 @@ def test_a_value_carried_from_step_to_step_is_typed_once(monkeypatch):
         calls.clear()
         report = check_preservation(term, EMPTY_SIGMA, fuel=fuel)
         assert report.status == "fuel" and len(report.steps) == fuel
-        counts.append(len(calls))
+        calls.append(None)
+        sep = separation_experiment(term, other, EMPTY_SIGMA, fuel=fuel)
+        assert sep.ok and len(sep.steps) == fuel
+        counts.append((calls.index(None), len(calls) - 1 - calls.index(None)))
     assert counts[0] == counts[1]
