@@ -388,13 +388,8 @@ class Retyper(_Checker):
         return qty
 
     def synth(self, env: TypeEnv, phi: frozenset, t: Term) -> QualifiedType:
-        kind = type(t)
-        rule = _SYNTH.get(kind)
-        if kind is not Abs and kind is not TAbs:
-            # _Checker.synth's dispatch, without a second frame per node
-            if rule is None:
-                return _Checker.synth(self, env, phi, t)
-            return rule(self, env, phi, t)
+        if type(t) is not Abs and type(t) is not TAbs:
+            return _Checker.synth(self, env, phi, t)
         known = self._seen.get(id(t)) or self._last.get(id(t))
         closed = None
         if known is not None:
@@ -407,6 +402,6 @@ class Retyper(_Checker):
             if closed and store is self.store and qty.q.atoms <= phi:
                 self._seen[id(t)] = (t, store, True, qty)
                 return qty
-        qty = rule(self, env, phi, t)
+        qty = _Checker.synth(self, env, phi, t)
         self._seen[id(t)] = (t, self.store, closed, qty)
         return qty
