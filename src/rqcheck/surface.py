@@ -2,6 +2,12 @@
 
 ASCII forms: `*` is the freshness marker, `{}` the empty qualifier.
 Files use extension `.rq`; `//` starts a line comment.
+
+Each pass is linear in the source. The lexer makes one regex pass and
+keeps a token's character offset, not its line and column: those are
+computed from the offset only when a ParseError is raised. Resolution
+mutates one scope dict: a binder adds its name, and the name is deleted
+again when the binder's scope closes.
 """
 
 from __future__ import annotations
@@ -23,42 +29,31 @@ from .syntax import (
 # Lexer
 
 
-@dataclass
-class Token:
-    kind: str
-    value: str
-    line: int
-    col: int
-
-
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<int>-?\d+)
+    (?P<skip>[ \t\r\n]+|//[^\n]*)
+  | (?P<int>-?[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<op>:=|<:|=>|;;|[{}()\[\]^:,;*!=.@])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-def tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+def _error(text: str, off: int, message: str) -> ParseError:
+    """A ParseError at character offset `off` of `text`, as line:col."""
+    return ParseError(message, text.count("\n", 0, off) + 1,
+                      off - text.rfind("\n", 0, off))
+
+
+def tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """(kind, value, offset) per token, then an eof entry at len(text)."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            raise _error(text, m.start(), f"unexpected character {m.group()!r}")
+        if kind != "skip":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -76,44 +71,54 @@ _NAMED_TYPES = {"Int": INT, "Unit": UNIT, "Top": Top()}
 
 
 class Parser:
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+    """Recursive descent over the token kinds and values, held as parallel
+    tuples padded with eof entries so that a lookahead never runs off
+    the end; a token's position is computed only for an error."""
+
+    def __init__(self, text: str):
+        self.text = text
+        kinds, values, self.offsets = zip(*tokenize(text))
+        self.kinds = kinds + ("eof", "eof")
+        self.values = values + ("", "")
         self.pos = 0
         self.counter = 0
 
     # -- plumbing ----------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> str:
+        return self.values[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def kind(self, ahead: int = 0) -> str:
+        return self.kinds[self.pos + ahead]
+
+    def next(self) -> str:
+        self.pos += 1
+        return self.values[self.pos - 1]
 
     def at(self, value: str, ahead: int = 0) -> bool:
-        return self.peek(ahead).value == value and self.peek(ahead).kind != "eof"
+        # only the eof entries have the value ""
+        return self.values[self.pos + ahead] == value
 
-    def expect(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.value != value or tok.kind == "eof":
-            raise ParseError(f"expected {value!r}, found {tok.value or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.next()
+    def error(self, message: str) -> ParseError:
+        return _error(self.text, self.offsets[self.pos], message)
+
+    def found(self) -> str:
+        return repr(self.values[self.pos] or "end of input")
+
+    def expect(self, value: str) -> str:
+        if self.values[self.pos] != value:
+            raise self.error(f"expected {value!r}, found {self.found()}")
+        self.pos += 1
+        return value
 
     def ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(f"expected a name, found {tok.value or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.next().value
+        if self.kinds[self.pos] != "ident":
+            raise self.error(f"expected a name, found {self.found()}")
+        return self.next()
 
     def end(self):
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input starting at {tok.value!r}",
-                             tok.line, tok.col)
+        if self.kinds[self.pos] != "eof":
+            raise self.error(f"trailing input starting at {self.peek()!r}")
 
     def gen(self, base: str) -> str:
         self.counter += 1
@@ -126,17 +131,15 @@ class Parser:
         fresh = False
         atoms = set()
         while not self.at("}"):
-            tok = self.peek()
             if self.at("*"):
                 self.next()
                 fresh = True
             elif self.at("@"):
                 atoms.add(LocAtom(self.location()))
-            elif tok.kind == "ident":
-                atoms.add(VarAtom(self.next().value))
+            elif self.kind() == "ident":
+                atoms.add(VarAtom(self.next()))
             else:
-                raise ParseError(f"expected a qualifier atom, found {tok.value!r}",
-                                 tok.line, tok.col)
+                raise self.error(f"expected a qualifier atom, found {self.peek()!r}")
             if not self.at("}"):
                 self.expect(",")
         self.expect("}")
@@ -152,33 +155,30 @@ class Parser:
             return QualifiedType(ty, self.qualifier())
         if bare:
             return QualifiedType(ty, Qualifier())
-        tok = self.peek()
-        raise ParseError("missing qualifier: write ^{...} (there is no default)",
-                         tok.line, tok.col)
+        raise self.error("missing qualifier: write ^{...} (there is no default)")
 
     def type_atom(self) -> Type:
-        tok = self.peek()
-        if tok.value in _NAMED_TYPES:
+        value = self.peek()
+        if value in _NAMED_TYPES:
             self.next()
-            return _NAMED_TYPES[tok.value]
-        if tok.value == "Ref":
+            return _NAMED_TYPES[value]
+        if value == "Ref":
             self.next()
             self.expect("[")
             content = self.qtype(bare=True)
             self.expect("]")
             return RefT(content)
-        if tok.value == "forall":
+        if value == "forall":
             self.next()
             return self.forall_tail()
-        if tok.value == "(":
+        if value == "(":
             self.next()
             ty = self.type_atom() if self.at("forall") else self.fun_inner()
             self.expect(")")
             return ty
-        if tok.kind == "ident":
-            return TVar(self.next().value)
-        raise ParseError(f"expected a type, found {tok.value or 'end of input'!r}",
-                         tok.line, tok.col)
+        if self.kind() == "ident":
+            return TVar(self.next())
+        raise self.error(f"expected a type, found {self.found()}")
 
     def forall_tail(self) -> All:
         self_name = self.ident() if not self.at("[") else self.gen("f")
@@ -200,12 +200,12 @@ class Parser:
     def fun_inner(self) -> Fun:
         """The inside of a parenthesized function type."""
         self_name = None
-        if self.peek().kind == "ident" and self.at("(", 1):
+        if self.kind() == "ident" and self.at("(", 1):
             self_name = self.ident()
         if self.at("(") and (self_name is not None
-                             or (self.peek(1).kind == "ident" and self.at(":", 2))):
+                             or (self.kind(1) == "ident" and self.at(":", 2))):
             self.next()
-            if self.peek().kind == "ident" and self.at(":", 1):
+            if self.kind() == "ident" and self.at(":", 1):
                 param = self.ident()
                 self.expect(":")
                 dom = self.qtype()
@@ -273,20 +273,19 @@ class Parser:
                 return t
 
     def atom_expr(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return Const(int(tok.value))
-        if tok.value == "unit":
+        kind, value = self.kind(), self.peek()
+        if kind == "int":
+            return Const(int(self.next()))
+        if value == "unit":
             self.next()
             return UnitLit()
-        if tok.value == "@":
+        if value == "@":
             return LocTerm(self.location())
-        if tok.value == "fn":
+        if value == "fn":
             return self.abstraction("(", self.fn_params, Abs)
-        if tok.value == "tfn":
+        if value == "tfn":
             return self.abstraction("[", self.type_params, TAbs)
-        if tok.value == "(":
+        if value == "(":
             self.next()
             inner = self.expr()
             if self.at(":"):
@@ -296,19 +295,16 @@ class Parser:
                 return Ascribe(inner, ann)
             self.expect(")")
             return inner
-        if tok.kind == "ident":
-            return Var(self.next().value)
-        raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}",
-                         tok.line, tok.col)
+        if kind == "ident":
+            return Var(self.next())
+        raise self.error(f"expected a term, found {self.found()}")
 
     def location(self) -> int:
         """The number of an `@n` location, at its `@`."""
         self.next()
-        num = self.peek()
-        if num.kind != "int":
-            raise ParseError("expected a location number after '@'",
-                             num.line, num.col)
-        return int(self.next().value)
+        if self.kind() != "int":
+            raise self.error("expected a location number after '@'")
+        return int(self.next())
 
     def abstraction(self, opener: str, params, cls) -> Term:
         """`fn` and `tfn`, at the keyword: an optional self-name and
@@ -363,7 +359,7 @@ class Parser:
 
 
 def parse(text: str) -> SourceProgram:
-    parser = Parser(tokenize(text))
+    parser = Parser(text)
     prog = parser.program()
     parser.end()
     resolve_program(prog)
@@ -372,7 +368,7 @@ def parse(text: str) -> SourceProgram:
 
 def parse_pair(text: str) -> Tuple[SourceProgram, SourceProgram]:
     """Two programs separated by `;;` (used by the separation command)."""
-    parser = Parser(tokenize(text))
+    parser = Parser(text)
     first = parser.program()
     parser.expect(";;")
     second = parser.program()
@@ -384,7 +380,7 @@ def parse_pair(text: str) -> Tuple[SourceProgram, SourceProgram]:
 
 def parse_term(text: str) -> Term:
     """A single expression; used by tests."""
-    parser = Parser(tokenize(text))
+    parser = Parser(text)
     t = parser.expr()
     parser.end()
     resolve_term(t, {})
@@ -392,7 +388,7 @@ def parse_term(text: str) -> Term:
 
 
 def parse_qtype(text: str) -> QualifiedType:
-    parser = Parser(tokenize(text))
+    parser = Parser(text)
     q = parser.qtype()
     parser.end()
     return q
@@ -402,15 +398,14 @@ def parse_qtype(text: str) -> QualifiedType:
 # Scope resolution
 #
 # Shadowing is rejected: binder names are unique along any scope path, so
-# the core representation needs no renaming and substitution cannot capture.
+# the core representation needs no renaming and substitution cannot capture,
+# and deleting a binder's name when its scope closes restores the scope.
 
 
-def _bind(scope: dict, name: str, kind: str) -> dict:
+def _bind(scope: dict, name: str, kind: str):
     if name in scope:
         raise ScopeError(f"{name} shadows an enclosing binding")
-    out = dict(scope)
-    out[name] = kind
-    return out
+    scope[name] = kind
 
 
 def _check_qual(q: Qualifier, scope: dict):
@@ -430,7 +425,9 @@ _NOUN = {"term": "term variable", "tvar": "type variable"}
 
 def resolve_term(x, scope: dict):
     """Check that a term (or a type) only mentions names bound around it,
-    each used as its kind, and that no binder shadows another."""
+    each used as its kind, and that no binder shadows another. `scope`
+    maps each name in scope to its kind; it is left as it was found,
+    unless a ScopeError is raised."""
     shape = SHAPES[type(x)]
     if shape.occurs is not None:
         field, kind = shape.occurs
@@ -446,9 +443,11 @@ def resolve_term(x, scope: dict):
     for f, role in shape.outer:
         _resolve_part(getattr(x, f), role, scope)
     for f, kind in shape.binds:
-        scope = _bind(scope, getattr(x, f), kind)
+        _bind(scope, getattr(x, f), kind)
     for f, role in shape.inner:
         _resolve_part(getattr(x, f), role, scope)
+    for f, _ in shape.binds:
+        del scope[getattr(x, f)]
 
 
 def _resolve_part(part, role: int, scope: dict):
@@ -473,11 +472,10 @@ def resolve_program(prog: SourceProgram):
         if decl[0] == "assume":
             _, name, ann = decl
             _check_qtype(ann, scope)
-            scope = _bind(scope, name, "term")
         else:
             _, name, rhs = decl
             resolve_term(rhs, scope)
-            scope = _bind(scope, name, "term")
+        _bind(scope, name, "term")
     resolve_term(prog.main, scope)
 
 

@@ -5,7 +5,7 @@ import pytest
 from rqcheck.cli import corpus_text
 from rqcheck.surface import (
     ParseError, ScopeError, elaborate, parse, parse_pair, parse_qtype,
-    parse_term, pretty,
+    parse_term, pretty, resolve_term, tokenize,
 )
 from rqcheck.syntax import (
     Abs, Base, Const, Deref, Fun, INT, Let, RefAlloc, TAbs, Var, alpha_eq,
@@ -73,6 +73,106 @@ def test_shadowing_is_a_scope_error():
 def test_out_of_scope_qualifier_atom_is_a_scope_error():
     with pytest.raises(ScopeError):
         parse("fn f(x: Int^{y}) { x }")
+
+
+# Every text below was produced by the lexer and parser that tracked a
+# line and column per token; positions are now computed from the offset
+# only when an error is raised, and must read the same.
+_PARSE_ERRORS = [
+    ("val x = 1;\n$x", "2:1: unexpected character '$'"),
+    ("val x = 1; // note\n?x", "2:1: unexpected character '?'"),
+    ("val x = 1;\r\n  $x", "2:3: unexpected character '$'"),
+    ("val x = 1 & 2;\nx", "1:11: unexpected character '&'"),
+    ("\tval x = 1;\n\tx %", "2:4: unexpected character '%'"),
+    ("1 2", "1:3: trailing input starting at '2'"),
+    ("val x = 1;\nx )\n", "2:3: trailing input starting at ')'"),
+    ("val x = 1", "1:10: expected ';', found 'end of input'"),
+    ("val x = 1 // no semicolon\n", "2:1: expected ';', found 'end of input'"),
+    ("fn f(x: Int) { x }",
+     "1:12: missing qualifier: write ^{...} (there is no default)"),
+    ("@x", "1:2: expected a location number after '@'"),
+    ("fn f(x: Int^{1}) { x }", "1:14: expected a qualifier atom, found '1'"),
+    ("fn f(x: Int^{}) { x", "1:20: expected '}', found 'end of input'"),
+    ("val x = 1;\nval y = ;\ny", "2:9: expected a term, found ';'"),
+    ("fn f(x: ^{}) { x }", "1:9: expected a type, found '^'"),
+    ("val = 1; 2", "1:5: expected a name, found '='"),
+    # integer literals are ASCII digits only (an ARABIC-INDIC DIGIT THREE)
+    ("val x = \u0663;\nx", "1:9: unexpected character '\u0663'"),
+]
+
+
+@pytest.mark.parametrize("text,message", _PARSE_ERRORS)
+def test_parse_error_texts_are_pinned(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_parse_pair_error_texts_are_pinned():
+    with pytest.raises(ParseError, match="^1:3: expected ';;', found '2'$"):
+        parse_pair("1 2")
+    with pytest.raises(ParseError, match="^1:8: trailing input starting at '3'$"):
+        parse_pair("1 ;; 2 3")
+
+
+@pytest.mark.parametrize("file,count", [
+    ("counter.rq", 359), ("opair_conv.rq", 505), ("pair_fst.rq", 286)])
+def test_token_counts_of_corpus_files_are_pinned(file, count):
+    # one entry per token plus the eof entry; the benchmark's
+    # `surface.tokens` counter reads this length
+    entry = next(e for e in corpus_entries() if e.file == file)
+    assert len(tokenize(corpus_text(entry))) == count
+
+
+# ---------------------------------------------------------------------------
+# Scope resolution
+
+
+@pytest.mark.parametrize("text,message", [
+    ("val x = ref 0; fn f(x: Int^{}) { x }", "x shadows an enclosing binding"),
+    ("fn f(f: Int^{}) { f }", "f shadows an enclosing binding"),
+    ("fn f(x: Int^{}) : (f(x: Int^{}) => Int^{})^{} { x }",
+     "f shadows an enclosing binding"),
+    ("fn f(x: Int^{}) { y }", "unbound term variable y"),
+    ("fn f(x: Int^{y}) { x }", "qualifier mentions unbound name y"),
+    ("tfn f[X^z <: Top^{}] { fn g(u: Unit^{X}) { u } }",
+     "type variable X cannot appear in a qualifier; use its paired "
+     "qualifier variable"),
+    ("tfn f[X^z <: Top^{}] { z }", "z is not a term variable"),
+    ("val x = 1; (1 : x^{})", "x is not a type variable"),
+    # a name whose binder's scope has closed is unbound again
+    ("val a = fn f(x: Int^{}) { x }; x", "unbound term variable x"),
+    ("val a = tfn f[X^z <: Top^{}] { unit }; (unit : X^{})",
+     "unbound type variable X"),
+])
+def test_scope_error_texts_are_pinned(text, message):
+    with pytest.raises(ScopeError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    "val a = fn f(x: Int^{}) { x }; val b = fn f(x: Int^{}) { x }; b(1)",
+    "(fn f(x: Int^{}) { x })((fn f(x: Int^{}) { x })(1))",
+    "val a = tfn f[X^z <: Top^{}] { unit }; "
+    "val b = tfn f[X^z <: Top^{}] { unit }; b",
+])
+def test_sibling_binders_may_reuse_a_name(text):
+    parse(text)
+
+
+def test_resolution_leaves_the_scope_as_it_found_it():
+    scope = {"c": "term"}
+    resolve_term(parse_term("val c = ref 0; fn f^{c}(u: Unit^{}) { !c }").body,
+                 scope)
+    assert scope == {"c": "term"}
+
+
+def test_a_binder_left_by_a_scope_error_does_not_leak_into_the_next_parse():
+    with pytest.raises(ScopeError):
+        parse("fn f(x: Int^{}) { y }")
+    with pytest.raises(ScopeError, match="^unbound term variable x$"):
+        parse("x")
 
 
 # ---------------------------------------------------------------------------
