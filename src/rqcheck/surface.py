@@ -92,6 +92,7 @@ class Parser:
         return self.kinds[self.pos + ahead]
 
     def next(self) -> str:
+        # every caller tests the token first, so this never steps past eof
         self.pos += 1
         return self.values[self.pos - 1]
 
@@ -105,11 +106,10 @@ class Parser:
     def found(self) -> str:
         return repr(self.values[self.pos] or "end of input")
 
-    def expect(self, value: str) -> str:
+    def expect(self, value: str):
         if self.values[self.pos] != value:
             raise self.error(f"expected {value!r}, found {self.found()}")
         self.pos += 1
-        return value
 
     def ident(self) -> str:
         if self.kinds[self.pos] != "ident":
