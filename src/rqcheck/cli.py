@@ -172,6 +172,8 @@ def cmd_sep(args) -> int:
             print(line)
     if not report.ok:
         raise Rejection("SeparationViolation", report.detail)
+    if not report.finished:
+        raise FuelExhausted("evaluation fuel exhausted")
     _emit(args, {"status": "separate", "steps": report.steps}, "verdict SEPARATE")
     return EXIT_OK
 
@@ -241,6 +243,8 @@ def run_corpus_entry(entry: CorpusEntry, fuel: int = DEFAULT_EVAL_FUEL) -> Optio
         t1, t2 = load(path, "sep")
         report = separation_experiment(t1, t2, StoreTyping(), fuel=fuel)
         want = entry.expect.get("verdict", "SEPARATE")
+        if report.ok and not report.finished:
+            return f"expected {want}, got fuel exhausted"
         got = "SEPARATE" if report.ok else f"violation: {report.detail}"
         if (want == "SEPARATE") != report.ok:
             return f"expected {want}, got {got}"
@@ -297,9 +301,10 @@ def main(argv=None) -> int:
         commands[name] = sub.add_parser(name, help=help_text)
         commands[name].add_argument("path")
         commands[name].add_argument("--json", action="store_true")
-        commands[name].add_argument(
-            "--fuel", type=_fuel, default=fuel,
-            help="subtyping fuel" if name == "check" else "reduction steps")
+        commands[name].add_argument("--fuel", type=_fuel, default=fuel, help=(
+            "fuel of each subtyping query" if name == "check" else
+            "reduction steps, of both programs together for sep; checking "
+            f"and re-typing use the default subtyping fuel ({DEFAULT_FUEL})"))
         commands[name].set_defaults(func=func)
     commands["eval"].add_argument("--trace", action="store_true",
                                   help="print one JSON line per reduction event")

@@ -77,14 +77,10 @@ class Store:
 
     def alloc(self, v: Term) -> Tuple[int, "Store"]:
         loc = self.next_loc
-        cells = dict(self.cells)
-        cells[loc] = v
-        return loc, Store(cells, loc + 1)
+        return loc, Store({**self.cells, loc: v}, loc + 1)
 
     def updated(self, loc: int, v: Term) -> "Store":
-        cells = dict(self.cells)
-        cells[loc] = v
-        return Store(cells, self.next_loc)
+        return Store({**self.cells, loc: v}, self.next_loc)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -373,6 +369,7 @@ class SeparationReport:
     steps: List[str] = field(default_factory=list)
     detail: str = ""
     final_locs: Tuple[frozenset, frozenset] = (frozenset(), frozenset())
+    finished: bool = False    # both sides are values: fuel did not cut the run
 
 
 def _reachable_locs(t: Term, store: Store) -> frozenset:
@@ -438,6 +435,7 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
             report.ok = False
             report.detail = f"disjointness violated at step {i}"
             return report
+    report.finished = is_value(terms[0]) and is_value(terms[1])
     locs1 = _reachable_locs(terms[0], store)
     locs2 = _reachable_locs(terms[1], store)
     report.final_locs = (locs1, locs2)

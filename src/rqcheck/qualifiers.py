@@ -7,24 +7,23 @@ Every function but `qual_sub` is pure. `qual_sub` keeps one table for the
 last (environment, store typing) pair it was asked about, held by
 identity: `TypeEnv` is frozen and a `StoreTyping` is never changed after
 it is built. A call on any other pair replaces the table. For each
-`q.atoms` asked about, the table holds `self_closure(q)`, the atoms proven
-below q and the atoms proven not below q. Reusing them is exact. An atom
-outside the closure has exactly one rule (every atom of its binding
-qualifier is below q), so whether it is below q is the least fixpoint of
-those rules, whatever was asked before. The search from a top-level call
-computes it, so the table keeps what such a search proves, the fresh
-bindings it meets and its top-level refutations, and not a refutation
-made by cutting a cycle deeper down. The atoms of p are still tried in
-their own order, so a query that reaches an unbound atom still raises.
+`q.atoms` asked about, the table holds the atoms proven below q, starting
+from `self_closure(q)`, and the atoms proven not below q. Reusing them is
+exact. An atom outside the closure has exactly one rule (every atom of
+its binding qualifier is below q), so whether it is below q is the least
+fixpoint of those rules, whatever was asked before. The search from a
+top-level call computes it, so the table keeps what such a search
+proves, the fresh bindings it meets and its top-level refutations, and
+not a refutation made by cutting a cycle deeper down. The atoms of p are
+still tried in their own order, so a query that reaches an unbound atom
+still raises.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import ScopeError
 from .syntax import (
-    All, Atom, Fun, LocAtom, Qualifier, StoreTyping, TypeEnv, VarAtom,
+    All, Atom, Fun, Qualifier, StoreTyping, TypeEnv, VarAtom,
 )
 
 
@@ -112,12 +111,12 @@ def self_closure(env: TypeEnv, q: Qualifier) -> frozenset:
 
 
 # qual_sub's table: the (environment, store typing) pair it is for, and
-# its rows, q.atoms -> (self_closure(q), atoms proven below q, atoms refuted)
+# its rows, q.atoms -> (atoms proven below q, atoms refuted)
 _table: tuple = (None, None, {})
 
 
 def _covered(env: TypeEnv, store: StoreTyping, proven: set, refuted: set,
-             notes: Optional[list], a: Atom, stack: frozenset) -> bool:
+             a: Atom, stack: frozenset) -> bool:
     """Whether a is below the qualifier whose cover `proven` starts from,
     by chasing one-step reachability; adds each proof to `proven` and each
     fresh binding met to `refuted`."""
@@ -130,27 +129,21 @@ def _covered(env: TypeEnv, store: StoreTyping, proven: set, refuted: set,
         refuted.add(a)
         return False
     inner = stack | {a}
-    if not all(_covered(env, store, proven, refuted, notes, x, inner)
+    if not all(_covered(env, store, proven, refuted, x, inner)
                for x in b.atoms):
         return False
     proven.add(a)
-    if notes is not None and isinstance(a, LocAtom):
-        notes.append(f"location @{a.loc} upcast through the store typing")
     return True
 
 
-def qual_sub(env: TypeEnv, store: StoreTyping, p: Qualifier, q: Qualifier,
-             notes: Optional[list] = None) -> bool:
+def qual_sub(env: TypeEnv, store: StoreTyping, p: Qualifier,
+             q: Qualifier) -> bool:
     """Decide whether p is below q.
 
     Sound with respect to the declarative rules (plain inclusion,
     self-reference absorption, upcast of a variable to its binding
     qualifier, the analogous chase of a location through the store
     typing, and transitivity); may reject exotic transitive chains.
-
-    A call that passes `notes` appends each location upcast its search
-    makes, once, in search order; so it searches from q's closure alone
-    and leaves the table's proofs aside.
     """
     global _table
     if p.fresh and not q.fresh:
@@ -161,15 +154,12 @@ def qual_sub(env: TypeEnv, store: StoreTyping, p: Qualifier, q: Qualifier,
         _table = (env, store, rows)
     row = rows.get(q.atoms)
     if row is None:
-        cover = self_closure(env, q)
-        row = rows[q.atoms] = (cover, set(cover), set())
-    cover, proven, refuted = row
-    if notes is not None:
-        proven, refuted = set(cover), set()
-    elif p.atoms <= proven:
+        row = rows[q.atoms] = (set(self_closure(env, q)), set())
+    proven, refuted = row
+    if p.atoms <= proven:
         return True
     for a in p.atoms:
-        if not _covered(env, store, proven, refuted, notes, a, frozenset()):
+        if not _covered(env, store, proven, refuted, a, frozenset()):
             refuted.add(a)
             return False
     return True

@@ -82,6 +82,7 @@ class Parser:
         self.values = values + ("", "")
         self.pos = 0
         self.counter = 0
+        self.taken = None  # the text's names, built when gen first needs them
 
     # -- plumbing ----------------------------------------------------------
 
@@ -121,8 +122,21 @@ class Parser:
             raise self.error(f"trailing input starting at {self.peek()!r}")
 
     def gen(self, base: str) -> str:
-        self.counter += 1
-        return f"_{base}{self.counter}"
+        """A fresh binder name, unlike every name in the text."""
+        if self.taken is None:  # only an identifier token can look like _f1
+            self.taken = set(self.values)
+        while True:
+            self.counter += 1
+            name = f"_{base}{self.counter}"
+            if name not in self.taken:
+                return name
+
+    def number(self) -> int:
+        try:  # CPython caps the digits that int() converts
+            return int(self.next())
+        except ValueError:
+            self.pos -= 1
+            raise self.error("integer literal too long") from None
 
     # -- qualifiers and types ----------------------------------------------
 
@@ -275,7 +289,7 @@ class Parser:
     def atom_expr(self) -> Term:
         kind, value = self.kind(), self.peek()
         if kind == "int":
-            return Const(int(self.next()))
+            return Const(self.number())
         if value == "unit":
             self.next()
             return UnitLit()
@@ -304,7 +318,7 @@ class Parser:
         self.next()
         if self.kind() != "int":
             raise self.error("expected a location number after '@'")
-        return int(self.next())
+        return self.number()
 
     def abstraction(self, opener: str, params, cls) -> Term:
         """`fn` and `tfn`, at the keyword: an optional self-name and

@@ -293,10 +293,6 @@ class TypeEnv:
         e = self.binder(name)
         return e.bound if type(e) is TypeBind and e.tvar == name else None
 
-    def lookup_qvar(self, name: str) -> Optional[QualifiedType]:
-        e = self.binder(name)
-        return e.bound if type(e) is TypeBind and e.qvar == name else None
-
     def binding_qualifier(self, atom: VarAtom) -> Optional[Qualifier]:
         """Qualifier the atom was assumed at: term binding or bound of X^x."""
         e = self.binder(atom.name)
@@ -307,13 +303,8 @@ class TypeEnv:
         return None
 
     def dom(self) -> frozenset:
-        out = set()
-        for e in self.entries:
-            if isinstance(e, TermBind):
-                out.add(VarAtom(e.name))
-            else:
-                out.add(VarAtom(e.qvar))
-        return frozenset(out)
+        return frozenset(VarAtom(e.name if type(e) is TermBind else e.qvar)
+                         for e in self.entries)
 
     def names(self) -> frozenset:
         out = set()
@@ -338,9 +329,7 @@ class StoreTyping:
         return self.mapping.get(loc)
 
     def extended(self, loc: int, entry: QualifiedType) -> "StoreTyping":
-        new = dict(self.mapping)
-        new[loc] = entry
-        return StoreTyping(new)
+        return StoreTyping({**self.mapping, loc: entry})
 
     def dom(self) -> frozenset:
         if self._dom is None:

@@ -63,7 +63,7 @@ class _Checker:
     def _sub_qtype(self, env: TypeEnv, have: QualifiedType,
                    want: QualifiedType, what: str):
         """Enforce have <: want, mapping failures to error codes."""
-        if not qual_sub(env, self.store, have.q, want.q, self.trace):
+        if not qual_sub(env, self.store, have.q, want.q):
             raise CheckError(
                 QUALIFIER_MISMATCH,
                 f"{what}: qualifier {_pretty(have.q)} is not below "
@@ -137,7 +137,7 @@ class _Checker:
                     FRESHNESS_VIOLATION,
                     f"fresh {what} {_pretty(pa)} passed to non-fresh "
                     f"{domain} {_pretty(d)}")
-            if not qual_sub(env, self.store, pa, d, self.trace):
+            if not qual_sub(env, self.store, pa, d):
                 raise CheckError(
                     QUALIFIER_MISMATCH,
                     f"{what} qualifier {_pretty(pa)} is not below "
@@ -145,7 +145,7 @@ class _Checker:
             self.trace.append(rule)
         else:
             ov = overlap(env, self.store, pa, qf)
-            if not qual_sub(env, self.store, ov, d, self.trace):
+            if not qual_sub(env, self.store, ov, d):
                 raise CheckError(
                     OVERLAP_VIOLATION,
                     f"observable overlap {_pretty(ov)} of {what} "
@@ -282,7 +282,7 @@ class _Checker:
         rhs_q = self.synth(env, phi, t.rhs)
         # the assigned value checks against the content's exact
         # qualified type (subsumption applies to the value only)
-        if not qual_sub(env, self.store, rhs_q.q, content.q, self.trace):
+        if not qual_sub(env, self.store, rhs_q.q, content.q):
             raise CheckError(
                 QUALIFIER_MISMATCH,
                 f"assigned value qualifier {_pretty(rhs_q.q)} is not below "

@@ -10,7 +10,7 @@ from importlib import resources
 import pytest
 
 import rqcheck
-from rqcheck.cli import check_source, load_corpus, main
+from rqcheck.cli import check_source, load_corpus, main, run_corpus_entry
 from rqcheck.surface import pretty
 from rqcheck.syntax import TypeEnv
 
@@ -150,6 +150,53 @@ def test_sep_json_is_one_envelope(capsys):
     assert json.loads(out)["error"]["code"] == "ParseError"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_sep_cut_off_by_fuel_is_exit_three(capsys, json_flag):
+    # sep_alloc_assign takes 10 steps; at fuel 10 the loop ends without
+    # reaching its break, yet both sides are values
+    path = corpus_path("sep_alloc_assign.rq")
+    for fuel in ("0", "9"):
+        code, out, err = run(capsys, "sep", "--fuel", fuel, *json_flag, path)
+        assert code == 3
+        if json_flag:
+            assert json.loads(out)["status"] == "fuel"
+        else:
+            assert "verdict SEPARATE" not in out
+            assert err.startswith("fuel exhausted [FuelExhausted]")
+    for fuel in (["--fuel", "10"], []):
+        code, out, _ = run(capsys, "sep", *fuel, *json_flag, path)
+        assert code == 0
+        assert (json.loads(out)["status"] == "separate" if json_flag
+                else out.strip().endswith("verdict SEPARATE"))
+
+
+# ---------------------------------------------------------------------------
+# generated names and long literals
+
+
+@pytest.mark.parametrize("text", [
+    "val _f1 = 1;\n(fn(x: Int^{}) { x })(2)",
+    "(fn(x: Int^{}) { val _f1 = 1; x })(2)",
+], ids=["outside", "inside"])
+def test_a_generated_name_avoids_the_names_of_the_program(capsys, tmp_path, text):
+    src = tmp_path / "names.rq"
+    src.write_text(text, encoding="utf-8")
+    assert run(capsys, "check", str(src)) == (0, "Int^{}\n", "")
+    assert run(capsys, "eval", str(src)) == (
+        0, "value 2 (store size 0, 2 steps)\n", "")
+
+
+@pytest.mark.parametrize("literal", ["1" * 5000, "@" + "1" * 5000],
+                         ids=["integer", "location"])
+def test_a_long_integer_literal_is_a_parse_error(capsys, tmp_path, literal):
+    src = tmp_path / "long.rq"
+    src.write_text(f"val x = {literal};\nx\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(src))
+    column = 10 if literal.startswith("@") else 9
+    assert code == 2 and out == ""
+    assert err.startswith(f"parse error [ParseError]: 1:{column}: ")
+
+
 # ---------------------------------------------------------------------------
 # flags and internal faults
 
@@ -247,6 +294,12 @@ def test_corpus_runs_clean(capsys):
     code, out, _ = run(capsys, "corpus")
     assert code == 0
     assert "0 failed" in out
+
+
+def test_the_corpus_runner_does_not_count_a_cut_off_run_as_separate():
+    (entry,) = [e for e in load_corpus() if e.file == "sep_alloc_assign.rq"]
+    assert run_corpus_entry(entry, fuel=10) is None
+    assert run_corpus_entry(entry, fuel=9) == "expected SEPARATE, got fuel exhausted"
 
 
 def test_corpus_filter_by_tag(capsys):

@@ -165,12 +165,10 @@ def test_marker_only_covered_by_marker():
     assert not qual_sub(env, EMPTY_STORE, qual(fresh=True), qual("x"))
 
 
-def test_location_upcast_through_store_is_noted():
+def test_location_upcast_through_store():
     store = (EMPTY_STORE.extended(0, qt(INT))
              .extended(1, qt(INT, qual(locs=[0]))))
-    notes = []
-    assert qual_sub(EMPTY_ENV, store, qual(locs=[0]), qual(locs=[1]), notes)
-    assert any("@0" in n for n in notes)
+    assert qual_sub(EMPTY_ENV, store, qual(locs=[0]), qual(locs=[1]))
 
 
 def test_self_closure_is_blocked_by_fresh_capture():

@@ -200,10 +200,14 @@ def test_unused_binders_are_elided():
 def _closed_corpus_terms():
     seen = set()
     for e in corpus_entries():
-        if e.kind == "sep" or e.file in seen:
+        if e.file in seen:
             continue
         seen.add(e.file)
         text = corpus_text(e)
+        if e.kind == "sep":
+            for program in parse_pair(text):
+                yield e, elaborate(program)
+            continue
         if "assume" in text or e.expect.get("status") == "error":
             continue
         try:
@@ -218,7 +222,7 @@ def test_round_trip_on_closed_corpus_terms():
         again = parse_term(pretty(term))
         assert alpha_eq(term, again), entry.name
         count += 1
-    assert count >= 10
+    assert count >= 40  # 20 programs and the 20 of the 10 sep files
 
 
 def test_round_trip_preserves_capture_annotations():
