@@ -394,11 +394,12 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
     """Interleave two reductions in a shared store and check that their
     qualifiers stay disjoint (overlap within the freshness marker).
 
-    Both sides are re-typed after every step, as `check_program` types
-    them, each by its own memo for this call: a closed λ or Λ that a side
-    carried over keeps its typing under the same Σ (see the module
-    docstring). A memo keeps what the last two of its calls met, so the
-    two sides do not share one."""
+    The side that stepped is re-typed after every step, as
+    `check_program` types it, by its side's own memo for this call: a
+    closed λ or Λ that it carried over keeps its typing under the same Σ
+    (see the module docstring). A memo keeps what the last two of its
+    calls met, so the two sides do not share one. The other side keeps
+    its qualified type: its term is the same, and Σ only grew."""
     store = store0 if store0 is not None else Store.empty()
     sigma = sigma0
     retype = (Retyper(), Retyper())
@@ -425,8 +426,7 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
         terms[side], store = out.term, out.store
         if out.event.rule == "ref":
             sigma = _extend_store_typing(sigma, store, out.event.loc)
-        quals[0] = retype[0](sigma, terms[0]).q
-        quals[1] = retype[1](sigma, terms[1]).q
+        quals[side] = retype[side](sigma, terms[side]).q
         ov = overlap(TypeEnv(), sigma, quals[0], quals[1])
         report.steps.append(
             f"step {i}: q1 atoms={len(quals[0].atoms)} q2 atoms={len(quals[1].atoms)} "

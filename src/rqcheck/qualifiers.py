@@ -1,7 +1,9 @@
 """Operations on reachability qualifiers.
 
-Substitution, growth, one-step reachability, saturation, overlap, and the
-decision procedure for qualifier subtyping.
+Growth, one-step reachability, saturation, overlap, and the decision
+procedure for qualifier subtyping. `q_subst` substitutes for one atom; the
+checker and the machine substitute with `syntax._Substitution`, and the
+tests compare the two.
 
 Every function but `qual_sub` is pure. `qual_sub` keeps one table for the
 last (environment, store typing) pair it was asked about, held by

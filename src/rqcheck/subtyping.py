@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from .errors import FuelExhausted
 from .qualifiers import qual_sub
 from .syntax import (
-    All, Base, FRESH, Fun, QualifiedType, Qualifier, RefT, StoreTyping, Top,
-    TVar, TermBind, Type, TypeBind, TypeEnv, VarAtom, subst_qual_in_qtype,
-    subst_tvar_in_qtype,
+    EMPTY_SUBSTITUTION, All, Base, FRESH, Fun, QualifiedType, RefT,
+    StoreTyping, Top, TVar, TermBind, Type, TypeBind, TypeEnv, qual,
 )
 
 DEFAULT_FUEL = 512
@@ -34,10 +33,6 @@ class _Ctx:
     def fresh(self, base: str) -> str:
         self.counter += 1
         return f"{base}%{self.counter}"
-
-
-def _rename_var(qty: QualifiedType, old: str, new: str) -> QualifiedType:
-    return subst_qual_in_qtype(qty, VarAtom(old), Qualifier(False, frozenset({VarAtom(new)})))
 
 
 def _type_sub(env: TypeEnv, store: StoreTyping, s: Type, t: Type, ctx: _Ctx) -> bool:
@@ -67,8 +62,9 @@ def _type_sub(env: TypeEnv, store: StoreTyping, s: Type, t: Type, ctx: _Ctx) -> 
             return False
         f = ctx.fresh("f")
         x = ctx.fresh("x")
-        scod = _rename_var(_rename_var(s.cod, s.self_name, f), s.param, x)
-        tcod = _rename_var(_rename_var(t.cod, t.self_name, f), t.param, x)
+        fq, xq = qual(f), qual(x)
+        scod = EMPTY_SUBSTITUTION.with_qual(s.self_name, fq).with_qual(s.param, xq)(s.cod)
+        tcod = EMPTY_SUBSTITUTION.with_qual(t.self_name, fq).with_qual(t.param, xq)(t.cod)
         inner = (env
                  .extended(TermBind(f, QualifiedType(s, FRESH)))
                  .extended(TermBind(x, t.dom)))
@@ -80,11 +76,11 @@ def _type_sub(env: TypeEnv, store: StoreTyping, s: Type, t: Type, ctx: _Ctx) -> 
         f = ctx.fresh("f")
         tv = ctx.fresh("X")
         qv = ctx.fresh("x")
-        payload = QualifiedType(TVar(tv), Qualifier(False, frozenset({VarAtom(qv)})))
-        sbody = _rename_var(subst_tvar_in_qtype(s.body, s.tvar, s.qvar, payload),
-                            s.self_name, f)
-        tbody = _rename_var(subst_tvar_in_qtype(t.body, t.tvar, t.qvar, payload),
-                            t.self_name, f)
+        fq, payload = qual(f), QualifiedType(TVar(tv), qual(qv))
+        sbody = EMPTY_SUBSTITUTION.with_qual(s.self_name, fq).with_type(
+            s.tvar, s.qvar, payload)(s.body)
+        tbody = EMPTY_SUBSTITUTION.with_qual(t.self_name, fq).with_type(
+            t.tvar, t.qvar, payload)(t.body)
         inner = (env
                  .extended(TermBind(f, QualifiedType(s, FRESH)))
                  .extended(TypeBind(tv, qv, t.bound)))

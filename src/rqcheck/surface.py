@@ -588,9 +588,7 @@ def _pretty_term(t: Term) -> str:
     if isinstance(t, Deref):
         return f"!{_operand(t.ref)}"
     if isinstance(t, Assign):
-        lhs = _operand(t.lhs) if not isinstance(t.lhs, Assign) else f"({_pretty_term(t.lhs)})"
-        rhs = _operand(t.rhs) if not isinstance(t.rhs, Assign) else f"({_pretty_term(t.rhs)})"
-        return f"{lhs} := {rhs}"
+        return f"{_operand(t.lhs)} := {_operand(t.rhs)}"
     if isinstance(t, TAbs):
         cap = f"^{_pretty_qual(t.capture)}" if t.capture is not None else ""
         return (f"tfn {t.self_name}{cap}[{t.tvar}^{t.qvar} <: "

@@ -16,11 +16,12 @@ are written once against it. A new term form adds its dataclass, one
 it can be the subject of a reduction, a rule in `machine._RULES`; its
 concrete syntax (`surface`) is the only other place that needs a clause.
 
-One substitution (`_Substitution`) puts closed values in for variables
-and closed type arguments in for type and qualifier variables, all in
-one pass. The machine's pending substitution grows from
-`EMPTY_SUBSTITUTION` by `extended` and `with_type`; `subst_term` and
-`subst_qtype_in_term` are its one-binding cases.
+One substitution (`_Substitution`) serves the checker and the machine.
+It puts values in for variables, type arguments in for type and
+qualifier variables and qualifiers in for atoms, all in one pass. Each
+use grows one from `EMPTY_SUBSTITUTION` by `extended`, `with_type` and
+`with_qual` and applies it once; `subst_term` and `subst_qtype_in_term`
+are its one-binding cases for terms.
 """
 
 from __future__ import annotations
@@ -306,16 +307,6 @@ class TypeEnv:
         return frozenset(VarAtom(e.name if type(e) is TermBind else e.qvar)
                          for e in self.entries)
 
-    def names(self) -> frozenset:
-        out = set()
-        for e in self.entries:
-            if isinstance(e, TermBind):
-                out.add(e.name)
-            else:
-                out.add(e.tvar)
-                out.add(e.qvar)
-        return frozenset(out)
-
 
 class StoreTyping:
     """Location typings; treated as immutable, extension copies, so the
@@ -478,27 +469,25 @@ def _collect(x, bound: frozenset, annotations: bool, acc: set):
                 acc.add(a)
 
 
-def free_atoms_type(ty: Type, bound: frozenset = frozenset()) -> frozenset:
+def free_atoms_type(ty: Type) -> frozenset:
     """Free atoms of a type: qualifier atoms plus type variables (as VarAtom)."""
     acc: set = set()
-    _collect(ty, bound, True, acc)
+    _collect(ty, frozenset(), True, acc)
     return frozenset(acc)
 
 
-def free_atoms_qtype(qty: QualifiedType, bound: frozenset = frozenset()) -> frozenset:
-    return free_atoms_type(qty.ty, bound) | {
-        a for a in qty.q.atoms if type(a) is LocAtom or a.name not in bound}
+def free_atoms_qtype(qty: QualifiedType) -> frozenset:
+    return free_atoms_type(qty.ty) | qty.q.atoms
 
 
-def free_term_atoms(t: Term, bound: frozenset = frozenset(),
-                    annotations: bool = False) -> frozenset:
+def free_term_atoms(t: Term, annotations: bool = False) -> frozenset:
     """Free term-level atoms of a term (variables and locations).
 
     With annotations=False this is the untyped notion of free variable,
     which is what function capture qualifiers default to.
     """
     acc: set = set()
-    _collect(t, bound, annotations, acc)
+    _collect(t, frozenset(), annotations, acc)
     return frozenset(acc)
 
 
@@ -516,8 +505,10 @@ def value_qualifier(v: Term) -> Qualifier:
 # ---------------------------------------------------------------------------
 # Substitution
 #
-# The qualifier-algebra form for one atom is `qualifiers.q_subst`.
-# Substitution stops under a binder of a substituted name.
+# `_Substitution` is the only substitution of the checker and the
+# machine; `qualifiers.q_subst`, the qualifier-algebra form for one atom,
+# is what the tests compare it with. Substitution stops under a binder of
+# a substituted name.
 
 
 class _Substitution:
@@ -532,20 +523,23 @@ class _Substitution:
     closure, which would leave a reference cycle behind for the collector
     on every call.)
 
-    The machine's pending substitution starts from `EMPTY_SUBSTITUTION`
-    and grows by `extended` and `with_type`. What it puts in is closed,
-    so putting it in at once equals putting it in one binding at a time,
-    in any order."""
+    Every substitution starts from `EMPTY_SUBSTITUTION` and grows by
+    `extended`, `with_type` and `with_qual`; a later qualifier for an
+    atom replaces an earlier one. The machine's pending substitution puts in
+    closed values and types, so putting them in at once equals putting
+    them in one binding at a time, in any order. A typing rule's payloads
+    mention the caller's names, which may coincide with a substituted
+    one (an argument that mentions a variable named like the callee's
+    self binder), so the rule builds one substitution with all its
+    bindings and applies it once."""
 
     __slots__ = ("values", "types", "quals", "atoms", "names")
 
-    def __init__(self, atom: Optional[VarAtom] = None, payload: Qualifier = EMPTY,
-                 tvar: Optional[str] = None, ty: Optional[Type] = None):
+    def __init__(self):
         self.values: dict = {}
-        self.types = {} if tvar is None else {tvar: ty}
-        self.quals = {} if atom is None else {atom: payload}
-        self.atoms = frozenset(self.quals)
-        self.names = {tvar} if atom is None else {tvar, atom.name}
+        self.types: dict = {}
+        self.quals: dict = {}
+        self.atoms = self.names = frozenset()
 
     def _grown(self, values, types, quals, atom, names) -> "_Substitution":
         new = object.__new__(_Substitution)
@@ -561,13 +555,20 @@ class _Substitution:
         return self._grown({**self.values, name: v}, self.types, quals, atom,
                            {name})
 
+    def with_qual(self, name: str, q: Qualifier) -> "_Substitution":
+        """This substitution with the qualifier q put in for the atom name."""
+        atom = VarAtom(name)
+        return self._grown(self.values, self.types, {**self.quals, atom: q},
+                           atom, {name})
+
     def with_type(self, tvar: str, qvar: str,
                   payload: QualifiedType) -> "_Substitution":
         """This substitution with the closed type argument payload put in
         for tvar^qvar: payload.ty for tvar and payload.q for qvar."""
-        atom = VarAtom(qvar)
-        return self._grown(self.values, {**self.types, tvar: payload.ty},
-                           {**self.quals, atom: payload.q}, atom, {tvar, qvar})
+        new = self.with_qual(qvar, payload.q)
+        # `new` is not shared yet, so it may still be filled in
+        new.types, new.names = {**self.types, tvar: payload.ty}, new.names | {tvar}
+        return new
 
     def qual(self, q: Qualifier) -> Qualifier:
         if q.atoms.isdisjoint(self.atoms):
@@ -613,18 +614,6 @@ class _Substitution:
 
 
 EMPTY_SUBSTITUTION = _Substitution()
-
-
-def subst_qual_in_qtype(qty: QualifiedType, atom: Atom,
-                        payload: Qualifier) -> QualifiedType:
-    return _Substitution(atom, payload)(qty)
-
-
-def subst_tvar_in_qtype(qty: QualifiedType, tvar: str, qvar: str,
-                        payload: QualifiedType) -> QualifiedType:
-    """Replace the type variable by payload.ty and its paired qualifier
-    variable by payload.q, in one pass."""
-    return _Substitution(VarAtom(qvar), payload.q, tvar, payload.ty)(qty)
 
 
 def subst_term(t: Term, name: str, v: Term) -> Term:
@@ -706,13 +695,11 @@ def alpha_eq(a, b) -> bool:
 
 
 def well_scoped_qtype(qty: QualifiedType, env: TypeEnv, store: StoreTyping) -> bool:
-    names = env.names()
-    locs = {a.loc for a in store.dom()}
     for a in free_atoms_qtype(qty):
-        if isinstance(a, VarAtom):
-            if a.name not in names:
+        if type(a) is VarAtom:
+            if env.binder(a.name) is None:
                 return False
-        elif a.loc not in locs:
+        elif a not in store.dom():
             return False
     return True
 

@@ -22,11 +22,11 @@ from .qualifiers import overlap, qual_sub
 from .subtyping import DEFAULT_FUEL, type_sub
 from .surface import pretty as _pretty
 from .syntax import (
-    Abs, All, App, Ascribe, Assign, Const, Deref, Fun, INT, Let,
-    LocTerm, LocAtom, QualifiedType, Qualifier, RefAlloc, RefT, StoreTyping,
-    TAbs, TApp, TermBind, Term, Top, TypeBind, TypeEnv, UNIT, UnitLit, Var,
-    VarAtom, free_atoms_qtype, free_atoms_type, free_term_atoms,
-    subst_qual_in_qtype, subst_tvar_in_qtype, telescope_ok, well_scoped_qtype,
+    EMPTY_SUBSTITUTION, Abs, All, App, Ascribe, Assign, Const, Deref, Fun,
+    INT, Let, LocTerm, LocAtom, QualifiedType, Qualifier, RefAlloc, RefT,
+    StoreTyping, TAbs, TApp, TermBind, Term, Top, TypeBind, TypeEnv, UNIT,
+    UnitLit, Var, VarAtom, free_atoms_qtype, free_atoms_type, free_term_atoms,
+    telescope_ok, well_scoped_qtype,
 )
 
 # Error codes
@@ -232,8 +232,9 @@ class _Checker:
         arg_q = self.synth(env, phi, t.arg)
         self._application(env, phi, qf, arg_q, fun.dom, fun.cod,
                           fun.param, fun.self_name, _APP)
-        out = subst_qual_in_qtype(fun.cod, VarAtom(fun.param), arg_q.q)
-        return subst_qual_in_qtype(out, VarAtom(fun.self_name), qf)
+        # U[p/x, q_f/f] at once: the parameter wins a shared name
+        return (EMPTY_SUBSTITUTION.with_qual(fun.self_name, qf)
+                .with_qual(fun.param, arg_q.q)(fun.cod))
 
     def _tapp(self, env: TypeEnv, phi: frozenset, t: TApp) -> QualifiedType:
         fn_q = self.synth(env, phi, t.fn)
@@ -245,8 +246,8 @@ class _Checker:
         self._require_scoped(env, t.arg, "type argument")
         self._application(env, phi, qf, t.arg, univ.bound, univ.body,
                           univ.qvar, univ.self_name, _TAPP)
-        out = subst_tvar_in_qtype(univ.body, univ.tvar, univ.qvar, t.arg)
-        return subst_qual_in_qtype(out, VarAtom(univ.self_name), qf)
+        return (EMPTY_SUBSTITUTION.with_qual(univ.self_name, qf)
+                .with_type(univ.tvar, univ.qvar, t.arg)(univ.body))
 
     def _ref(self, env: TypeEnv, phi: frozenset, t: RefAlloc) -> QualifiedType:
         init_q = self.synth(env, phi, t.init)
@@ -320,7 +321,8 @@ class _Checker:
                     DEPENDENCY_VIOLATION,
                     f"result type depends on {name} whose binding is fresh")
             self.trace.append(f"t-let {name}")
-            body_q = subst_qual_in_qtype(body_q, VarAtom(name), rhs_q.q)
+            # one substitution per binding: rhs_q.q may mention earlier names
+            body_q = EMPTY_SUBSTITUTION.with_qual(name, rhs_q.q)(body_q)
         return body_q
 
 

@@ -19,7 +19,7 @@ from rqcheck.syntax import (
     Abs, All, App, Ascribe, Assign, Const, Deref, Fun, INT, Let, LocAtom,
     LocTerm, Qualifier, RefAlloc, RefT, StoreTyping, TAbs, TApp, TVar,
     UnitLit, Var, VarAtom, alpha_eq, free_term_atoms, map_parts, qt, qual,
-    subst_qtype_in_term, subst_qual_in_qtype, subst_term, value_qualifier,
+    subst_qtype_in_term, subst_term, value_qualifier,
 )
 
 X, Y = VarAtom("x"), VarAtom("y")
@@ -120,10 +120,11 @@ def test_type_substitution_stops_under_a_shadowing_type_abstraction():
 def test_qualifier_substitution_in_types_stops_under_a_shadowing_binder():
     # the domain is outside the binder x, the codomain inside it
     fun = qt(Fun("f", "x", qt(INT, qual("x")), qt(INT, qual("x"))))
-    assert subst_qual_in_qtype(fun, X, qual(locs=[0])) == qt(
+    to_loc = syntax.EMPTY_SUBSTITUTION.with_qual("x", qual(locs=[0]))
+    assert to_loc(fun) == qt(
         Fun("f", "x", qt(INT, qual(locs=[0])), qt(INT, qual("x"))))
     univ = qt(All("g", "T", "x", qt(INT, qual("x")), qt(TVar("T"), qual("x"))))
-    assert subst_qual_in_qtype(univ, X, qual(locs=[0])) == qt(
+    assert to_loc(univ) == qt(
         All("g", "T", "x", qt(INT, qual(locs=[0])), qt(TVar("T"), qual("x"))))
 
 

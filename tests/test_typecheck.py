@@ -4,7 +4,7 @@ import pytest
 
 from rqcheck.cli import check_source
 from rqcheck.surface import parse_term, pretty
-from rqcheck.syntax import StoreTyping, TermBind, TypeEnv, qt, qual, INT
+from rqcheck.syntax import StoreTyping, TermBind, TypeEnv, alpha_eq, qt, qual, INT
 from rqcheck.typecheck import CheckError, check_program, synthesize
 
 from helpers import corpus_entries
@@ -188,6 +188,52 @@ def test_each_rejection_branch_of_the_binding_rules(rule, text, code, fragment):
         check_source(text)
     assert exc.value.code == code, exc.value
     assert fragment in exc.value.detail, exc.value
+
+
+# ---------------------------------------------------------------------------
+# The self binder's name does not change a verdict
+#
+# Each program is checked twice, with the applied function's self binder
+# named f and named h; the argument mentions a caller's variable f. T-App
+# puts the argument in for the parameter and the function in for the self
+# binder at once, and T-TApp does the same with the type argument, so a
+# self binder named f does not capture the caller's f.
+
+SELF_BINDER_PAIRS = [
+    ("t-app codomain", """
+     val g = fn SELF(x: Ref[Int]^{*}) : Ref[Int]^{x} { x };
+     val f = ref 0;
+     g(f)""", "Ref[Int]^{f}"),
+    ("alias of a fresh parameter", """
+     val g = fn SELF(x: Ref[Int]^{*}) : Ref[Int]^{x} { x };
+     val f = ref 0;
+     val r = g(f);
+     val k = fn k(y: Ref[Int]^{*}) : Int^{} { val u = y := 5; !f };
+     k(r)""", "OverlapViolation"),
+    ("t-tapp body", """
+     val g = tfn SELF[X^x <: Top^{*}] { fn k(y: X^{x}) : X^{x} { y } };
+     val f = ref 0;
+     g[Ref[Int]^{f}]""", "(Ref[Int]^{f} => Ref[Int]^{f})^{}"),
+]
+
+
+def _verdict(text: str):
+    """The program's qualified type, or the code it is rejected with."""
+    try:
+        return check_source(text).qtype
+    except CheckError as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("text,expected", [p[1:] for p in SELF_BINDER_PAIRS],
+                         ids=[p[0] for p in SELF_BINDER_PAIRS])
+def test_the_self_binders_name_does_not_change_the_verdict(text, expected):
+    named_f, named_h = (_verdict(text.replace("SELF", name)) for name in "fh")
+    if isinstance(named_f, str):
+        assert named_f == named_h == expected
+    else:
+        assert pretty(named_f) == expected
+        assert alpha_eq(named_f, named_h)
 
 
 # ---------------------------------------------------------------------------
