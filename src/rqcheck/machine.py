@@ -30,19 +30,17 @@ configuration it advances that configuration in place; `eval_term` runs
 this way, so a step costs the search from the last redex, not a walk
 over the program.
 
+The store is one dict, location to value, that the rules write in
+place: `ref` allocates at `len(store)`, as no cell is ever freed, and
+`:=` overwrites its cell. A run, and both sides of a separation
+experiment, write that one store; nothing copies it.
+
 The harnesses re-type every term they step to, with one
-`typecheck.Retyper` per call. A λ or Λ that it met in the last step, as
-the same object, keeps the qualified type synthesized for it then, when
-the node is closed (no free variable atom, annotations included), the
-store typing is the same object and the type's capture is in the
-current φ. That is exact: every lookup of a name stops at its innermost
-binder, so a closed value is typed the same in any environment; φ
-reaches its typing only through the observability of its capture; and
-a store typing is never changed once built. A step shares every value
-it does not touch, and the pending substitution puts in the same closed
-values, not copies, so most λs and Λs of a term are met again. Every
-other node is synthesized again, and every step is checked as before.
-The memo dies with the harness call.
+`typecheck.Retyper` per call, which reuses the typing of each closed λ
+or Λ that a step left as it was (its docstring says why that is exact).
+A step shares every value it does not touch, and the pending
+substitution puts in the same closed values, not copies, so most λs and
+Λs of a term are met again.
 """
 
 from __future__ import annotations
@@ -61,29 +59,6 @@ from .subtyping import type_sub
 from .typecheck import Retyper, check_program
 
 DEFAULT_EVAL_FUEL = 100_000
-
-
-@dataclass
-class Store:
-    cells: dict
-    next_loc: int = 0
-
-    @staticmethod
-    def empty() -> "Store":
-        return Store({}, 0)
-
-    def get(self, loc: int) -> Optional[Term]:
-        return self.cells.get(loc)
-
-    def alloc(self, v: Term) -> Tuple[int, "Store"]:
-        loc = self.next_loc
-        return loc, Store({**self.cells, loc: v}, loc + 1)
-
-    def updated(self, loc: int, v: Term) -> "Store":
-        return Store({**self.cells, loc: v}, self.next_loc)
-
-    def __len__(self) -> int:
-        return len(self.cells)
 
 
 @dataclass
@@ -115,7 +90,7 @@ class Configuration:
 @dataclass
 class Stepped:
     term: Union[Term, Configuration]   # what step was given, one step on
-    store: Store
+    store: dict                        # the store step was given, written
     event: Event
 
 
@@ -139,57 +114,58 @@ def erase_ascriptions(t: Term) -> Term:
 
 # Reduction rules, one per redex form. Each sees its evaluation positions
 # (SHAPES[...].evals) already reduced to closed values, with the node's
-# pending substitution `sub` still to apply to its annotations, and
-# returns the term to go on with, that term's pending substitution, the
-# store and the event; or Stuck.
+# pending substitution `sub` still to apply to its annotations, writes
+# the store in place if it allocates or assigns, and returns the term to
+# go on with, that term's pending substitution and the event; or Stuck.
 
 
-def _beta(t: App, sub, store: Store):
+def _beta(t: App, sub, store: dict):
     fn = t.fn
     if not isinstance(fn, Abs):
         return Stuck("applied a non-function value")
     # the parameter wins when it has the self-reference's name
     body_sub = EMPTY_SUBSTITUTION.extended(fn.self_name, fn)
-    return fn.body, body_sub.extended(fn.param, t.arg), store, Event("beta")
+    return fn.body, body_sub.extended(fn.param, t.arg), Event("beta")
 
 
-def _beta_t(t: TApp, sub, store: Store):
+def _beta_t(t: TApp, sub, store: dict):
     fn = t.fn
     if not isinstance(fn, TAbs):
         return Stuck("type-applied a non-type-abstraction value")
     body_sub = EMPTY_SUBSTITUTION.extended(fn.self_name, fn)
     body_sub = body_sub.with_type(fn.tvar, fn.qvar, sub(t.arg))
-    return fn.body, body_sub, store, Event("beta_t")
+    return fn.body, body_sub, Event("beta_t")
 
 
-def _ref(t: RefAlloc, sub, store: Store):
-    loc, store2 = store.alloc(t.init)
-    return LocTerm(loc), EMPTY_SUBSTITUTION, store2, Event("ref", loc)
+def _ref(t: RefAlloc, sub, store: dict):
+    loc = len(store)
+    store[loc] = t.init
+    return LocTerm(loc), EMPTY_SUBSTITUTION, Event("ref", loc)
 
 
-def _deref(t: Deref, sub, store: Store):
-    if not isinstance(t.ref, LocTerm) or t.ref.loc not in store.cells:
+def _deref(t: Deref, sub, store: dict):
+    if not isinstance(t.ref, LocTerm) or t.ref.loc not in store:
         return Stuck("dereferenced a non-location")
     loc = t.ref.loc
-    return store.get(loc), EMPTY_SUBSTITUTION, store, Event("deref", loc)
+    return store[loc], EMPTY_SUBSTITUTION, Event("deref", loc)
 
 
-def _assign(t: Assign, sub, store: Store):
-    if not isinstance(t.lhs, LocTerm) or t.lhs.loc not in store.cells:
+def _assign(t: Assign, sub, store: dict):
+    if not isinstance(t.lhs, LocTerm) or t.lhs.loc not in store:
         return Stuck("assigned to a non-location")
     loc = t.lhs.loc
-    return (UnitLit(), EMPTY_SUBSTITUTION, store.updated(loc, t.rhs),
-            Event("assign", loc))
+    store[loc] = t.rhs
+    return UnitLit(), EMPTY_SUBSTITUTION, Event("assign", loc)
 
 
-def _let(t: Let, sub, store: Store):
-    return t.body, sub.extended(t.name, t.rhs), store, Event("beta")
+def _let(t: Let, sub, store: dict):
+    return t.body, sub.extended(t.name, t.rhs), Event("beta")
 
 
-def _ascribe(t: Ascribe, sub, store: Store):
+def _ascribe(t: Ascribe, sub, store: dict):
     # ascriptions evaluate their subject, then vanish; keeping them
     # until that point lets every intermediate term re-typecheck
-    return t.term, EMPTY_SUBSTITUTION, store, Event("ascribe")
+    return t.term, EMPTY_SUBSTITUTION, Event("ascribe")
 
 
 _RULES = {App: _beta, TApp: _beta_t, RefAlloc: _ref, Deref: _deref,
@@ -197,21 +173,22 @@ _RULES = {App: _beta, TApp: _beta_t, RefAlloc: _ref, Deref: _deref,
 
 
 def step(t: Union[Term, Configuration],
-         store: Store) -> Union[Stepped, Value, Stuck]:
+         store: dict) -> Union[Stepped, Value, Stuck]:
     """One leftmost-innermost reduction step.
 
     The evaluation positions of a node are reduced to values left to
     right; when every one holds a value the node's own rule fires. A
     term is split into a configuration, stepped and plugged again; a
-    configuration is stepped in place and is the `term` of the result."""
+    configuration is stepped in place and is the `term` of the result.
+    A step that allocates or assigns writes `store` in place."""
     c = t if type(t) is Configuration else Configuration(t)
     out = _transition(c, store)
     if c is t or type(out) is not Stepped:
         return out
-    return Stepped(c.plug(), out.store, out.event)
+    return Stepped(c.plug(), store, out.event)
 
 
-def _transition(c: Configuration, store: Store) -> Union[Stepped, Value, Stuck]:
+def _transition(c: Configuration, store: dict) -> Union[Stepped, Value, Stuck]:
     t, sub, frames = c.focus, c.sub, c.frames
     while True:
         if type(t) is Var:
@@ -242,7 +219,7 @@ def _transition(c: Configuration, store: Store) -> Union[Stepped, Value, Stuck]:
         if type(out) is Stuck:
             c.focus, c.sub = t, sub
             return out
-        c.focus, c.sub, store, event = out
+        c.focus, c.sub, event = out
         return Stepped(c, store, event)
 
 
@@ -250,15 +227,15 @@ def _transition(c: Configuration, store: Store) -> Union[Stepped, Value, Stuck]:
 class EvalResult:
     status: str                  # "value", "stuck", or "fuel"
     term: Optional[Term] = None
-    store: Optional[Store] = None
+    store: Optional[dict] = None
     steps: int = 0
     reason: str = ""
     events: List[Event] = field(default_factory=list)
 
 
-def eval_term(t: Term, store: Optional[Store] = None,
-              fuel: int = DEFAULT_EVAL_FUEL) -> EvalResult:
-    store = store if store is not None else Store.empty()
+def eval_term(t: Term, fuel: int = DEFAULT_EVAL_FUEL) -> EvalResult:
+    """Run t from an empty store; the result holds the store it wrote."""
+    store: dict = {}
     events: List[Event] = []
     config = Configuration(t)
     for i in range(fuel):
@@ -267,7 +244,6 @@ def eval_term(t: Term, store: Optional[Store] = None,
             return EvalResult("value", out.term, store, i, events=events)
         if isinstance(out, Stuck):
             return EvalResult("stuck", config.plug(), store, i, out.reason, events)
-        store = out.store
         events.append(out.event)
     return EvalResult("fuel", config.plug(), store, fuel, "fuel exhausted", events)
 
@@ -285,10 +261,9 @@ def store_wf(sigma: StoreTyping) -> bool:
     return True
 
 
-def _extend_store_typing(sigma: StoreTyping, store: Store, loc: int) -> StoreTyping:
+def _extend_store_typing(sigma: StoreTyping, store: dict, loc: int) -> StoreTyping:
     """Type a newly allocated cell from its value, saturated for ⊢ Σ."""
-    v = store.get(loc)
-    result = check_program(TypeEnv(), sigma, v)
+    result = check_program(TypeEnv(), sigma, store[loc])
     entry = QualifiedType(result.qtype.ty,
                           saturate(TypeEnv(), sigma, result.qtype.q))
     return sigma.extended(loc, entry)
@@ -313,7 +288,7 @@ class PreservationReport:
     final_term: Optional[Term] = None
 
 
-def check_preservation(t: Term, sigma0: StoreTyping, store0: Optional[Store] = None,
+def check_preservation(t: Term, sigma0: StoreTyping,
                        fuel: int = DEFAULT_EVAL_FUEL) -> PreservationReport:
     """Re-typecheck after every step and verify qualifier growth.
 
@@ -322,9 +297,10 @@ def check_preservation(t: Term, sigma0: StoreTyping, store0: Optional[Store] = N
     the freshness marker), and the new type part below the previous one.
     Each term is typed as `check_program(TypeEnv(), Σ, t)` types it; a
     closed λ or Λ carried over from the step before keeps its typing
-    under the same Σ (see the module docstring), for this call only.
+    under the same Σ (see `Retyper`), for this call only. The run starts
+    from an empty store.
     """
-    store = store0 if store0 is not None else Store.empty()
+    store: dict = {}
     sigma = sigma0
     retype = Retyper()
     qty = retype(sigma, t)
@@ -338,7 +314,7 @@ def check_preservation(t: Term, sigma0: StoreTyping, store0: Optional[Store] = N
             report.ok = False
             report.status = f"stuck: {out.reason}"
             return report
-        t, store = out.term, out.store
+        t = out.term
         new_locs = frozenset()
         if out.event.rule == "ref":
             sigma = _extend_store_typing(sigma, store, out.event.loc)
@@ -372,7 +348,7 @@ class SeparationReport:
     finished: bool = False    # both sides are values: fuel did not cut the run
 
 
-def _reachable_locs(t: Term, store: Store) -> frozenset:
+def _reachable_locs(t: Term, store: dict) -> frozenset:
     locs = {a.loc for a in free_term_atoms(t, annotations=True)
             if isinstance(a, LocAtom)}
     work = list(locs)
@@ -389,7 +365,7 @@ def _reachable_locs(t: Term, store: Store) -> frozenset:
 
 
 def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
-                          store0: Optional[Store] = None,
+                          store0: Optional[dict] = None,
                           fuel: int = DEFAULT_EVAL_FUEL) -> SeparationReport:
     """Interleave two reductions in a shared store and check that their
     qualifiers stay disjoint (overlap within the freshness marker).
@@ -397,10 +373,11 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
     The side that stepped is re-typed after every step, as
     `check_program` types it, by its side's own memo for this call: a
     closed λ or Λ that it carried over keeps its typing under the same Σ
-    (see the module docstring). A memo keeps what the last two of its
-    calls met, so the two sides do not share one. The other side keeps
-    its qualified type: its term is the same, and Σ only grew."""
-    store = store0 if store0 is not None else Store.empty()
+    (see `Retyper`). A memo keeps what the last two of its calls met, so
+    the two sides do not share one. The other side keeps its qualified
+    type: its term is the same, and Σ only grew. The run writes a copy of
+    `store0`, never the caller's dict."""
+    store = dict(store0 or {})
     sigma = sigma0
     retype = (Retyper(), Retyper())
     q1 = retype[0](sigma, t1).q
@@ -423,7 +400,7 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
             report.ok = False
             report.detail = f"side {side + 1} stuck: {out.reason}"
             return report
-        terms[side], store = out.term, out.store
+        terms[side] = out.term
         if out.event.rule == "ref":
             sigma = _extend_store_typing(sigma, store, out.event.loc)
         quals[side] = retype[side](sigma, terms[side]).q

@@ -1,9 +1,11 @@
 """Abstract syntax shared by every other module.
 
 Values here are immutable dataclasses. Binder names are required to be
-unique within a program (the surface elaborator rejects shadowing), so
-substitution never needs to rename: a payload can only mention names
-bound outside the term it is pushed into.
+unique within a program (the surface elaborator rejects shadowing). The
+machine's payloads are closed, so pushing them into a term never needs
+a rename; the checker's mention the caller's names, which a binder in
+the callee's codomain may reuse, so type substitution renames such a
+binder apart.
 
 The binder table `SHAPES` (section "Constructor shapes") says, for every
 type and term constructor, which fields are subterms, qualified-type
@@ -531,20 +533,27 @@ class _Substitution:
     mention the caller's names, which may coincide with a substituted
     one (an argument that mentions a variable named like the callee's
     self binder), so the rule builds one substitution with all its
-    bindings and applies it once."""
+    bindings and applies it once.
 
-    __slots__ = ("values", "types", "quals", "atoms", "names")
+    `with_qual` and `with_type` record in `free` the atoms their payloads
+    mention (`extended`'s values are closed). A `Fun` or `All` binder
+    named like one would capture it, so it is renamed apart before the
+    substitution goes under it. Only closed payloads enter a term."""
+
+    __slots__ = ("values", "types", "quals", "atoms", "names", "free")
 
     def __init__(self):
         self.values: dict = {}
         self.types: dict = {}
         self.quals: dict = {}
-        self.atoms = self.names = frozenset()
+        self.atoms = self.names = self.free = frozenset()
 
-    def _grown(self, values, types, quals, atom, names) -> "_Substitution":
+    def _grown(self, values, types, quals, atom, names,
+               free=frozenset()) -> "_Substitution":
         new = object.__new__(_Substitution)
         new.values, new.types, new.quals = values, types, quals
         new.atoms, new.names = self.atoms | {atom}, self.names | names
+        new.free = self.free | free if free else self.free
         return new
 
     def extended(self, name: str, v: Term) -> "_Substitution":
@@ -559,7 +568,7 @@ class _Substitution:
         """This substitution with the qualifier q put in for the atom name."""
         atom = VarAtom(name)
         return self._grown(self.values, self.types, {**self.quals, atom: q},
-                           atom, {name})
+                           atom, {name}, q.atoms)
 
     def with_type(self, tvar: str, qvar: str,
                   payload: QualifiedType) -> "_Substitution":
@@ -568,6 +577,7 @@ class _Substitution:
         new = self.with_qual(qvar, payload.q)
         # `new` is not shared yet, so it may still be filled in
         new.types, new.names = {**self.types, tvar: payload.ty}, new.names | {tvar}
+        new.free |= free_atoms_type(payload.ty)
         return new
 
     def qual(self, q: Qualifier) -> Qualifier:
@@ -582,14 +592,48 @@ class _Substitution:
         return Qualifier(fresh, atoms)
 
     def __call__(self, qty: QualifiedType) -> QualifiedType:
-        if type(qty.ty) is TVar:
-            ty = self.types.get(qty.ty.name, qty.ty)
+        ty = qty.ty
+        if type(ty) is TVar:
+            ty = self.types.get(ty.name, ty)
         else:
-            ty = map_parts(qty.ty, None, self, None, self.names)
+            if self.free and (type(ty) is Fun or type(ty) is All):
+                ty = self._renamed_apart(ty)
+            ty = map_parts(ty, None, self, None, self.names)
         q = self.qual(qty.q)
         if ty is qty.ty and q is qty.q:
             return qty
         return QualifiedType(ty, q)
+
+    def _renamed_apart(self, ty):
+        """ty with each binder named like an atom in `free` renamed, in
+        the parts it scopes over, to a primed name neither mentions; ty
+        itself if none is, or if one shadows a substituted name."""
+        shape = SHAPES[type(ty)]
+        for f, _ in shape.binds:
+            if VarAtom(getattr(ty, f)) in self.free:
+                break
+        else:
+            return ty
+        bound = {getattr(ty, f) for f, _ in shape.binds}
+        if not self.names.isdisjoint(bound):
+            return ty
+        taken = {a.name for a in self.free | free_atoms_type(ty)
+                 if type(a) is VarAtom} | self.names | bound
+        rename, new = EMPTY_SUBSTITUTION, {}
+        for f, kind in shape.binds:
+            name = getattr(ty, f)
+            if VarAtom(name) in self.free:
+                fresh = name + "'"
+                while fresh in taken:
+                    fresh += "'"
+                new[f], taken = fresh, taken | {fresh}
+                rename = rename.with_qual(name, qual(fresh))
+                if kind == "tvar":
+                    rename.types = {**rename.types, name: TVar(fresh)}
+        for f, _, under in shape.parts:
+            if under:
+                new[f] = rename(getattr(ty, f))
+        return shape.cls(*[new.get(f, getattr(ty, f)) for f in shape.fields])
 
     def term(self, t: Term) -> Term:
         """t with the substitution applied."""

@@ -26,7 +26,7 @@ from .syntax import (
     INT, Let, LocTerm, LocAtom, QualifiedType, Qualifier, RefAlloc, RefT,
     StoreTyping, TAbs, TApp, TermBind, Term, Top, TypeBind, TypeEnv, UNIT,
     UnitLit, Var, VarAtom, free_atoms_qtype, free_atoms_type, free_term_atoms,
-    telescope_ok, well_scoped_qtype,
+    telescope_ok, value_qualifier, well_scoped_qtype,
 )
 
 # Error codes
@@ -95,15 +95,12 @@ class _Checker:
         used one); the body typed under the self-reference, of type
         `self_type(stub)`, and `binding`. Returns (capture, body
         environment, body type)."""
-        if t.capture is None:
-            capture = Qualifier(False, free_term_atoms(t))
-        else:
-            if t.capture.fresh:
-                raise CheckError(
-                    FRESHNESS_VIOLATION,
-                    f"{what} capture annotation {_pretty(t.capture)} "
-                    f"may not be fresh")
-            capture = t.capture
+        if t.capture is not None and t.capture.fresh:
+            raise CheckError(
+                FRESHNESS_VIOLATION,
+                f"{what} capture annotation {_pretty(t.capture)} "
+                f"may not be fresh")
+        capture = value_qualifier(t)
         self._observable(capture, phi, f"{what} capture qualifier")
         f_atom, x_atom = VarAtom(t.self_name), VarAtom(param)
         # recursion needs an annotation; Top here is a safe stub
@@ -370,6 +367,9 @@ class Retyper(_Checker):
     (`TypeEnv.binder`), so a closed value is typed the same in every
     environment. φ enters its typing only where its capture must be
     observable, since the body is typed under capture ∪ {self, param}.
+    A store typing is never changed once built. Every other node is
+    synthesized again, so every step is checked as before; the machine's
+    harnesses make one `Retyper` per call, so the memo dies with it.
     The memo holds the λs and Λs met in the last two calls, each as
     (node, store typing, closed or None while not asked, qualified
     type) under the node's id; an entry holds its node, so the id names

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 from rqcheck.cli import CorpusEntry, check_source, corpus_text, load_corpus
-from rqcheck.machine import Store
 from rqcheck.qualifiers import qual_sub, saturate
 from rqcheck.surface import elaborate, parse, parse_pair
 from rqcheck.syntax import (
@@ -58,12 +57,12 @@ def sep_pairs() -> List[Tuple[CorpusEntry, Term, Term]]:
     return out
 
 
-def store_typing_for(store: Store) -> StoreTyping:
+def store_typing_for(store: dict) -> StoreTyping:
     """Store typing rebuilt from a runtime store in allocation order,
     entries saturated as store well-formedness requires."""
     sigma = StoreTyping()
-    for loc in sorted(store.cells):
-        result = check_program(TypeEnv(), sigma, store.cells[loc])
+    for loc in sorted(store):
+        result = check_program(TypeEnv(), sigma, store[loc])
         entry = QualifiedType(result.qtype.ty,
                               saturate(TypeEnv(), sigma, result.qtype.q))
         sigma = sigma.extended(loc, entry)

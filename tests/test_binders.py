@@ -128,6 +128,25 @@ def test_qualifier_substitution_in_types_stops_under_a_shadowing_binder():
         All("g", "T", "x", qt(INT, qual(locs=[0])), qt(TVar("T"), qual("x"))))
 
 
+def test_type_substitution_renames_a_binder_that_would_capture_the_payload():
+    # the payload mentions Y^y; under a binder named Y (or y) the body's X
+    # must still become the outer Y, not the bound one
+    payload = qt(TVar("Y"), qual("y"))
+    sub = syntax.EMPTY_SUBSTITUTION.with_type("X", "x", payload)
+
+    def univ(tvar, qvar):
+        body = qt(Fun("k", "a", qt(TVar("X"), qual("x")), qt(TVar(tvar), qual(qvar))))
+        return qt(All("g", tvar, qvar, qt(INT), body))
+
+    def expected(tvar, qvar):
+        body = qt(Fun("k", "a", payload, qt(TVar(tvar), qual(qvar))))
+        return qt(All("g", tvar, qvar, qt(INT), body))
+
+    assert alpha_eq(sub(univ("Y", "y")), expected("W", "w"))
+    assert sub(univ("Y", "y")) == expected("Y'", "y'")
+    assert sub(univ("W", "w")) == expected("W", "w")
+
+
 # ---------------------------------------------------------------------------
 # The pending substitution against a one-binding-at-a-time reference
 

@@ -9,7 +9,7 @@ from helpers import bench_families, runnable_programs, sep_pairs
 from rqcheck import machine, syntax, typecheck
 from rqcheck.cli import corpus_text, load_corpus
 from rqcheck.machine import (
-    DEFAULT_EVAL_FUEL, Store, Stepped, Value, check_preservation,
+    DEFAULT_EVAL_FUEL, Stepped, Value, check_preservation,
     erase_ascriptions, eval_term, separation_experiment, step, store_wf,
 )
 from rqcheck.surface import elaborate, parse, parse_term, pretty
@@ -27,28 +27,28 @@ EMPTY_SIGMA = StoreTyping()
 
 
 def test_beta_ignores_unused_self_name():
-    out = step(parse_term("(fn f(x: Int^{}) { x })(5)"), Store.empty())
+    out = step(parse_term("(fn f(x: Int^{}) { x })(5)"), {})
     assert isinstance(out, Stepped)
     assert out.term == Const(5)
     assert out.event.rule == "beta"
 
 
 def test_allocation_appends_a_location():
-    out = step(RefAlloc(Const(0)), Store.empty())
+    out = step(RefAlloc(Const(0)), {})
     assert out.term == LocTerm(0)
     assert out.store.get(0) == Const(0)
     assert (out.event.rule, out.event.loc) == ("ref", 0)
 
 
 def test_dereference_reads_the_store():
-    store = Store({0: Const(7)}, 1)
+    store = {0: Const(7)}
     out = step(Deref(LocTerm(0)), store)
     assert out.term == Const(7)
-    assert out.store.cells == store.cells
+    assert out.store == store
 
 
 def test_assignment_updates_in_place():
-    store = Store({0: Const(7)}, 1)
+    store = {0: Const(7)}
     out = step(Assign(LocTerm(0), Const(9)), store)
     assert out.term == UnitLit()
     assert out.store.get(0) == Const(9)
@@ -57,20 +57,20 @@ def test_assignment_updates_in_place():
 
 def test_type_application_substitutes_the_argument():
     t = parse_term("(tfn f[X^x <: Top^{*}] { fn g(y: X^{x}) { y } })[Int^{}]")
-    out = step(t, Store.empty())
+    out = step(t, {})
     assert out.event.rule == "beta_t"
     assert alpha_eq(out.term, parse_term("fn g(y: Int^{}) { y }"))
 
 
 def test_ascription_drops_off_a_value():
     t = parse_term("(42 : Int^{})")
-    out = step(t, Store.empty())
+    out = step(t, {})
     assert out.term == Const(42)
     assert out.event.rule == "ascribe"
 
 
 def test_value_is_terminal():
-    assert isinstance(step(Const(1), Store.empty()), Value)
+    assert isinstance(step(Const(1), {}), Value)
 
 
 def test_evaluation_order_is_function_then_argument():
@@ -104,15 +104,39 @@ def test_eval_is_deterministic():
 
 def test_store_domain_only_grows():
     t = parse_term("val c = ref 0; val d = ref 1; val u = c := 2; !c")
-    store = Store.empty()
+    store = {}
     doms = [set()]
     while True:
         out = step(t, store)
         if not isinstance(out, Stepped):
             break
         t, store = out.term, out.store
-        assert doms[-1] <= set(store.cells)
-        doms.append(set(store.cells))
+        assert doms[-1] <= set(store)
+        doms.append(set(store))
+
+
+def test_a_run_writes_the_one_store_it_was_given(monkeypatch):
+    program = parse_term("val c = ref 0; val u = c := 1; !c")
+    t, store, rules = program, {}, []
+    while True:
+        out = step(t, store)
+        if not isinstance(out, Stepped):
+            break
+        assert out.store is store
+        t = out.term
+        rules.append(out.event.rule)
+    assert {"ref", "assign", "deref"} <= set(rules)
+    assert store == {0: Const(1)}
+    given = []
+
+    def recorded(t, store):
+        given.append(store)
+        return step(t, store)
+
+    monkeypatch.setattr(machine, "step", recorded)
+    result = eval_term(program)
+    assert result.term == Const(1) and result.store == {0: Const(1)}
+    assert given and all(s is result.store for s in given)
 
 
 def test_a_let_step_rewrites_none_of_the_remaining_program(monkeypatch):
@@ -265,7 +289,7 @@ def test_two_constants_are_trivially_separate():
 
 def test_shared_tracked_location_fails_the_premise():
     sigma = EMPTY_SIGMA.extended(0, qt(INT))
-    store = Store({0: Const(7)}, 1)
+    store = {0: Const(7)}
     report = separation_experiment(LocTerm(0), LocTerm(0), sigma,
                                    store0=store)
     assert not report.premise_ok
@@ -273,10 +297,20 @@ def test_shared_tracked_location_fails_the_premise():
 
 def test_dereferencing_untracked_content_is_separate():
     sigma = EMPTY_SIGMA.extended(0, qt(INT))
-    store = Store({0: Const(7)}, 1)
+    store = {0: Const(7)}
     report = separation_experiment(Deref(LocTerm(0)), Deref(LocTerm(0)),
                                    sigma, store0=store)
     assert report.premise_ok and report.ok
+
+
+def test_separation_leaves_the_callers_store_as_it_was():
+    sigma = EMPTY_SIGMA.extended(0, qt(INT))
+    store = {0: Const(7)}
+    report = separation_experiment(Assign(LocTerm(0), Const(9)),
+                                   RefAlloc(Const(1)), sigma, store0=store)
+    assert report.ok and report.finished
+    assert report.final_locs == (frozenset(), frozenset({1}))
+    assert store == {0: Const(7)}
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +339,7 @@ def _events(events) -> str:
 
 
 def _store(store) -> dict:
-    return {str(loc): pretty(v) for loc, v in sorted(store.cells.items())}
+    return {str(loc): pretty(v) for loc, v in sorted(store.items())}
 
 
 def eval_golden_lines() -> str:

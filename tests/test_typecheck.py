@@ -236,6 +236,45 @@ def test_the_self_binders_name_does_not_change_the_verdict(text, expected):
         assert alpha_eq(named_f, named_h)
 
 
+# Each program is checked twice, with a binder inside the applied
+# function's codomain (or the universal's body) named y and named z; the
+# argument mentions a caller's variable y. The substitution renames the
+# inner binder y apart, so it does not capture the caller's y.
+
+INNER_BINDER_PAIRS = [
+    ("t-app codomain", """
+     val g = fn g(x: Ref[Int]^{*}) : (k(INNER: Int^{}) => Ref[Int]^{x})^{x}
+       { fn k(INNER: Int^{}) : Ref[Int]^{x} { x } };
+     val y = ref 0;
+     val h = g(y);
+     h(0)""", "Ref[Int]^{y}"),
+    ("alias through a captured codomain", """
+     val g = fn g(x: Ref[Int]^{*}) : (k(INNER: Int^{}) => Ref[Int]^{x})^{x}
+       { fn k(INNER: Int^{}) : Ref[Int]^{x} { x } };
+     val y = ref 0;
+     val h = g(y);
+     val r = h(0);
+     val m = fn m(w: Ref[Int]^{*}) : Int^{} { val u = w := 5; !y };
+     m(r)""", "OverlapViolation"),
+    ("t-tapp body", """
+     assume p: (forall g[X^x <: Ref[Int]^{*}].
+                (k(INNER: Int^{}) => Ref[Int]^{x})^{x})^{};
+     val y = ref 0;
+     p[Ref[Int]^{y}]""", "(Int => Ref[Int]^{y})^{y}"),
+]
+
+
+@pytest.mark.parametrize("text,expected", [p[1:] for p in INNER_BINDER_PAIRS],
+                         ids=[p[0] for p in INNER_BINDER_PAIRS])
+def test_an_inner_binders_name_does_not_change_the_verdict(text, expected):
+    named_y, named_z = (_verdict(text.replace("INNER", name)) for name in "yz")
+    if isinstance(named_y, str):
+        assert named_y == named_z == expected
+    else:
+        assert pretty(named_y) == expected
+        assert alpha_eq(named_y, named_z)
+
+
 # ---------------------------------------------------------------------------
 # Invariants on the corpus
 
