@@ -32,8 +32,8 @@ over the program.
 
 The store is one dict, location to value, that the rules write in
 place: `ref` allocates at `len(store)`, as no cell is ever freed, and
-`:=` overwrites its cell. A run, and both sides of a separation
-experiment, write that one store; nothing copies it.
+`:=` overwrites its cell. A run, or the two sides of a separation
+experiment, write one store; no step copies it.
 
 The harnesses re-type every term they step to, with one
 `typecheck.Retyper` per call, which reuses the typing of each closed λ
@@ -90,7 +90,7 @@ class Configuration:
 @dataclass
 class Stepped:
     term: Union[Term, Configuration]   # what step was given, one step on
-    store: dict                        # the store step was given, written
+    store: dict                        # the store step was given and wrote
     event: Event
 
 
@@ -376,7 +376,8 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
     (see `Retyper`). A memo keeps what the last two of its calls met, so
     the two sides do not share one. The other side keeps its qualified
     type: its term is the same, and Σ only grew. The run writes a copy of
-    `store0`, never the caller's dict."""
+    `store0` (cells 0 to n-1, as a run allocates them), never the
+    caller's dict."""
     store = dict(store0 or {})
     sigma = sigma0
     retype = (Retyper(), Retyper())
