@@ -36,11 +36,14 @@ place: `ref` allocates at `len(store)`, as no cell is ever freed, and
 experiment, write one store; no step copies it.
 
 The harnesses re-type every term they step to, with one
-`typecheck.Retyper` per call, which reuses the typing of each closed λ
-or Λ that a step left as it was (its docstring says why that is exact).
-A step shares every value it does not touch, and the pending
-substitution puts in the same closed values, not copies, so most λs and
-Λs of a term are met again.
+`typecheck.Retyper` per call. It reuses the typing of each closed λ or
+Λ that a step left as it was, and of each binding of the root let
+spine whose right-hand side the step left as it was while the entries
+that rhs can reach are unchanged (its docstring says why both are
+exact). A step shares every value and every right-hand side it does not
+touch, and the pending substitution puts in the same closed values, not
+copies, so most of a term is met again: a step that rewrites the first
+binding of n re-types that binding and the ones that read it, not all n.
 """
 
 from __future__ import annotations
@@ -297,8 +300,9 @@ def check_preservation(t: Term, sigma0: StoreTyping,
     the freshness marker), and the new type part below the previous one.
     Each term is typed as `check_program(TypeEnv(), Σ, t)` types it; a
     closed λ or Λ carried over from the step before keeps its typing
-    under the same Σ (see `Retyper`), for this call only. The run starts
-    from an empty store.
+    under the same Σ, and a let binding whose rhs and reachable entries
+    the step left alone keeps its typing (see `Retyper`), for this call
+    only. The run starts from an empty store.
     """
     store: dict = {}
     sigma = sigma0
@@ -372,9 +376,10 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
 
     The side that stepped is re-typed after every step, as
     `check_program` types it, by its side's own memo for this call: a
-    closed λ or Λ that it carried over keeps its typing under the same Σ
-    (see `Retyper`). A memo keeps what the last two of its calls met, so
-    the two sides do not share one. The other side keeps its qualified
+    closed λ or Λ that it carried over keeps its typing under the same
+    Σ, and so does a let binding whose rhs and reachable entries are
+    unchanged (see `Retyper`). A memo compares with what its own last
+    calls met, so the two sides do not share one. The other side keeps its qualified
     type: its term is the same, and Σ only grew. The run writes a copy of
     `store0` (cells 0 to n-1, as a run allocates them), never the
     caller's dict."""

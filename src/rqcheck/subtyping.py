@@ -14,7 +14,7 @@ from .errors import FuelExhausted
 from .qualifiers import qual_sub
 from .syntax import (
     EMPTY_SUBSTITUTION, All, Base, FRESH, Fun, QualifiedType, RefT,
-    StoreTyping, Top, TVar, TermBind, Type, TypeBind, TypeEnv, qual,
+    StoreTyping, Top, TVar, TermBind, Type, TypeBind, TypeEnv, VarAtom, qual,
 )
 
 DEFAULT_FUEL = 512
@@ -52,9 +52,12 @@ def _type_sub(env: TypeEnv, store: StoreTyping, s: Type, t: Type, ctx: _Ctx) -> 
         # the rule annotates one shared content qualifier on both sides
         if s.content.q != t.content.q:
             return False
-        dom_atoms = env.dom() | store.dom()
-        if not s.content.q.atoms <= dom_atoms:
-            return False
+        # each atom bound: a variable as a term binder or a qualifier
+        # variable (its innermost binder), a location in Σ
+        for a in s.content.q.atoms:
+            if (env.binding_qualifier(a) if type(a) is VarAtom
+                    else store.get(a.loc)) is None:
+                return False
         return (_type_sub(env, store, s.content.ty, t.content.ty, ctx)
                 and _type_sub(env, store, t.content.ty, s.content.ty, ctx))
     if isinstance(s, Fun) and isinstance(t, Fun):

@@ -679,39 +679,46 @@ def subst_qtype_in_term(t: Term, tvar: str, qvar: str,
 # Alpha equivalence
 
 
-def _alpha_qual(q1: Qualifier, q2: Qualifier, ren: dict) -> bool:
+def _alpha_qual(q1: Qualifier, q2: Qualifier, ren) -> bool:
     if q1.fresh != q2.fresh or len(q1.atoms) != len(q2.atoms):
         return False
-    mapped = set()
+    fwd, bwd = ren
     for a in q1.atoms:
-        if isinstance(a, VarAtom):
-            mapped.add(VarAtom(ren.get(a.name, a.name)))
-        else:
-            mapped.add(a)
-    return mapped == set(q2.atoms)
+        if type(a) is VarAtom:
+            b = fwd.get(a.name, a.name)
+            if VarAtom(b) not in q2.atoms or bwd.get(b, b) != a.name:
+                return False
+        elif a not in q2.atoms:
+            return False
+    # the atoms map one to one into q2, which has as many
+    return True
 
 
-def _alpha_qtype(q1: QualifiedType, q2: QualifiedType, ren: dict) -> bool:
+def _alpha_qtype(q1: QualifiedType, q2: QualifiedType, ren) -> bool:
     return _alpha(q1.ty, q2.ty, ren) and _alpha_qual(q1.q, q2.q, ren)
 
 
-def _alpha(x, y, ren: dict) -> bool:
-    """Alpha-equivalence of two terms or two types, ren mapping the bound
-    names of x to those of y."""
+def _alpha(x, y, ren) -> bool:
+    """Alpha-equivalence of two terms or two types. ren is the pair of
+    maps between the names bound around x and around y, x's to y's and
+    back: a name of x and a name of y match when each maps to the other,
+    so a name free on one side never matches one bound on the other."""
     if type(x) is not type(y):
         return False
     shape = SHAPES[type(x)]
     if shape.occurs is not None:
         a, b = getattr(x, shape.occurs[0]), getattr(y, shape.occurs[0])
-        return ren.get(a, a) == b
+        return ren[0].get(a, a) == b and ren[1].get(b, b) == a
     for f in shape.data:
         if getattr(x, f) != getattr(y, f):
             return False
     inner = ren
     if shape.binds:
-        inner = dict(ren)
+        fwd, bwd = dict(ren[0]), dict(ren[1])
         for f, _ in shape.binds:
-            inner[getattr(x, f)] = getattr(y, f)
+            a, b = getattr(x, f), getattr(y, f)
+            fwd[a], bwd[b] = b, a
+        inner = (fwd, bwd)
     for f, role, under in shape.parts:
         a, b = getattr(x, f), getattr(y, f)
         if a is None or b is None:
@@ -723,15 +730,16 @@ def _alpha(x, y, ren: dict) -> bool:
 
 
 _ALPHA_PART = {TERM: _alpha, QTYPE: _alpha_qtype, QUAL: _alpha_qual}
+_NO_RENAMING = ({}, {})
 
 
 def alpha_eq(a, b) -> bool:
     """Equality modulo consistent renaming of bound names."""
     if isinstance(a, QualifiedType) and isinstance(b, QualifiedType):
-        return _alpha_qtype(a, b, {})
+        return _alpha_qtype(a, b, _NO_RENAMING)
     if isinstance(a, Qualifier) and isinstance(b, Qualifier):
         return a == b
-    return _alpha(a, b, {})
+    return _alpha(a, b, _NO_RENAMING)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ X^x: `_abstraction` serves T-Abs and T-TAbs, `_application` T-App and
 T-TApp. Running out of subtyping fuel is never a rejection:
 `FuelExhausted` reaches the caller as it is. `Retyper` types the
 successive terms of a machine run as `check_program` does, reusing what
-it synthesized for a closed λ or Λ that a step left as it was.
+it synthesized for a closed λ or Λ, or a binding of the root let spine,
+that a step left as it was.
 """
 
 from __future__ import annotations
@@ -304,22 +305,44 @@ class _Checker:
     def _let(self, env: TypeEnv, phi: frozenset, t: Let) -> QualifiedType:
         # a loop down the spine of nested lets, not a recursion, so the
         # number of top-level `val`s is not bounded by the recursion limit
-        spine = []
+        names, types = [], []
         while type(t) is Let:
             rhs_q = self.synth(env, phi, t.rhs)
-            spine.append((t.name, rhs_q))
+            names.append(t.name)
+            types.append(rhs_q)
             env = env.extended(TermBind(t.name, rhs_q))
             phi = phi | {VarAtom(t.name)}
             t = t.body
-        body_q = self.synth(env, phi, t)
-        for name, rhs_q in reversed(spine):
-            if rhs_q.q.fresh and VarAtom(name) in free_atoms_type(body_q.ty):
+        return self._unbind(names, types, self.synth(env, phi, t))
+
+    def _unbind(self, names: list, types: list,
+                body_q: QualifiedType) -> QualifiedType:
+        """T-Let's conclusion for a spine binding each name to the type
+        at its index, innermost first: no fresh binding in the result
+        type, and each name replaced by its binding's qualifier. The
+        replacement is skipped where it returns body_q itself: the name
+        is not free in it, and the qualifier has no variable, so no
+        binder of body_q is renamed apart."""
+        in_ty = in_q = None    # the names free in body_q's type, qualifier
+        for i in range(len(names) - 1, -1, -1):
+            name, q = names[i], types[i].q
+            renames = False
+            for a in q.atoms:
+                if type(a) is VarAtom:
+                    renames = True
+                    break
+            if in_ty is None and (q.fresh or not renames):
+                in_ty = {a.name for a in free_atoms_type(body_q.ty)}
+                in_q = {a.name for a in body_q.q.atoms if type(a) is VarAtom}
+            if q.fresh and name in in_ty:
                 raise CheckError(
                     DEPENDENCY_VIOLATION,
                     f"result type depends on {name} whose binding is fresh")
             self.trace.append(f"t-let {name}")
-            # one substitution per binding: rhs_q.q may mention earlier names
-            body_q = EMPTY_SUBSTITUTION.with_qual(name, rhs_q.q)(body_q)
+            if renames or name in in_ty or name in in_q:
+                # q may mention earlier names: one substitution each
+                body_q = EMPTY_SUBSTITUTION.with_qual(name, q)(body_q)
+                in_ty = None
         return body_q
 
 
@@ -357,7 +380,8 @@ def check_program(env: TypeEnv, store: StoreTyping, t: Term,
 class Retyper(_Checker):
     """`check_program(TypeEnv(), store, t).qtype` for the successive
     terms of one run, reusing the typing of each closed λ and Λ that a
-    step left as it was.
+    step left as it was, and of each binding of the root let spine that
+    the step left as it was while nothing its typing can consult changed.
 
     A λ or Λ met again as the same object under the same store typing
     object is given the qualified type synthesized for it before, once
@@ -367,27 +391,121 @@ class Retyper(_Checker):
     (`TypeEnv.binder`), so a closed value is typed the same in every
     environment. φ enters its typing only where its capture must be
     observable, since the body is typed under capture ∪ {self, param}.
-    A store typing is never changed once built. Every other node is
-    synthesized again, so every step is checked as before; the machine's
-    harnesses make one `Retyper` per call, so the memo dies with it.
-    The memo holds the λs and Λs met in the last two calls, each as
-    (node, store typing, closed or None while not asked, qualified
-    type) under the node's id; an entry holds its node, so the id names
-    no other object while the entry lives."""
+    A store typing is never changed once built.
+
+    The let spine at the root, which the machine's steps rewrite at its
+    first binding, is walked here instead of by `_let`. Its binding j is
+    typed under the types of bindings 0..j-1, φ = dom(Σ) ∪ {x_0..x_{j-1}}
+    and Σ, and the checker reads these at named atoms only: the
+    environment through the innermost binder of a name, φ by
+    membership, Σ by `get` (`dom` is membership too; `type_sub` tests a
+    `Ref` content atom the same way). Every type and qualifier the
+    typing of the rhs forms is built from the rhs, from the entries of
+    atoms it already holds, or from names the rhs or a type binds. So
+    the atoms whose entries it can read are D: the free atoms of the rhs
+    (annotations included), closed through their environment entries
+    and their Σ entries. A variable of D is in φ exactly when the spine
+    binds it before j, and a location exactly when Σ has it, so D's
+    entries fix φ on D too. A rhs met again as the same object, at the
+    same position or one further on (a let-β drops the first binding),
+    is given the qualified type of the last call if each atom of D, as
+    the last call's entries close it, has the same entry object now, or
+    none in both: then the typing reads what it read, and D is the same
+    set. Only spines that bind no name twice are compared, so a name's
+    entry is its binder's at every later binding; the answer for each
+    atom is kept for the rest of the call (`_Spine.clean`), so a chain
+    of aliases is followed once per call, not once per binding. A
+    freshly synthesized type equal to the last call's for its name is
+    replaced by that object, so entries are compared by identity. Σ
+    only grows and `StoreTyping.extended` keeps the entry objects, so
+    this survives a `ref` step, where the λ memo does not. λ and Λ
+    right-hand sides stay with the λ memo: a step that substitutes into
+    an open one rebuilds it, and comparing its type with the last
+    call's costs about what typing it again does. Every other node, and
+    every binding whose rhs or D the step changed, is synthesized
+    again, so every step is checked as before.
+
+    The machine's harnesses make one `Retyper` per call, so the memos
+    die with it. The λ memo holds the λs and Λs met in the last two
+    calls, each as (node, store typing, closed or None while not asked,
+    qualified type) under the node's id; an entry holds its node, so
+    the id names no other object while the entry lives. The spine memo
+    is the last call's `_Spine`."""
 
     def __init__(self):
         super().__init__(StoreTyping())
         self._seen: dict = {}
         self._last: dict = {}
+        self._store_atoms: dict = {}
+        self._spine = _NO_SPINE
 
     def __call__(self, store: StoreTyping, t: Term) -> QualifiedType:
         self.store, self.trace = store, []
         self._last, self._seen = self._seen, {}
-        phi = store.dom()
-        qty = self.synth(TypeEnv(), phi, t)
-        if not qty.q.atoms <= phi:
+        if type(t) is Let:
+            qty = self._retype_spine(t)
+        else:
+            # a step rebuilds the root, so a term that is not a spine of
+            # lets is never met again
+            qty = self.synth(TypeEnv(), store.dom(), t)
+        if not qty.q.atoms <= store.dom():
             raise InternalError("synthesized an unobservable qualifier")
         return qty
+
+    def _retype_spine(self, t: Let) -> QualifiedType:
+        """`_let` on the root spine. The record of each binding, and of
+        the body, is the last call's record of the same rhs, at the same
+        position or one further on (a let-β drops the first binding),
+        if nothing its typing can consult changed (see the class
+        docstring); else the rhs is synthesized again."""
+        then = self._spine
+        spine = self._spine = _Spine(self.store, self._store_atoms)
+        names, bound, old = spine.names, spine.bound, then.bound
+        n, j, k = len(old), 0, 0
+        # the environment and φ of bindings 0..k-1, extended to the
+        # current binding only when a rhs is synthesized
+        env, phi = TypeEnv(), self.store.dom()
+        while True:
+            rhs = t.rhs if type(t) is Let else t
+            value = type(rhs) is Abs or type(rhs) is TAbs
+            b = free = None
+            if j < n and not value:
+                at = j if old[j].rhs is rhs else j + 1
+                if at < n and old[at].rhs is rhs:
+                    b = old[at]
+                    if b.free is None:
+                        # walked on a second sighting only, as the λ
+                        # memo asks `closed`, so a rhs every step
+                        # rebuilds is not
+                        b.free = free_term_atoms(rhs, annotations=True)
+                    if not spine.unchanged(b.free, then, at):
+                        b, free = None, b.free
+            if b is None:
+                if k + 1 == j:
+                    env = env.extended(TermBind(names[k], bound[k].qtype))
+                    phi = phi | {VarAtom(names[k])}
+                elif k < j:
+                    env = TypeEnv(env.entries + tuple(
+                        TermBind(x, c.qtype)
+                        for x, c in zip(names[k:], bound[k:j])))
+                    phi = phi | {VarAtom(x) for x in names[k:]}
+                k = j
+                b = _Bound(rhs, self.synth(env, phi, rhs), free)
+                p = then.index.get(t.name) if type(t) is Let else None
+                if p is not None and not value and b.qtype == old[p].qtype:
+                    # the last call's object for an equal type, so that
+                    # `unchanged` compares entries by identity
+                    b.qtype, b.atoms = old[p].qtype, old[p].atoms
+            bound.append(b)
+            if type(t) is not Let:
+                break
+            if t.name in spine.index:
+                spine.unique = False
+            spine.index[t.name] = j
+            names.append(t.name)
+            j += 1
+            t = t.body
+        return self._unbind(names, [b.qtype for b in bound], bound[-1].qtype)
 
     def synth(self, env: TypeEnv, phi: frozenset, t: Term) -> QualifiedType:
         if type(t) is not Abs and type(t) is not TAbs:
@@ -407,3 +525,133 @@ class Retyper(_Checker):
         qty = _Checker.synth(self, env, phi, t)
         self._seen[id(t)] = (t, self.store, closed, qty)
         return qty
+
+
+class _Bound:
+    """A right-hand side of a root spine and the qualified type it was
+    given, with its free atoms (annotations included) and the free atoms
+    of the type, each None until asked. A record found unchanged is
+    shared by the spines of both calls."""
+
+    __slots__ = ("rhs", "qtype", "free", "atoms")
+
+    def __init__(self, rhs: Term, qtype: QualifiedType, free):
+        self.rhs, self.qtype, self.free, self.atoms = rhs, qtype, free, None
+
+
+class _Spine:
+    """The let spine at the root of one `Retyper` call, as far as it is
+    walked: the names bound, a record per binding (and, once walked, one
+    for the body), the position of each name's binder, whether no name
+    is bound twice, and Σ; with, for this call, which atoms are known
+    `clean` against the last call's spine."""
+
+    __slots__ = ("names", "bound", "index", "unique", "store",
+                 "store_atoms", "memo")
+
+    def __init__(self, store: StoreTyping, store_atoms: dict):
+        self.names, self.bound, self.index = [], [], {}
+        self.unique, self.store, self.store_atoms = True, store, store_atoms
+        self.memo: dict = {}
+
+    def atoms_of(self, entry) -> frozenset:
+        """The free atoms of an entry: a record's type, or a Σ entry
+        (kept under its id with the entry, for the `Retyper`'s life)."""
+        if type(entry) is _Bound:
+            if entry.atoms is None:
+                entry.atoms = free_atoms_qtype(entry.qtype)
+            return entry.atoms
+        known = self.store_atoms.get(id(entry))
+        if known is None:
+            known = self.store_atoms[id(entry)] = (
+                entry, free_atoms_qtype(entry))
+        return known[1]
+
+    def unchanged(self, free: frozenset, then: "_Spine", at: int) -> bool:
+        """Whether each atom of D of binding `at` of `then` (see
+        `Retyper`: the atoms of free, closed through their entries
+        there) has the same entry after the spine so far: for a
+        variable the type of its binder, for a location its Σ entry, or
+        none in both. Only spines that bind no name twice are compared,
+        so a name's entry is its binder's wherever it is bound."""
+        if not (self.unique and then.unique):
+            return False
+        old_index, index = then.index, self.index
+        memo = self.memo
+        for a in free:
+            if type(a) is VarAtom:
+                p, q = old_index.get(a.name), index.get(a.name)
+                if p is None or q is None:
+                    if p is not q:
+                        return False
+                    continue
+                if p >= at:
+                    return False
+            known = memo.get(a.name if type(a) is VarAtom else a.loc)
+            if not (self.clean(a, then) if known is None else known):
+                return False
+        return True
+
+    def clean(self, root, then: "_Spine") -> bool:
+        """Whether root, a location or a variable both spines bind, has
+        the same entry in both, and so has every atom its entry reaches.
+        A variable's entry may only reach variables bound before it in
+        both spines, and locations; a Σ entry only smaller locations. So
+        the search meets no atom twice on one path, and each answer holds
+        for the rest of the call (what it reads is bound before it): it
+        is kept in `memo`, under a variable's name or a location's
+        number, which the caller reads first."""
+        memo = self.memo
+        stack = [(root, self._reaches(root, then))]
+        while stack:
+            a, kids = stack[-1]
+            if kids:
+                z = kids.pop()
+                known = memo.get(z.name if type(z) is VarAtom else z.loc)
+                if known is None:
+                    stack.append((z, self._reaches(z, then)))
+                    continue
+                if known:
+                    continue
+            elif kids is not None:
+                stack.pop()
+                memo[a.name if type(a) is VarAtom else a.loc] = True
+                continue
+            # a changed, or reaches what changed: so does every atom on
+            # the stack
+            for a, _ in stack:
+                memo[a.name if type(a) is VarAtom else a.loc] = False
+            return False
+        return True
+
+    def _reaches(self, a, then: "_Spine"):
+        """The atoms a's entry reaches, to be found clean in turn; None
+        if the entry changed or reaches what it may not."""
+        if type(a) is LocAtom:
+            old = then.store.mapping.get(a.loc)
+            if old is not self.store.mapping.get(a.loc):
+                return None
+            kids = [] if old is None else list(self.atoms_of(old))
+            for z in kids:
+                if type(z) is VarAtom or z.loc >= a.loc:
+                    return None
+            return kids
+        p, q = then.index[a.name], self.index[a.name]
+        old = then.bound[p]
+        if old.qtype is not self.bound[q].qtype:
+            return None
+        kids = []
+        for z in self.atoms_of(old):
+            if type(z) is VarAtom:
+                pz, qz = then.index.get(z.name), self.index.get(z.name)
+                if pz is None and qz is None:
+                    continue
+                if pz is None or qz is None or pz >= p or qz >= q:
+                    return None
+            kids.append(z)
+        return kids
+
+
+# the last spine before a `Retyper`'s first call: it binds nothing, and
+# nothing is ever written to it
+_NO_SPINE = _Spine(StoreTyping(), {})

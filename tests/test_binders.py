@@ -108,6 +108,25 @@ def test_alpha_equivalence_follows_the_binders(term, renamed, captured):
     assert not alpha_eq(term, captured)
 
 
+def test_alpha_equivalence_is_symmetric_when_a_free_name_meets_a_bound_one():
+    # Y is free in the first body and bound in the second: in either
+    # order the two types differ
+    free_y = qt(All("g", "Y2", "y2", qt(INT), qt(TVar("Y"))))
+    bound_y = qt(All("g", "Y", "y", qt(INT), qt(TVar("Y"))))
+    assert not alpha_eq(free_y, bound_y)
+    assert not alpha_eq(bound_y, free_y)
+    free_x = Abs("f", "x2", INT_Q, None, Var("x"))
+    bound_x = Abs("f", "x", INT_Q, None, Var("x"))
+    assert not alpha_eq(free_x, bound_x)
+    assert not alpha_eq(bound_x, free_x)
+    # the same holds for an atom of a qualifier
+    free_q = qt(Fun("f", "a2", qt(INT), qt(INT, qual("a"))))
+    bound_q = qt(Fun("f", "a", qt(INT), qt(INT, qual("a"))))
+    assert not alpha_eq(free_q, bound_q)
+    assert not alpha_eq(bound_q, free_q)
+    assert alpha_eq(bound_q, qt(Fun("f", "b", qt(INT), qt(INT, qual("b")))))
+
+
 def test_type_substitution_stops_under_a_shadowing_type_abstraction():
     inner = TAbs("g", "T", "t", INT_Q, Ascribe(Const(1), qt(TVar("T"), qual("t"))))
     outer = TAbs("f", "S", "s", INT_Q, Ascribe(Const(2), qt(TVar("T"))))

@@ -14,8 +14,9 @@ from rqcheck.machine import (
 )
 from rqcheck.surface import elaborate, parse, parse_term, pretty
 from rqcheck.syntax import (
-    Abs, Assign, Const, Deref, INT, Let, LocAtom, LocTerm, RefAlloc,
-    StoreTyping, Term, TypeEnv, UnitLit, Var, alpha_eq, map_parts, qt, qual,
+    Abs, Ascribe, Assign, Const, Deref, INT, Let, LocAtom, LocTerm, RefAlloc,
+    RefT, StoreTyping, Term, TypeEnv, UnitLit, Var, alpha_eq, map_parts, qt,
+    qual,
 )
 from rqcheck.typecheck import check_program
 
@@ -406,9 +407,20 @@ STALE_OPEN_CLOSURE = (
     "(fn h^{x, a, b}(y: Int^{}) { x(0) })(0)")
 
 
+# b's rhs `!a` is the same object until a is substituted, and a's rhs
+# `r` until r is; the ref step changes r's entry, which D of !a reaches
+# only through a's entry, whose type Ref[Int]^{r} does not change
+ALIAS_AT_REF = "val r = ref 0; val a = r; val b = !a; b"
+
+# at the let-β of k, a's entry narrows from Int^{k} to Int^{} and k's
+# goes, while b's rhs `a` stays the same object
+NARROWED_AT_LET = "val k = 5; val a = k; val b = a; val r = ref b; !r"
+
+
 def _differential_programs():
-    """(name, term): the runnable corpus, the four families at n=1..20
-    and the program whose copied Λ binds its enclosing parameter's name."""
+    """(name, term): the runnable corpus, the four families at n=1..20,
+    the program whose copied Λ binds its enclosing parameter's name and
+    the programs whose unchanged right-hand sides read changed entries."""
     for entry, term in runnable_programs():
         yield entry.name, term
     families = bench_families()
@@ -418,6 +430,8 @@ def _differential_programs():
             yield program.name, elaborate(parse(program.text))
     yield "shadowed-qvar", parse_term(SHADOWED_QVAR)
     yield "stale-open-closure", parse_term(STALE_OPEN_CLOSURE)
+    yield "alias-at-ref", parse_term(ALIAS_AT_REF)
+    yield "narrowed-at-let", parse_term(NARROWED_AT_LET)
 
 
 DIFFERENTIAL = list(_differential_programs())
@@ -483,3 +497,95 @@ def test_a_value_carried_from_step_to_step_is_typed_once(monkeypatch):
         assert sep.ok and len(sep.steps) == fuel
         counts.append((calls.index(None), len(calls) - 1 - calls.index(None)))
     assert counts[0] == counts[1]
+
+
+def _counting(monkeypatch, cls):
+    """Record every node of class cls that the checker synthesizes."""
+    calls = []
+    rule = typecheck._SYNTH[cls]
+
+    def counted(checker, env, phi, t):
+        calls.append(t)
+        return rule(checker, env, phi, t)
+
+    monkeypatch.setitem(typecheck._SYNTH, cls, counted)
+    return calls
+
+
+def test_the_retyper_reuses_a_binding_only_while_its_entries_are_unchanged(
+        monkeypatch):
+    # one rhs object, !a, under spines that differ in a's entry (it reads
+    # a's cell, so it is typed again), or only in the unrelated u (so its
+    # type is reused), against check_program on every spine
+    read = Deref(Var("a"))
+    sigma = EMPTY_SIGMA.extended(0, qt(INT)).extended(1, qt(syntax.UNIT))
+
+    def spine(cell, unrelated):
+        return Let("a", LocTerm(cell), Let("u", unrelated,
+                                           Let("b", read, Var("b"))))
+
+    calls = _counting(monkeypatch, Deref)
+    retype = typecheck.Retyper()
+    last = spine(0, UnitLit())
+    # the last term again, under a Σ that types cell 0 as Unit: a's entry
+    # reads it, so !a is typed again
+    other = EMPTY_SIGMA.extended(0, qt(syntax.UNIT))
+    for store, t, typed in ((sigma, spine(0, Const(1)), 1),
+                            (sigma, spine(1, Const(1)), 1),
+                            (sigma, spine(1, UnitLit()), 0),
+                            (sigma, last, 1), (other, last, 1),
+                            (other, last, 0)):
+        calls.clear()
+        assert retype(store, t) == check_program(TypeEnv(), store, t).qtype
+        assert calls.count(read) == typed + 1   # check_program's own
+
+
+def test_the_retyper_follows_the_entries_a_binding_reaches():
+    # b's ascription holds while r is @0 and fails while r is a fresh
+    # reference, and b reads r only through a's entry Ref[Int]^{r}, which
+    # is the same object in both spines: only the closure through a's
+    # entry finds that r's changed
+    sigma = EMPTY_SIGMA.extended(0, qt(INT))
+    alias, narrowed = Var("r"), Ascribe(Var("a"), qt(RefT(qt(INT)),
+                                                        qual(locs=[0])))
+
+    def spine(r):
+        return Let("r", r, Let("a", alias, Let("b", narrowed, Var("b"))))
+
+    retype = typecheck.Retyper()
+    outcomes = []
+    for r in (LocTerm(0), RefAlloc(Const(0)), LocTerm(0)):
+        t = spine(r)
+        outcomes.append(_outcome(retype, sigma, t))
+        assert outcomes[-1] == _outcome(_FullRecheck(), sigma, t)
+    assert outcomes[1][0] == "CheckError" and outcomes[0] == outcomes[2]
+
+
+def test_a_binding_the_step_left_alone_is_not_synthesized_again(monkeypatch):
+    # a deref or an assign step in assign_ring rewrites the first binding
+    # of the spine only, and no later binding reads its type (each is
+    # Unit^{}), so no other binding's assignment is typed again
+    families = bench_families()
+    term = elaborate(parse(families.assign_ring(8).text))
+    assigns = _counting(monkeypatch, Assign)
+    typed = []
+
+    class Recording(typecheck.Retyper):
+        def __call__(self, store, t):
+            assigns.clear()
+            qty = super().__call__(store, t)
+            typed.append((t, list(assigns)))
+            return qty
+
+    monkeypatch.setattr(machine, "Retyper", Recording)
+    report = check_preservation(term, EMPTY_SIGMA)
+    assert report.ok and report.status == "value"
+    assert len(typed) == len(report.steps) + 1
+    quiet = [(t, a) for s, (t, a) in zip(report.steps, typed[1:])
+             if s.rule in ("deref", "assign") and isinstance(t, Let)]
+    assert len(quiet) == 2 * 8
+    for t, again in quiet:
+        assert all(node is t.rhs for node in again)
+    # over the run, each of the 8 assignments is typed a few times, not
+    # once per step as a full recheck types it
+    assert sum(len(a) for _, a in typed) <= 8 * 8

@@ -48,6 +48,26 @@ def test_ref_content_qualifier_is_invariant():
                         RefT(qt(INT, qual("x", "y"))))
 
 
+def test_ref_content_atoms_must_be_bound_by_their_innermost_binder():
+    ref_x = RefT(qt(INT, qual("x")))
+    ref_loc = RefT(qt(INT, qual(locs=[0])))
+    # a term binder or a qualifier variable binds x; a type variable,
+    # nothing, or an unstored location does not
+    for env, bound in ((env_of(TermBind("x", qt(INT))), True),
+                       (env_of(TypeBind("X", "x", qt(Top()))), True),
+                       (env_of(TypeBind("x", "y", qt(Top()))), False),
+                       (EMPTY_ENV, False)):
+        assert type_sub(env, EMPTY_STORE, ref_x, ref_x) is bound
+    assert not type_sub(EMPTY_ENV, EMPTY_STORE, ref_loc, ref_loc)
+    assert type_sub(EMPTY_ENV, StoreTyping({0: qt(INT)}), ref_loc, ref_loc)
+    # cross-kind shadowing: the type variable x hides the term binder x,
+    # as it does from every other lookup, so x is not bound here (the
+    # whole domain, `env.dom()`, would still count the outer term binder)
+    shadowed = env_of(TermBind("x", qt(INT)), TypeBind("x", "y", qt(Top())))
+    assert VarAtom("x") in shadowed.dom()
+    assert not type_sub(shadowed, EMPTY_STORE, ref_x, ref_x)
+
+
 def test_type_variable_chases_its_bound():
     env = env_of(TypeBind("X", "x", qt(Top(), qual(fresh=True))))
     assert type_sub(env, EMPTY_STORE, TVar("X"), Top())
