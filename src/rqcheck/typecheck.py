@@ -332,7 +332,8 @@ class _Checker:
                     renames = True
                     break
             if in_ty is None and (q.fresh or not renames):
-                in_ty = {a.name for a in free_atoms_type(body_q.ty)}
+                in_ty = {a.name for a in free_atoms_type(body_q.ty)
+                         if type(a) is VarAtom}
                 in_q = {a.name for a in body_q.q.atoms if type(a) is VarAtom}
             if q.fresh and name in in_ty:
                 raise CheckError(
@@ -481,10 +482,7 @@ class Retyper(_Checker):
                     if not spine.unchanged(b.free, then, at):
                         b, free = None, b.free
             if b is None:
-                if k + 1 == j:
-                    env = env.extended(TermBind(names[k], bound[k].qtype))
-                    phi = phi | {VarAtom(names[k])}
-                elif k < j:
+                if k < j:
                     env = TypeEnv(env.entries + tuple(
                         TermBind(x, c.qtype)
                         for x, c in zip(names[k:], bound[k:j])))

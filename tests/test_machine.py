@@ -416,6 +416,14 @@ ALIAS_AT_REF = "val r = ref 0; val a = r; val b = !a; b"
 # goes, while b's rhs `a` stays the same object
 NARROWED_AT_LET = "val k = 5; val a = k; val b = a; val r = ref b; !r"
 
+# once c and d are substituted, the body `d` of the inner lets has the
+# type Ref[Ref[Int]^{@0}], which names a location: the let's conclusion
+# must look only at the variables free in it
+LOC_IN_LET_BODY = "val c = ref 0; val d = ref c; val n = (val k = 1; d); !n"
+LOC_IN_LAMBDA_LET_BODY = (
+    "val c = ref 0; val d = ref c; "
+    "val f = fn f^{c, d}(u: Unit^{}) { val k = 1; d }; val g = f(unit); 0")
+
 
 def _differential_programs():
     """(name, term): the runnable corpus, the four families at n=1..20,
@@ -432,6 +440,8 @@ def _differential_programs():
     yield "stale-open-closure", parse_term(STALE_OPEN_CLOSURE)
     yield "alias-at-ref", parse_term(ALIAS_AT_REF)
     yield "narrowed-at-let", parse_term(NARROWED_AT_LET)
+    yield "loc-in-let-body", parse_term(LOC_IN_LET_BODY)
+    yield "loc-in-lambda-let-body", parse_term(LOC_IN_LAMBDA_LET_BODY)
 
 
 DIFFERENTIAL = list(_differential_programs())
