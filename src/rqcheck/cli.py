@@ -22,7 +22,7 @@ from .machine import (
 )
 from .subtyping import DEFAULT_FUEL
 from .surface import elaborate, parse, parse_pair, pretty
-from .syntax import StoreTyping, TermBind, TypeEnv, VarAtom
+from .syntax import EMPTY_ENV, StoreTyping, TermBind, VarAtom
 from .typecheck import TypingResult, check_program, synthesize
 
 EXIT_OK = 0
@@ -45,11 +45,11 @@ def check_source(text: str, fuel: int = DEFAULT_FUEL) -> TypingResult:
     """Check a program: declarations stay in the environment and the
     final expression's qualified type is reported under them."""
     prog = parse(text)
-    env = TypeEnv()
+    env = EMPTY_ENV
     store = StoreTyping()
-    # only term bindings are made, so phi is env.dom(), grown one atom at
-    # a time rather than rebuilt from every entry per declaration
-    phi: frozenset = frozenset()
+    # only term bindings are made, so phi is env.dom(), grown in place one
+    # atom per declaration, as `_Checker._let` grows it
+    phi = set()
     for decl in prog.decls:
         if decl[0] == "assume":
             _, name, ann = decl
@@ -58,7 +58,7 @@ def check_source(text: str, fuel: int = DEFAULT_FUEL) -> TypingResult:
             _, name, rhs = decl
             result = synthesize(env, store, phi, rhs, fuel)
             env = env.extended(TermBind(name, result.qtype))
-        phi = phi | {VarAtom(name)}
+        phi.add(VarAtom(name))
     return synthesize(env, store, phi, prog.main, fuel)
 
 
@@ -76,7 +76,7 @@ def load(path, kind: str, fuel: int = DEFAULT_FUEL):
     programs = parse_pair(text) if kind == "sep" else (parse(text),)
     terms = [elaborate(p) for p in programs]
     for term in terms:
-        check_program(TypeEnv(), StoreTyping(), term, fuel)
+        check_program(EMPTY_ENV, StoreTyping(), term, fuel)
     return terms
 
 
@@ -129,10 +129,16 @@ def cmd_eval(args) -> int:
         report = check_preservation(term, StoreTyping(), fuel=args.fuel)
         for s in report.steps:
             witness = sorted(a.render() for a in s.witness)
-            _emit(args, {"step": s.index, "rule": s.rule, "witness": witness, "ok": s.ok},
+            record = {"step": s.index, "rule": s.rule, "witness": witness, "ok": s.ok}
+            if s.q_after is None:
+                # the checker rejected the term this step made
+                record["detail"] = s.detail
+                after = f"ill-typed VIOLATION: {s.detail}"
+            else:
+                after = f"{pretty(s.q_after)} {'ok' if s.ok else 'VIOLATION'}"
+            _emit(args, record,
                   f"step {s.index} [{s.rule}] growth witness {{{', '.join(witness)}}}: "
-                  f"{pretty(s.q_before)} -> {pretty(s.q_after)} "
-                  f"{'ok' if s.ok else 'VIOLATION'}")
+                  f"{pretty(s.q_before)} -> {after}")
         if report.status == "fuel":
             raise FuelExhausted("evaluation fuel exhausted")
         if not report.ok:

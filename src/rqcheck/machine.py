@@ -52,10 +52,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from .qualifiers import overlap, q_grow, qual_sub, saturate
+from .errors import CheckError
 from .syntax import (
-    EMPTY_SUBSTITUTION, SHAPES, Abs, App, Ascribe, Assign, Deref, Let,
-    LocAtom, LocTerm, QualifiedType, Qualifier, RefAlloc, StoreTyping, TAbs,
-    TApp, Term, TypeEnv, UnitLit, Var, alpha_eq, free_atoms_qtype,
+    EMPTY_ENV, EMPTY_SUBSTITUTION, SHAPES, Abs, App, Ascribe, Assign, Deref,
+    Let, LocAtom, LocTerm, QualifiedType, Qualifier, RefAlloc, StoreTyping,
+    TAbs, TApp, Term, UnitLit, Var, alpha_eq, free_atoms_qtype,
     free_term_atoms, is_value, map_parts, with_part,
 )
 from .subtyping import type_sub
@@ -254,21 +255,20 @@ def eval_term(t: Term, fuel: int = DEFAULT_EVAL_FUEL) -> EvalResult:
 def store_wf(sigma: StoreTyping) -> bool:
     """Entries are closed, mention only stored locations, and are
     saturation fixpoints."""
-    env = TypeEnv()
     dom = sigma.dom()
     for entry in sigma.mapping.values():
         if not free_atoms_qtype(entry) <= dom:
             return False
-        if saturate(env, sigma, entry.q) != entry.q:
+        if saturate(EMPTY_ENV, sigma, entry.q) != entry.q:
             return False
     return True
 
 
 def _extend_store_typing(sigma: StoreTyping, store: dict, loc: int) -> StoreTyping:
     """Type a newly allocated cell from its value, saturated for ⊢ Σ."""
-    result = check_program(TypeEnv(), sigma, store[loc])
+    result = check_program(EMPTY_ENV, sigma, store[loc])
     entry = QualifiedType(result.qtype.ty,
-                          saturate(TypeEnv(), sigma, result.qtype.q))
+                          saturate(EMPTY_ENV, sigma, result.qtype.q))
     return sigma.extended(loc, entry)
 
 
@@ -278,7 +278,7 @@ class StepReport:
     rule: str
     witness: frozenset        # newly allocated locations
     q_before: Qualifier
-    q_after: Qualifier
+    q_after: Optional[Qualifier]   # None: the new term was rejected
     ok: bool
     detail: str = ""
 
@@ -286,7 +286,7 @@ class StepReport:
 @dataclass
 class PreservationReport:
     ok: bool
-    status: str               # final evaluation status
+    status: str               # final evaluation status, or "ill-typed"
     steps: List[StepReport] = field(default_factory=list)
     final_term: Optional[Term] = None
 
@@ -302,7 +302,9 @@ def check_preservation(t: Term, sigma0: StoreTyping,
     closed λ or Λ carried over from the step before keeps its typing
     under the same Σ, and a let binding whose rhs and reachable entries
     the step left alone keeps its typing (see `Retyper`), for this call
-    only. The run starts from an empty store.
+    only. The run starts from an empty store. A term the checker rejects
+    ends the run with a failed step whose detail names the error code, and
+    the status "ill-typed".
     """
     store: dict = {}
     sigma = sigma0
@@ -323,14 +325,21 @@ def check_preservation(t: Term, sigma0: StoreTyping,
         if out.event.rule == "ref":
             sigma = _extend_store_typing(sigma, store, out.event.loc)
             new_locs = frozenset({LocAtom(out.event.loc)})
-        qty2 = retype(sigma, t)
+        try:
+            qty2 = retype(sigma, t)
+        except CheckError as exc:
+            report.steps.append(StepReport(
+                i, out.event.rule, new_locs, qty.q, None, False,
+                f"re-typing rejected [{exc.code}]: {exc.detail}"))
+            report.ok, report.status = False, "ill-typed"
+            return report
         q_after = qty2.q
         witness = Qualifier(False, new_locs)
         expected = q_grow(qty.q, witness)
-        ok = qual_sub(TypeEnv(), sigma, q_after, expected)
+        ok = qual_sub(EMPTY_ENV, sigma, q_after, expected)
         detail = "" if ok else "qualifier not below the grown previous one"
         if ok and not (alpha_eq(qty2.ty, qty.ty)
-                       or type_sub(TypeEnv(), sigma, qty2.ty, qty.ty)):
+                       or type_sub(EMPTY_ENV, sigma, qty2.ty, qty.ty)):
             ok = False
             detail = "type part not below the previous one"
         report.steps.append(StepReport(i, out.event.rule, new_locs,
@@ -380,15 +389,16 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
     Σ, and so does a let binding whose rhs and reachable entries are
     unchanged (see `Retyper`). A memo compares with what its own last
     calls met, so the two sides do not share one. The other side keeps its qualified
-    type: its term is the same, and Σ only grew. The run writes a copy of
-    `store0` (cells 0 to n-1, as a run allocates them), never the
-    caller's dict."""
+    type: its term is the same, and Σ only grew. A side the checker
+    rejects after a step ends the run, not ok, with the error code in
+    the detail. The run writes a copy of `store0` (cells 0 to n-1, as a
+    run allocates them), never the caller's dict."""
     store = dict(store0 or {})
     sigma = sigma0
     retype = (Retyper(), Retyper())
     q1 = retype[0](sigma, t1).q
     q2 = retype[1](sigma, t2).q
-    ov = overlap(TypeEnv(), sigma, q1, q2)
+    ov = overlap(EMPTY_ENV, sigma, q1, q2)
     if ov.atoms:
         return SeparationReport(False, False,
                                 detail=f"premise failed: overlap has {len(ov.atoms)} atoms")
@@ -409,8 +419,14 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
         terms[side] = out.term
         if out.event.rule == "ref":
             sigma = _extend_store_typing(sigma, store, out.event.loc)
-        quals[side] = retype[side](sigma, terms[side]).q
-        ov = overlap(TypeEnv(), sigma, quals[0], quals[1])
+        try:
+            quals[side] = retype[side](sigma, terms[side]).q
+        except CheckError as exc:
+            report.ok = False
+            report.detail = (f"side {side + 1} re-typing rejected at step {i} "
+                             f"[{exc.code}]: {exc.detail}")
+            return report
+        ov = overlap(EMPTY_ENV, sigma, quals[0], quals[1])
         report.steps.append(
             f"step {i}: q1 atoms={len(quals[0].atoms)} q2 atoms={len(quals[1].atoms)} "
             f"overlap atoms={len(ov.atoms)}")

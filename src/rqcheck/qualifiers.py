@@ -161,6 +161,10 @@ def qual_sub(env: TypeEnv, store: StoreTyping, p: Qualifier,
     if p.atoms <= proven:
         return True
     for a in p.atoms:
+        if a in proven:
+            continue
+        if a in refuted:
+            return False
         if not _covered(env, store, proven, refuted, a, frozenset()):
             refuted.add(a)
             return False

@@ -24,6 +24,14 @@ qualifier variables and qualifiers in for atoms, all in one pass. Each
 use grows one from `EMPTY_SUBSTITUTION` by `extended`, `with_type` and
 `with_qual` and applies it once; `subst_term` and `subst_qtype_in_term`
 are its one-binding cases for terms.
+
+An environment Γ (`TypeEnv`) is persistent: extending it is O(1) and
+copies nothing, and the environments grown from one root share one index
+from each name to its innermost binder, which a lookup moves to the
+environment it asks (shallow binding). So a checker that extends Γ by
+one binder per `let`, and types a λ body beside the spine, does O(1)
+environment work per binding and per lookup. `EMPTY_ENV` is the empty
+environment that every caller without one of its own shares.
 """
 
 from __future__ import annotations
@@ -269,12 +277,118 @@ class TypeBind:
 EnvEntry = Union[TermBind, TypeBind]
 
 
-@dataclass(frozen=True)
+def _restore(names: dict, name: str, hidden: Optional[EnvEntry]):
+    if hidden is None:
+        names.pop(name, None)   # twice for X^X
+    else:
+        names[name] = hidden
+
+
+class _Index:
+    """The name index a family of environments shares: `names` maps each
+    name to its innermost binder in the environment `at` (None while a
+    move is under way)."""
+
+    __slots__ = ("names", "at")
+
+    def __init__(self, at: "TypeEnv"):
+        self.names: dict = {}
+        self.at = at
+
+
 class TypeEnv:
-    entries: tuple = ()
+    """Γ, a telescope of entries, outermost first; immutable.
+
+    An environment is a chain: the one it extends (`extended`) plus one
+    entry, down to an empty root. `TypeEnv(entries)` builds the chain of
+    a tuple from a new root. Every environment grown from one root shares
+    one name index (`_Index`), after Baker's shallow binding ("Shallow
+    binding makes functional arrays fast", 1991): it maps each name to
+    its innermost binder in one environment of the family at a time. A
+    lookup in another environment first moves the index there: it undoes
+    the entries of the one it holds up to their nearest common ancestor
+    and applies the target's from there down, each applied environment
+    keeping what its entry hid. So `extended` is O(1) and copies nothing,
+    a lookup in the environment last looked up in is one dict access, and
+    any other lookup costs the distance between the two. The checker
+    walks the family depth first (a let spine, a λ body beside it, the
+    binders `subtyping` adds for `Fun` and `All`), so each entry is
+    applied and undone O(1) times. The index is not safe to share
+    between threads.
+
+    `entries` is built on demand from the chain, in O(n); `dom`, `==`,
+    `hash` and `repr` read it, so they mean what they did for a tuple.
+    """
+
+    __slots__ = ("_parent", "_entry", "_depth", "_index", "_saved")
+
+    def __new__(cls, entries: tuple = ()):
+        env = object.__new__(cls)
+        env._parent = env._entry = env._saved = None
+        env._depth, env._index = 0, _Index(env)
+        for e in entries:
+            env = env.extended(e)
+        return env
 
     def extended(self, entry: EnvEntry) -> "TypeEnv":
-        return TypeEnv(self.entries + (entry,))
+        new = object.__new__(TypeEnv)
+        new._parent, new._entry, new._depth = self, entry, self._depth + 1
+        new._index, new._saved = self._index, None
+        return new
+
+    @property
+    def entries(self) -> tuple:
+        out, env = [], self
+        while env._parent is not None:
+            out.append(env._entry)
+            env = env._parent
+        return tuple(reversed(out))
+
+    def __eq__(self, other):
+        if type(other) is not TypeEnv:
+            return NotImplemented
+        return self is other or self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"TypeEnv(entries={self.entries!r})"
+
+    def _move_index(self):
+        """Make the family's index hold this environment. The index holds
+        none while it moves, so a move cut short by an exception (an
+        interrupt in a long-lived process) is redone from the root."""
+        index = self._index
+        names, old, new, down = index.names, index.at, self, []
+        index.at = None
+        if old is None:
+            names.clear()
+            old = self
+            while old._parent is not None:
+                old = old._parent
+        while old is not new:
+            if old._depth >= new._depth:
+                # undo old's entry: give back what it hid
+                e = old._entry
+                if type(e) is TermBind:
+                    _restore(names, e.name, old._saved)
+                else:
+                    _restore(names, e.qvar, old._saved[1])
+                    _restore(names, e.tvar, old._saved[0])
+                old = old._parent
+            else:
+                down.append(new)
+                new = new._parent
+        for env in reversed(down):
+            e = env._entry
+            if type(e) is TermBind:
+                env._saved = names.get(e.name)
+                names[e.name] = e
+            else:
+                env._saved = (names.get(e.tvar), names.get(e.qvar))
+                names[e.tvar] = names[e.qvar] = e
+        index.at = self
 
     def binder(self, name: str) -> Optional[EnvEntry]:
         """The innermost entry that binds name, whatever its kind: a term
@@ -282,11 +396,10 @@ class TypeEnv:
         surface language; an inner binder of another kind hides an outer
         one, which happens once a closed value is copied under a binder
         of one of its own names."""
-        for e in reversed(self.entries):
-            if (e.name == name if type(e) is TermBind
-                    else name == e.qvar or name == e.tvar):
-                return e
-        return None
+        index = self._index
+        if index.at is not self:
+            self._move_index()
+        return index.names.get(name)
 
     def lookup_term(self, name: str) -> Optional[QualifiedType]:
         e = self.binder(name)
@@ -308,6 +421,10 @@ class TypeEnv:
     def dom(self) -> frozenset:
         return frozenset(VarAtom(e.name if type(e) is TermBind else e.qvar)
                          for e in self.entries)
+
+
+# the empty environment; immutable, so one object serves every caller
+EMPTY_ENV = TypeEnv()
 
 
 class StoreTyping:
@@ -758,7 +875,7 @@ def well_scoped_qtype(qty: QualifiedType, env: TypeEnv, store: StoreTyping) -> b
 
 def telescope_ok(env: TypeEnv, store: StoreTyping) -> bool:
     """Each entry may only mention earlier entries (and store locations)."""
-    seen = TypeEnv()
+    seen = EMPTY_ENV
     taken = set()
     for e in env.entries:
         if isinstance(e, TermBind):

@@ -6,8 +6,10 @@ enforcement. Every rejection carries exactly one primary error code.
 `synth` dispatches through one rule table, `_SYNTH`. λ and Λ share their
 rules, since `tfn f[X^x <: T^q]` is an abstraction whose parameter is
 X^x: `_abstraction` serves T-Abs and T-TAbs, `_application` T-App and
-T-TApp. Running out of subtyping fuel is never a rejection:
-`FuelExhausted` reaches the caller as it is. `Retyper` types the
+T-TApp. T-Let grows Γ and φ by one binder: Γ by `TypeEnv.extended`, φ
+in place, in a copy made once per let spine. Running out of subtyping
+fuel is never a rejection: `FuelExhausted` reaches the caller as it
+is. `Retyper` types the
 successive terms of a machine run as `check_program` does, reusing what
 it synthesized for a closed λ or Λ, or a binding of the root let spine,
 that a step left as it was.
@@ -16,18 +18,18 @@ that a step left as it was.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import AbstractSet, List
 
 from .errors import CheckError, InternalError
 from .qualifiers import overlap, qual_sub
 from .subtyping import DEFAULT_FUEL, type_sub
 from .surface import pretty as _pretty
 from .syntax import (
-    EMPTY_SUBSTITUTION, Abs, All, App, Ascribe, Assign, Const, Deref, Fun,
-    INT, Let, LocTerm, LocAtom, QualifiedType, Qualifier, RefAlloc, RefT,
-    StoreTyping, TAbs, TApp, TermBind, Term, Top, TypeBind, TypeEnv, UNIT,
-    UnitLit, Var, VarAtom, free_atoms_qtype, free_atoms_type, free_term_atoms,
-    telescope_ok, value_qualifier, well_scoped_qtype,
+    EMPTY_ENV, EMPTY_SUBSTITUTION, Abs, All, App, Ascribe, Assign, Const,
+    Deref, Fun, INT, Let, LocTerm, LocAtom, QualifiedType, Qualifier,
+    RefAlloc, RefT, StoreTyping, TAbs, TApp, TermBind, Term, Top, TypeBind,
+    TypeEnv, UNIT, UnitLit, Var, VarAtom, free_atoms_qtype, free_atoms_type,
+    free_term_atoms, telescope_ok, value_qualifier, well_scoped_qtype,
 )
 
 # Error codes
@@ -80,7 +82,7 @@ class _Checker:
             raise CheckError(SCOPE_ERROR,
                              f"{what} mentions names not in scope: {_pretty(qty)}")
 
-    def _observable(self, q: Qualifier, phi: frozenset, what: str,
+    def _observable(self, q: Qualifier, phi: AbstractSet, what: str,
                     extra: frozenset = frozenset()):
         missing = q.atoms - phi - extra
         if missing:
@@ -89,7 +91,7 @@ class _Checker:
 
     # -- the rules λ and Λ share ------------------------------------------
 
-    def _abstraction(self, env: TypeEnv, phi: frozenset, t, param: str,
+    def _abstraction(self, env: TypeEnv, phi: AbstractSet, t, param: str,
                      binding, self_type, what: str):
         """T-Abs and T-TAbs: an observable capture (the free variables,
         or a non-fresh annotation, which fails in the body if it omits a
@@ -113,7 +115,7 @@ class _Checker:
         body_q = self.synth(inner_env, capture.atoms | {f_atom, x_atom}, t.body)
         return capture, inner_env, body_q
 
-    def _application(self, env: TypeEnv, phi: frozenset, qf: Qualifier,
+    def _application(self, env: TypeEnv, phi: AbstractSet, qf: Qualifier,
                      arg: QualifiedType, dom: QualifiedType,
                      cod: QualifiedType, param: str, self_name: str, nouns):
         """T-App and T-TApp after their preludes: the argument (or type
@@ -163,17 +165,17 @@ class _Checker:
 
     # -- synthesis --------------------------------------------------------
 
-    def synth(self, env: TypeEnv, phi: frozenset, t: Term) -> QualifiedType:
+    def synth(self, env: TypeEnv, phi: AbstractSet, t: Term) -> QualifiedType:
         rule = _SYNTH.get(type(t))
         if rule is None:
             raise CheckError(TYPE_MISMATCH, f"cannot type {t!r}")
         return rule(self, env, phi, t)
 
-    def _cst(self, env: TypeEnv, phi: frozenset, t) -> QualifiedType:
+    def _cst(self, env: TypeEnv, phi: AbstractSet, t) -> QualifiedType:
         self.trace.append("t-cst")
         return QualifiedType(INT if type(t) is Const else UNIT, Qualifier())
 
-    def _var(self, env: TypeEnv, phi: frozenset, t: Var) -> QualifiedType:
+    def _var(self, env: TypeEnv, phi: AbstractSet, t: Var) -> QualifiedType:
         bound = env.lookup_term(t.name)
         if bound is None:
             raise CheckError(UNBOUND_VAR, f"variable {t.name} is not bound")
@@ -184,7 +186,7 @@ class _Checker:
         return QualifiedType(bound.ty,
                              Qualifier(False, frozenset({VarAtom(t.name)})))
 
-    def _loc(self, env: TypeEnv, phi: frozenset, t: LocTerm) -> QualifiedType:
+    def _loc(self, env: TypeEnv, phi: AbstractSet, t: LocTerm) -> QualifiedType:
         entry = self.store.get(t.loc)
         if entry is None:
             raise CheckError(UNBOUND_VAR, f"location @{t.loc} is not typed")
@@ -196,7 +198,7 @@ class _Checker:
         self.trace.append(f"t-loc @{t.loc}")
         return QualifiedType(RefT(entry), q)
 
-    def _abs(self, env: TypeEnv, phi: frozenset, t: Abs) -> QualifiedType:
+    def _abs(self, env: TypeEnv, phi: AbstractSet, t: Abs) -> QualifiedType:
         self._require_scoped(env, t.dom, "parameter annotation")
         capture, inner_env, body_q = self._abstraction(
             env, phi, t, t.param, TermBind(t.param, t.dom),
@@ -211,7 +213,7 @@ class _Checker:
         self.trace.append(f"t-abs {t.self_name}")
         return QualifiedType(Fun(t.self_name, t.param, t.dom, cod), capture)
 
-    def _tabs(self, env: TypeEnv, phi: frozenset, t: TAbs) -> QualifiedType:
+    def _tabs(self, env: TypeEnv, phi: AbstractSet, t: TAbs) -> QualifiedType:
         self._require_scoped(env, t.bound, "bound annotation")
         capture, _, body_q = self._abstraction(
             env, phi, t, t.qvar, TypeBind(t.tvar, t.qvar, t.bound),
@@ -221,7 +223,7 @@ class _Checker:
         return QualifiedType(
             All(t.self_name, t.tvar, t.qvar, t.bound, body_q), capture)
 
-    def _app(self, env: TypeEnv, phi: frozenset, t: App) -> QualifiedType:
+    def _app(self, env: TypeEnv, phi: AbstractSet, t: App) -> QualifiedType:
         fn_q = self.synth(env, phi, t.fn)
         if not isinstance(fn_q.ty, Fun):
             raise CheckError(TYPE_MISMATCH,
@@ -234,7 +236,7 @@ class _Checker:
         return (EMPTY_SUBSTITUTION.with_qual(fun.self_name, qf)
                 .with_qual(fun.param, arg_q.q)(fun.cod))
 
-    def _tapp(self, env: TypeEnv, phi: frozenset, t: TApp) -> QualifiedType:
+    def _tapp(self, env: TypeEnv, phi: AbstractSet, t: TApp) -> QualifiedType:
         fn_q = self.synth(env, phi, t.fn)
         if not isinstance(fn_q.ty, All):
             raise CheckError(
@@ -247,7 +249,7 @@ class _Checker:
         return (EMPTY_SUBSTITUTION.with_qual(univ.self_name, qf)
                 .with_type(univ.tvar, univ.qvar, t.arg)(univ.body))
 
-    def _ref(self, env: TypeEnv, phi: frozenset, t: RefAlloc) -> QualifiedType:
+    def _ref(self, env: TypeEnv, phi: AbstractSet, t: RefAlloc) -> QualifiedType:
         init_q = self.synth(env, phi, t.init)
         if init_q.q.fresh:
             raise CheckError(
@@ -256,7 +258,7 @@ class _Checker:
         self.trace.append("t-ref")
         return QualifiedType(RefT(init_q), Qualifier(True, init_q.q.atoms))
 
-    def _deref(self, env: TypeEnv, phi: frozenset, t: Deref) -> QualifiedType:
+    def _deref(self, env: TypeEnv, phi: AbstractSet, t: Deref) -> QualifiedType:
         ref_q = self.synth(env, phi, t.ref)
         if not isinstance(ref_q.ty, RefT):
             raise CheckError(TYPE_MISMATCH,
@@ -269,7 +271,7 @@ class _Checker:
         self.trace.append("t-deref")
         return content
 
-    def _assign(self, env: TypeEnv, phi: frozenset, t: Assign) -> QualifiedType:
+    def _assign(self, env: TypeEnv, phi: AbstractSet, t: Assign) -> QualifiedType:
         lhs_q = self.synth(env, phi, t.lhs)
         if not isinstance(lhs_q.ty, RefT):
             raise CheckError(TYPE_MISMATCH,
@@ -294,7 +296,7 @@ class _Checker:
         self.trace.append("t-assgn")
         return QualifiedType(UNIT, Qualifier())
 
-    def _ascribe(self, env: TypeEnv, phi: frozenset, t: Ascribe) -> QualifiedType:
+    def _ascribe(self, env: TypeEnv, phi: AbstractSet, t: Ascribe) -> QualifiedType:
         self._require_scoped(env, t.qtype, "ascription")
         got = self.synth(env, phi, t.term)
         self._observable(t.qtype.q, phi, "ascription qualifier")
@@ -302,16 +304,20 @@ class _Checker:
         self.trace.append("t-sub")
         return t.qtype
 
-    def _let(self, env: TypeEnv, phi: frozenset, t: Let) -> QualifiedType:
-        # a loop down the spine of nested lets, not a recursion, so the
-        # number of top-level `val`s is not bounded by the recursion limit
+    def _let(self, env: TypeEnv, phi: AbstractSet, t: Let) -> QualifiedType:
+        """T-Let down a spine of nested lets: a loop, not a recursion, so
+        the number of top-level `val`s is not bounded by the recursion
+        limit. φ is copied once, here, and grown in place by each binder,
+        so extending Γ and φ costs O(1) per binding, and a spine in a
+        right-hand side never changes its caller's φ."""
+        phi = set(phi)
         names, types = [], []
         while type(t) is Let:
             rhs_q = self.synth(env, phi, t.rhs)
             names.append(t.name)
             types.append(rhs_q)
             env = env.extended(TermBind(t.name, rhs_q))
-            phi = phi | {VarAtom(t.name)}
+            phi.add(VarAtom(t.name))
             t = t.body
         return self._unbind(names, types, self.synth(env, phi, t))
 
@@ -357,12 +363,13 @@ _SYNTH = {
 }
 
 
-def synthesize(env: TypeEnv, store: StoreTyping, phi: frozenset, t: Term,
+def synthesize(env: TypeEnv, store: StoreTyping, phi: AbstractSet, t: Term,
                fuel: int = DEFAULT_FUEL) -> TypingResult:
     """Synthesize a qualified type; raises CheckError on rejection and
-    FuelExhausted when subtyping runs out of fuel."""
+    FuelExhausted when subtyping runs out of fuel. φ is read, never kept
+    or changed, so a caller may grow one set between calls."""
     checker = _Checker(store, fuel)
-    qty = checker.synth(env, frozenset(phi), t)
+    qty = checker.synth(env, phi, t)
     return TypingResult(qty, checker.trace)
 
 
@@ -397,7 +404,9 @@ class Retyper(_Checker):
     The let spine at the root, which the machine's steps rewrite at its
     first binding, is walked here instead of by `_let`. Its binding j is
     typed under the types of bindings 0..j-1, φ = dom(Σ) ∪ {x_0..x_{j-1}}
-    and Σ, and the checker reads these at named atoms only: the
+    and Σ; as in `_let`, the walk extends Γ by each binding and grows one
+    copy of φ in place, O(1) per binding, up to the last binding it types
+    again. The checker reads these at named atoms only: the
     environment through the innermost binder of a name, φ by
     membership, Σ by `get` (`dom` is membership too; `type_sub` tests a
     `Ref` content atom the same way). Every type and qualifier the
@@ -448,24 +457,25 @@ class Retyper(_Checker):
         else:
             # a step rebuilds the root, so a term that is not a spine of
             # lets is never met again
-            qty = self.synth(TypeEnv(), store.dom(), t)
+            qty = self.synth(EMPTY_ENV, store.dom(), t)
         if not qty.q.atoms <= store.dom():
             raise InternalError("synthesized an unobservable qualifier")
         return qty
 
     def _retype_spine(self, t: Let) -> QualifiedType:
-        """`_let` on the root spine. The record of each binding, and of
-        the body, is the last call's record of the same rhs, at the same
-        position or one further on (a let-β drops the first binding),
-        if nothing its typing can consult changed (see the class
-        docstring); else the rhs is synthesized again."""
+        """`_let` on the root spine, growing Γ and φ as `_let` does. The
+        record of each binding, and of the body, is the last call's
+        record of the same rhs, at the same position or one further on (a
+        let-β drops the first binding), if nothing its typing can consult
+        changed (see the class docstring); else the rhs is synthesized
+        again."""
         then = self._spine
         spine = self._spine = _Spine(self.store, self._store_atoms)
         names, bound, old = spine.names, spine.bound, then.bound
         n, j, k = len(old), 0, 0
-        # the environment and φ of bindings 0..k-1, extended to the
-        # current binding only when a rhs is synthesized
-        env, phi = TypeEnv(), self.store.dom()
+        # the environment and φ of bindings 0..k-1, grown as `_let` grows
+        # them, up to the current binding when a rhs is synthesized
+        env, phi = EMPTY_ENV, set(self.store.dom())
         while True:
             rhs = t.rhs if type(t) is Let else t
             value = type(rhs) is Abs or type(rhs) is TAbs
@@ -482,12 +492,10 @@ class Retyper(_Checker):
                     if not spine.unchanged(b.free, then, at):
                         b, free = None, b.free
             if b is None:
-                if k < j:
-                    env = TypeEnv(env.entries + tuple(
-                        TermBind(x, c.qtype)
-                        for x, c in zip(names[k:], bound[k:j])))
-                    phi = phi | {VarAtom(x) for x in names[k:]}
-                k = j
+                while k < j:
+                    env = env.extended(TermBind(names[k], bound[k].qtype))
+                    phi.add(VarAtom(names[k]))
+                    k += 1
                 b = _Bound(rhs, self.synth(env, phi, rhs), free)
                 p = then.index.get(t.name) if type(t) is Let else None
                 if p is not None and not value and b.qtype == old[p].qtype:
@@ -505,7 +513,7 @@ class Retyper(_Checker):
             t = t.body
         return self._unbind(names, [b.qtype for b in bound], bound[-1].qtype)
 
-    def synth(self, env: TypeEnv, phi: frozenset, t: Term) -> QualifiedType:
+    def synth(self, env: TypeEnv, phi: AbstractSet, t: Term) -> QualifiedType:
         if type(t) is not Abs and type(t) is not TAbs:
             return _Checker.synth(self, env, phi, t)
         known = self._seen.get(id(t)) or self._last.get(id(t))

@@ -113,6 +113,20 @@ def test_eval_verify_preservation_reports_every_step(capsys):
     assert out.count("ok") >= 10
 
 
+def test_eval_verify_preservation_reports_a_rejected_re_typing(capsys, tmp_path):
+    # the checker accepts the program, but rejects the term one of its
+    # steps makes: a failed step, and exit 1 (see test_machine)
+    src = tmp_path / "retyped.rq"
+    src.write_text("val c = ref 0; val d = ref c; val f = fn f(u: Unit^{}) { d };\n"
+                   "val g = f(unit);\n0\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", str(src), "--verify-preservation")
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "step 3 [beta] growth witness {}: {} -> ill-typed VIOLATION: "
+        "re-typing rejected [Unobservable]: location @1: @0 not observable")
+    assert "PreservationViolation" in err
+
+
 def test_eval_rejects_ill_typed_input(capsys):
     code, _, err = run(capsys, "eval", corpus_path("ref_content_fresh.rq"))
     assert code == 1

@@ -272,6 +272,32 @@ def test_a_copied_type_abstraction_keeps_its_own_qualifier_variable():
     assert [s.ok for s in report.steps] == [True, True]
 
 
+# `rq check` accepts this and `rq eval` runs it to 0, but once d's let-β
+# puts @1 into f's body, T-Loc gives @1 the qualifier {@0, @1}, and @0 is
+# not observable under f's capture {d}: the checker rejects the new term
+RETYPE_REJECTED = ("val c = ref 0; val d = ref c; "
+                   "val f = fn f(u: Unit^{}) { d }; val g = f(unit); 0")
+
+
+def test_a_rejected_re_typing_is_a_failed_step():
+    report = check_preservation(parse_term(RETYPE_REJECTED), EMPTY_SIGMA)
+    assert (report.ok, report.status) == (False, "ill-typed")
+    assert [(s.rule, s.ok) for s in report.steps] == [
+        ("ref", True), ("beta", True), ("ref", True), ("beta", False)]
+    last = report.steps[-1]
+    assert last.q_after is None
+    assert last.detail == ("re-typing rejected [Unobservable]: "
+                           "location @1: @0 not observable")
+
+
+def test_a_rejected_re_typing_ends_a_separation_experiment():
+    report = separation_experiment(parse_term(RETYPE_REJECTED), Const(0),
+                                   EMPTY_SIGMA)
+    assert report.premise_ok and not report.ok
+    assert report.detail == ("side 1 re-typing rejected at step 3 "
+                             "[Unobservable]: location @1: @0 not observable")
+
+
 # ---------------------------------------------------------------------------
 # Separation harness
 
