@@ -26,12 +26,11 @@ use grows one from `EMPTY_SUBSTITUTION` by `extended`, `with_type` and
 are its one-binding cases for terms.
 
 An environment Γ (`TypeEnv`) is persistent: extending it is O(1) and
-copies nothing, and the environments grown from one root share one index
-from each name to its innermost binder, which a lookup moves to the
-environment it asks (shallow binding). So a checker that extends Γ by
-one binder per `let`, and types a λ body beside the spine, does O(1)
-environment work per binding and per lookup. `EMPTY_ENV` is the empty
-environment that every caller without one of its own shares.
+copies nothing, and all environments, grown from the one empty root
+`EMPTY_ENV`, share one index from each name to its innermost binder,
+which a lookup moves to the environment it asks (shallow binding). So a
+checker that extends Γ by one binder per `let`, and types a λ body
+beside the spine, does O(1) environment work per binding and per lookup.
 """
 
 from __future__ import annotations
@@ -285,9 +284,9 @@ def _restore(names: dict, name: str, hidden: Optional[EnvEntry]):
 
 
 class _Index:
-    """The name index a family of environments shares: `names` maps each
-    name to its innermost binder in the environment `at` (None while a
-    move is under way)."""
+    """The name index every environment shares: `names` maps each name
+    to its innermost binder in the environment `at` (None while a move is
+    under way)."""
 
     __slots__ = ("names", "at")
 
@@ -300,32 +299,30 @@ class TypeEnv:
     """Γ, a telescope of entries, outermost first; immutable.
 
     An environment is a chain: the one it extends (`extended`) plus one
-    entry, down to an empty root. `TypeEnv(entries)` builds the chain of
-    a tuple from a new root. Every environment grown from one root shares
-    one name index (`_Index`), after Baker's shallow binding ("Shallow
-    binding makes functional arrays fast", 1991): it maps each name to
-    its innermost binder in one environment of the family at a time. A
-    lookup in another environment first moves the index there: it undoes
-    the entries of the one it holds up to their nearest common ancestor
-    and applies the target's from there down, each applied environment
-    keeping what its entry hid. So `extended` is O(1) and copies nothing,
-    a lookup in the environment last looked up in is one dict access, and
-    any other lookup costs the distance between the two. The checker
-    walks the family depth first (a let spine, a λ body beside it, the
-    binders `subtyping` adds for `Fun` and `All`), so each entry is
-    applied and undone O(1) times. The index is not safe to share
-    between threads.
+    entry, down to the empty root `EMPTY_ENV`. `TypeEnv()` is that root,
+    and `TypeEnv(entries)` extends it by each entry in turn. Every
+    environment shares one name index (`_INDEX`), after Baker's shallow
+    binding ("Shallow binding makes functional arrays fast", 1991): it
+    maps each name to its innermost binder in one environment at a time.
+    A lookup in another environment first moves the index there: it
+    undoes the entries of the one it holds up to their nearest common
+    ancestor and applies the target's from there down, each applied
+    environment keeping what its entry hid. So `extended` is O(1) and
+    copies nothing, a lookup in the environment last looked up in is one
+    dict access, and any other lookup costs the distance between the
+    two. The checker walks the environments depth first (a let spine, a
+    λ body beside it, the binders `subtyping` adds for `Fun` and `All`),
+    so each entry is applied and undone O(1) times. The index is state
+    of the process, not safe to use from two threads at once.
 
     `entries` is built on demand from the chain, in O(n); `dom`, `==`,
     `hash` and `repr` read it, so they mean what they did for a tuple.
     """
 
-    __slots__ = ("_parent", "_entry", "_depth", "_index", "_saved")
+    __slots__ = ("_parent", "_entry", "_depth", "_saved")
 
     def __new__(cls, entries: tuple = ()):
-        env = object.__new__(cls)
-        env._parent = env._entry = env._saved = None
-        env._depth, env._index = 0, _Index(env)
+        env = EMPTY_ENV
         for e in entries:
             env = env.extended(e)
         return env
@@ -333,7 +330,7 @@ class TypeEnv:
     def extended(self, entry: EnvEntry) -> "TypeEnv":
         new = object.__new__(TypeEnv)
         new._parent, new._entry, new._depth = self, entry, self._depth + 1
-        new._index, new._saved = self._index, None
+        new._saved = None
         return new
 
     @property
@@ -356,17 +353,14 @@ class TypeEnv:
         return f"TypeEnv(entries={self.entries!r})"
 
     def _move_index(self):
-        """Make the family's index hold this environment. The index holds
-        none while it moves, so a move cut short by an exception (an
-        interrupt in a long-lived process) is redone from the root."""
-        index = self._index
-        names, old, new, down = index.names, index.at, self, []
-        index.at = None
+        """Make the index hold this environment. The index holds none
+        while it moves, so a move cut short by an exception (an interrupt
+        in a long-lived process) is redone from the root."""
+        names, old, new, down = _INDEX.names, _INDEX.at, self, []
+        _INDEX.at = None
         if old is None:
             names.clear()
-            old = self
-            while old._parent is not None:
-                old = old._parent
+            old = EMPTY_ENV
         while old is not new:
             if old._depth >= new._depth:
                 # undo old's entry: give back what it hid
@@ -388,7 +382,7 @@ class TypeEnv:
             else:
                 env._saved = (names.get(e.tvar), names.get(e.qvar))
                 names[e.tvar] = names[e.qvar] = e
-        index.at = self
+        _INDEX.at = self
 
     def binder(self, name: str) -> Optional[EnvEntry]:
         """The innermost entry that binds name, whatever its kind: a term
@@ -396,10 +390,9 @@ class TypeEnv:
         surface language; an inner binder of another kind hides an outer
         one, which happens once a closed value is copied under a binder
         of one of its own names."""
-        index = self._index
-        if index.at is not self:
+        if _INDEX.at is not self:
             self._move_index()
-        return index.names.get(name)
+        return _INDEX.names.get(name)
 
     def lookup_term(self, name: str) -> Optional[QualifiedType]:
         e = self.binder(name)
@@ -423,8 +416,11 @@ class TypeEnv:
                          for e in self.entries)
 
 
-# the empty environment; immutable, so one object serves every caller
-EMPTY_ENV = TypeEnv()
+# the empty environment, the root every environment grows from
+EMPTY_ENV = object.__new__(TypeEnv)
+EMPTY_ENV._parent = EMPTY_ENV._entry = EMPTY_ENV._saved = None
+EMPTY_ENV._depth = 0
+_INDEX = _Index(EMPTY_ENV)
 
 
 class StoreTyping:

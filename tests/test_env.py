@@ -1,6 +1,6 @@
 """The environment: every lookup in a `TypeEnv` returns what a reverse
-scan of its entries returns, however the environments of one family were
-grown; and checking a program does environment work linear in its size."""
+scan of its entries returns, however the environments were grown; and
+checking a program does environment work linear in its size."""
 
 import inspect
 import sys
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import bench_families
+from rqcheck import syntax
 from rqcheck.surface import elaborate, parse
 from rqcheck.syntax import (
     INT, QualifiedType, Qualifier, StoreTyping, TermBind, TypeBind, TypeEnv,
@@ -66,8 +67,8 @@ def _entry(spec, serial: int):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(entry_specs, max_size=5), operations)
 def test_lookups_agree_with_a_reverse_scan(root_specs, ops):
-    # one family, grown from a tuple, extended from any of its members in
-    # any order (so branching), and looked up in any order
+    # environments built from a tuple, extended from any of the ones made
+    # so far in any order (so branching), and looked up in any order
     root = TypeEnv(tuple(_entry(s, i) for i, s in enumerate(root_specs)))
     envs = [root]
     _agrees(root)
@@ -149,7 +150,7 @@ def test_checking_does_environment_work_linear_in_the_program(monkeypatch):
 
     def counted_move(env):
         # the distance from the environment the index holds to env
-        a, b = env._index.at, env
+        a, b = syntax._INDEX.at, env
         while a is not b:
             if a._depth >= b._depth:
                 a = a._parent
@@ -158,6 +159,7 @@ def test_checking_does_environment_work_linear_in_the_program(monkeypatch):
             moved.append(1)
         return move(env)
 
+    TypeEnv().binder("x")   # the index starts at the root
     monkeypatch.setattr(TypeEnv, "binder", counted_binder)
     monkeypatch.setattr(TypeEnv, "_move_index", counted_move)
     check_program(TypeEnv(), StoreTyping(), term)
