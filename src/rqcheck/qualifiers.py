@@ -3,7 +3,9 @@
 Growth, one-step reachability, saturation, overlap, and the decision
 procedure for qualifier subtyping. `q_subst` substitutes for one atom; the
 checker and the machine substitute with `syntax._Substitution`, and the
-tests compare the two.
+tests compare the two. Atoms and qualifiers are interned (see
+`syntax._Interned`), so the sets, dicts and table rows below hash and
+compare their members by identity, without a call into Python.
 
 Every function but `qual_sub` is pure. `qual_sub` keeps one table for the
 last (environment, store typing) pair it was asked about, held by

@@ -1,11 +1,14 @@
 """Abstract syntax shared by every other module.
 
-Values here are immutable dataclasses. Binder names are required to be
-unique within a program (the surface elaborator rejects shadowing). The
-machine's payloads are closed, so pushing them into a term never needs
-a rename; the checker's mention the caller's names, which a binder in
-the callee's codomain may reuse, so type substitution renames such a
-binder apart.
+Values here are immutable. Types, terms and environment entries are
+frozen dataclasses; atoms and qualifiers are interned (hash-consed), so
+equal ones are one object and compare and hash by identity, in C.
+
+Binder names are required to be unique within a program (the surface
+elaborator rejects shadowing). The machine's payloads are closed, so
+pushing them into a term never needs a rename; the checker's mention the
+caller's names, which a binder in the callee's codomain may reuse, so
+type substitution renames such a binder apart.
 
 The binder table `SHAPES` (section "Constructor shapes") says, for every
 type and term constructor, which fields are subterms, qualified-type
@@ -35,7 +38,7 @@ beside the spine, does O(1) environment work per binding and per lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import FrozenInstanceError, dataclass, fields as dataclass_fields
 from typing import Iterable, Optional, Union
 
 
@@ -43,21 +46,73 @@ from typing import Iterable, Optional, Union
 # Qualifiers
 
 
-@dataclass(frozen=True)
-class VarAtom:
-    """A term variable or type-qualifier variable occurring in a qualifier."""
+class _Interned:
+    """An immutable value that is the one object for its key (hash-consing:
+    Goto, "Monocopy and associative algorithms in extended Lisp", 1974;
+    Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).
 
-    name: str
+    Each class's `__new__` looks its key up in the class's table and
+    makes the object only when the key is new, through `dict.setdefault`,
+    so two threads that make the same value get one object. Equal values
+    are therefore identical: `==` and `hash` are `object`'s, and a set or
+    dict of them hashes and compares in C. The tables are state of the
+    process and keep every value made for as long as the process lives,
+    as `TypeEnv`'s index does. Fields are set once, in `__new__`;
+    assigning or deleting one raises `FrozenInstanceError`, as on a
+    frozen dataclass. `copy`, `deepcopy` and `pickle` make the value
+    again through the constructor, so they give back the interned
+    object.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class VarAtom(_Interned):
+    """A term variable or type-qualifier variable occurring in a qualifier;
+    interned by name, so equal atoms are one object."""
+
+    __slots__ = ("name",)
+    _table: dict = {}
+
+    def __new__(cls, name: str):
+        atom = VarAtom._table.get(name)
+        if atom is None:
+            atom = object.__new__(cls)
+            object.__setattr__(atom, "name", name)
+            atom = VarAtom._table.setdefault(name, atom)
+        return atom
 
     def render(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class LocAtom:
-    """A store location occurring in a qualifier."""
+class LocAtom(_Interned):
+    """A store location occurring in a qualifier; interned by number, so
+    equal atoms are one object."""
 
-    loc: int
+    __slots__ = ("loc",)
+    _table: dict = {}
+
+    def __new__(cls, loc: int):
+        atom = LocAtom._table.get(loc)
+        if atom is None:
+            atom = object.__new__(cls)
+            object.__setattr__(atom, "loc", loc)
+            atom = LocAtom._table.setdefault(loc, atom)
+        return atom
 
     def render(self) -> str:
         return f"@{self.loc}"
@@ -66,15 +121,31 @@ class LocAtom:
 Atom = Union[VarAtom, LocAtom]
 
 
-@dataclass(frozen=True)
-class Qualifier:
+class Qualifier(_Interned):
     """A finite set of atoms plus the freshness marker.
 
-    The marker is stored in `fresh`, never as an atom.
+    The marker is stored in `fresh`, never as an atom. Interned by
+    `(fresh, atoms)`, so equal qualifiers are one object: `fresh` is
+    made a bool and `atoms`, any iterable of atoms, a frozenset.
+    `Qualifier()` is `EMPTY` and `Qualifier(fresh=True)` is `FRESH`.
     """
 
-    fresh: bool = False
-    atoms: frozenset = frozenset()
+    __slots__ = ("fresh", "atoms")
+    # one table per value of fresh, keyed by the atoms
+    _tables: tuple = ({}, {})
+
+    def __new__(cls, fresh: bool = False, atoms: Iterable[Atom] = frozenset()):
+        fresh = True if fresh else False
+        if type(atoms) is not frozenset:
+            atoms = frozenset(atoms)
+        table = Qualifier._tables[fresh]
+        q = table.get(atoms)
+        if q is None:
+            q = object.__new__(cls)
+            object.__setattr__(q, "fresh", fresh)
+            object.__setattr__(q, "atoms", atoms)
+            q = table.setdefault(atoms, q)
+        return q
 
     def union(self, other: "Qualifier") -> "Qualifier":
         return Qualifier(self.fresh or other.fresh, self.atoms | other.atoms)

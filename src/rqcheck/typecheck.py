@@ -26,7 +26,7 @@ from .subtyping import DEFAULT_FUEL, type_sub
 from .surface import pretty as _pretty
 from .syntax import (
     EMPTY_ENV, EMPTY_SUBSTITUTION, Abs, All, App, Ascribe, Assign, Const,
-    Deref, Fun, INT, Let, LocTerm, LocAtom, QualifiedType, Qualifier,
+    Deref, EMPTY, Fun, INT, Let, LocTerm, LocAtom, QualifiedType, Qualifier,
     RefAlloc, RefT, StoreTyping, TAbs, TApp, TermBind, Term, Top, TypeBind,
     TypeEnv, UNIT, UnitLit, Var, VarAtom, free_atoms_qtype, free_atoms_type,
     free_term_atoms, telescope_ok, value_qualifier, well_scoped_qtype,
@@ -47,6 +47,11 @@ SCOPE_ERROR = "ScopeError"
 # parameter it is checked against and the applied abstraction.
 _APP = ("t-app", "argument", "parameter", "function")
 _TAPP = ("t-tapp", "type argument", "bound", "abstraction")
+
+# the types of constants and assignments, shared, so that checking a long
+# program keeps no object of its own for each of them
+_INT = QualifiedType(INT, EMPTY)
+_UNIT = QualifiedType(UNIT, EMPTY)
 
 
 @dataclass
@@ -173,7 +178,7 @@ class _Checker:
 
     def _cst(self, env: TypeEnv, phi: AbstractSet, t) -> QualifiedType:
         self.trace.append("t-cst")
-        return QualifiedType(INT if type(t) is Const else UNIT, Qualifier())
+        return _INT if type(t) is Const else _UNIT
 
     def _var(self, env: TypeEnv, phi: AbstractSet, t: Var) -> QualifiedType:
         bound = env.lookup_term(t.name)
@@ -294,7 +299,7 @@ class _Checker:
                 f"assigned value type {_pretty(rhs_q.ty)} is not below "
                 f"content type {_pretty(content.ty)}")
         self.trace.append("t-assgn")
-        return QualifiedType(UNIT, Qualifier())
+        return _UNIT
 
     def _ascribe(self, env: TypeEnv, phi: AbstractSet, t: Ascribe) -> QualifiedType:
         self._require_scoped(env, t.qtype, "ascription")
@@ -593,7 +598,7 @@ class _Spine:
                     continue
                 if p >= at:
                     return False
-            known = memo.get(a.name if type(a) is VarAtom else a.loc)
+            known = memo.get(a)
             if not (self.clean(a, then) if known is None else known):
                 return False
         return True
@@ -605,15 +610,14 @@ class _Spine:
         both spines, and locations; a Σ entry only smaller locations. So
         the search meets no atom twice on one path, and each answer holds
         for the rest of the call (what it reads is bound before it): it
-        is kept in `memo`, under a variable's name or a location's
-        number, which the caller reads first."""
+        is kept in `memo` under the atom, which the caller reads first."""
         memo = self.memo
         stack = [(root, self._reaches(root, then))]
         while stack:
             a, kids = stack[-1]
             if kids:
                 z = kids.pop()
-                known = memo.get(z.name if type(z) is VarAtom else z.loc)
+                known = memo.get(z)
                 if known is None:
                     stack.append((z, self._reaches(z, then)))
                     continue
@@ -621,12 +625,12 @@ class _Spine:
                     continue
             elif kids is not None:
                 stack.pop()
-                memo[a.name if type(a) is VarAtom else a.loc] = True
+                memo[a] = True
                 continue
             # a changed, or reaches what changed: so does every atom on
             # the stack
             for a, _ in stack:
-                memo[a.name if type(a) is VarAtom else a.loc] = False
+                memo[a] = False
             return False
         return True
 
