@@ -5,15 +5,17 @@ The machine runs on a `Configuration`, after Danvy and Nielsen's
 refocusing ("Refocusing in Reduction Semantics", 2004): a focus term; the
 focus's pending substitution, which maps variables to closed values and
 type and qualifier variables to a closed type argument; and a stack of
-evaluation-context frames, each holding a node, the index of the
-evaluation position that is the hole and that node's pending
-substitution. A step searches for the next redex from the focus, not
-from the root: it focuses each evaluation position of a node in turn,
-looks a variable in focus up in the pending substitution (which is not a
-step), and plugs a value in focus into the top frame. No rule rewrites
-the rest of the program: `Let x = v in b` goes on with b under the
-substitution extended by x ↦ v, β with the body under {self ↦ fn,
-param ↦ arg} alone, and β_t with the body under {self ↦ fn, X^x ↦ T^q}.
+evaluation-context frames, each holding a node, its pending
+substitution and the values of its evaluation positions before the
+hole. A step searches for the next redex from the focus, not from the
+root: it focuses each evaluation position of a node in turn, looks a
+variable in focus up in the pending substitution (which is not a step),
+and appends a value in focus to the top frame's values, which the
+node's rule reads. No rule rewrites the rest of the program: `Let x = v
+in b` goes on with b under the substitution extended by x ↦ v, in place
+when nothing else reads it (see `Configuration`), β with the body under
+{self ↦ fn, param ↦ arg} alone, and β_t with the body under
+{self ↦ fn, X^x ↦ T^q}.
 
 The pending substitution is applied in three places only: to a value in
 focus, once, before it is plugged; to a redex's annotations (the type
@@ -57,7 +59,7 @@ from .syntax import (
     EMPTY_ENV, EMPTY_SUBSTITUTION, SHAPES, Abs, App, Ascribe, Assign, Deref,
     Let, LocAtom, LocTerm, QualifiedType, Qualifier, RefAlloc, StoreTyping,
     TAbs, TApp, Term, UnitLit, Var, alpha_eq, free_atoms_qtype,
-    free_term_atoms, is_value, map_parts, with_part,
+    free_term_atoms, is_value, map_parts,
 )
 from .subtyping import type_sub
 from .typecheck import Retyper, check_program
@@ -65,7 +67,7 @@ from .typecheck import Retyper, check_program
 DEFAULT_EVAL_FUEL = 100_000
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     rule: str                    # beta, beta_t, ref, deref, assign
     loc: Optional[int] = None
@@ -74,9 +76,16 @@ class Event:
 class Configuration:
     """A term split into the focus, the focus's pending substitution
     and the frames of the evaluation context around it, innermost last:
-    (node, the index of the hole among the node's evaluation positions,
-    the node's pending substitution). The positions before the hole hold
-    closed values."""
+    (node, its pending substitution, the closed values of its evaluation
+    positions before the hole, whether it owns that substitution).
+
+    Between steps the configuration owns its substitution unless that is
+    `EMPTY_SUBSTITUTION` (a rule returns it or one it built). A frame
+    pushed with an owned substitution takes the ownership, and the node's
+    positions are evaluated without it. A frame's `Let` that took it
+    grows it in place when it fires; every other let-β copies it, as a
+    frame below may still read it (`val y = 5; val x = (val y = 1; y);
+    y` must read the last y as 5)."""
 
     __slots__ = ("focus", "sub", "frames")
 
@@ -86,9 +95,19 @@ class Configuration:
     def plug(self) -> Term:
         """The whole term, every pending substitution applied."""
         t = self.sub.term(self.focus)
-        for node, i, sub in reversed(self.frames):
-            t = sub.term(with_part(node, SHAPES[type(node)].evals[i], t))
+        for node, sub, vals, _ in reversed(self.frames):
+            t = sub.term(_filled(node, vals + [t]))
         return t
+
+
+def _filled(node, parts: list):
+    """node with its first evaluation positions holding parts: node
+    itself, shared, unless one of them differs."""
+    shape = SHAPES[type(node)]
+    new = {f: v for f, v in zip(shape.evals, parts) if v is not getattr(node, f)}
+    if not new:
+        return node
+    return shape.cls(*[new.get(f, getattr(node, f)) for f in shape.fields])
 
 
 @dataclass
@@ -116,24 +135,25 @@ def erase_ascriptions(t: Term) -> Term:
     return map_parts(t, term=erase_ascriptions)
 
 
-# Reduction rules, one per redex form. Each sees its evaluation positions
-# (SHAPES[...].evals) already reduced to closed values, with the node's
-# pending substitution `sub` still to apply to its annotations, writes
-# the store in place if it allocates or assigns, and returns the term to
-# go on with, that term's pending substitution and the event; or Stuck.
+# Reduction rules, one per redex form. Each reads its evaluation positions
+# (SHAPES[...].evals) as closed values from `vals`, with the node's
+# pending substitution `sub` (owned by its frame if `owned`) still to
+# apply to its annotations, writes the store in place if it allocates or
+# assigns, and returns the term to go on with, that term's pending
+# substitution (EMPTY_SUBSTITUTION or one it built) and the event; or Stuck.
 
 
-def _beta(t: App, sub, store: dict):
-    fn = t.fn
+def _beta(t: App, vals, sub, owned, store: dict):
+    fn, arg = vals
     if not isinstance(fn, Abs):
         return Stuck("applied a non-function value")
-    # the parameter wins when it has the self-reference's name
+    # one new substitution; the parameter wins a name it shares with self
     body_sub = EMPTY_SUBSTITUTION.extended(fn.self_name, fn)
-    return fn.body, body_sub.extended(fn.param, t.arg), Event("beta")
+    return fn.body, body_sub.extended(fn.param, arg, True), Event("beta")
 
 
-def _beta_t(t: TApp, sub, store: dict):
-    fn = t.fn
+def _beta_t(t: TApp, vals, sub, owned, store: dict):
+    fn = vals[0]
     if not isinstance(fn, TAbs):
         return Stuck("type-applied a non-type-abstraction value")
     body_sub = EMPTY_SUBSTITUTION.extended(fn.self_name, fn)
@@ -141,35 +161,35 @@ def _beta_t(t: TApp, sub, store: dict):
     return fn.body, body_sub, Event("beta_t")
 
 
-def _ref(t: RefAlloc, sub, store: dict):
+def _ref(t: RefAlloc, vals, sub, owned, store: dict):
     loc = len(store)
-    store[loc] = t.init
+    store[loc] = vals[0]
     return LocTerm(loc), EMPTY_SUBSTITUTION, Event("ref", loc)
 
 
-def _deref(t: Deref, sub, store: dict):
-    if not isinstance(t.ref, LocTerm) or t.ref.loc not in store:
+def _deref(t: Deref, vals, sub, owned, store: dict):
+    if not isinstance(vals[0], LocTerm) or vals[0].loc not in store:
         return Stuck("dereferenced a non-location")
-    loc = t.ref.loc
+    loc = vals[0].loc
     return store[loc], EMPTY_SUBSTITUTION, Event("deref", loc)
 
 
-def _assign(t: Assign, sub, store: dict):
-    if not isinstance(t.lhs, LocTerm) or t.lhs.loc not in store:
+def _assign(t: Assign, vals, sub, owned, store: dict):
+    if not isinstance(vals[0], LocTerm) or vals[0].loc not in store:
         return Stuck("assigned to a non-location")
-    loc = t.lhs.loc
-    store[loc] = t.rhs
+    loc = vals[0].loc
+    store[loc] = vals[1]
     return UnitLit(), EMPTY_SUBSTITUTION, Event("assign", loc)
 
 
-def _let(t: Let, sub, store: dict):
-    return t.body, sub.extended(t.name, t.rhs), Event("beta")
+def _let(t: Let, vals, sub, owned, store: dict):
+    return t.body, sub.extended(t.name, vals[0], owned), Event("beta")
 
 
-def _ascribe(t: Ascribe, sub, store: dict):
+def _ascribe(t: Ascribe, vals, sub, owned, store: dict):
     # ascriptions evaluate their subject, then vanish; keeping them
     # until that point lets every intermediate term re-typecheck
-    return t.term, EMPTY_SUBSTITUTION, Event("ascribe")
+    return vals[0], EMPTY_SUBSTITUTION, Event("ascribe")
 
 
 _RULES = {App: _beta, TApp: _beta_t, RefAlloc: _ref, Deref: _deref,
@@ -194,34 +214,33 @@ def step(t: Union[Term, Configuration],
 
 def _transition(c: Configuration, store: dict) -> Union[Stepped, Value, Stuck]:
     t, sub, frames = c.focus, c.sub, c.frames
+    owned = sub is not EMPTY_SUBSTITUTION
     while True:
         if type(t) is Var:
             v = sub.values.get(t.name)
-            if v is None:
-                c.focus, c.sub = t, sub
+            if v is None:     # sub leaves t as it is
+                c.focus, c.sub = t, EMPTY_SUBSTITUTION
                 return Stuck(f"open or ill-formed term: {t!r}")
         elif is_value(t):
             v = sub.term(t)
         else:
-            frames.append((t, 0, sub))
-            t = getattr(t, SHAPES[type(t)].evals[0])
+            frames.append((t, sub, [], owned))
+            t, owned = getattr(t, SHAPES[type(t)].evals[0]), False
             continue
-        # v is a closed value: plug it into the top frame
+        # v is a closed value: append it to the top frame's values
         if not frames:
             c.focus, c.sub = v, EMPTY_SUBSTITUTION
             return Value(v)
-        t, i, sub = frames.pop()
+        t, sub, vals, owned = frames[-1]
+        vals.append(v)
         evals = SHAPES[type(t)].evals
-        if v is not getattr(t, evals[i]):
-            t = with_part(t, evals[i], v)
-        i += 1
-        if i < len(evals):
-            frames.append((t, i, sub))
-            t = getattr(t, evals[i])
+        if len(vals) < len(evals):
+            t, owned = getattr(t, evals[len(vals)]), False
             continue
-        out = _RULES[type(t)](t, sub, store)
+        frames.pop()
+        out = _RULES[type(t)](t, vals, sub, owned, store)
         if type(out) is Stuck:
-            c.focus, c.sub = t, sub
+            c.focus, c.sub = sub.term(_filled(t, vals)), EMPTY_SUBSTITUTION
             return out
         c.focus, c.sub, event = out
         return Stepped(c, store, event)

@@ -614,12 +614,6 @@ def map_parts(x, term=None, qtype=None, qual=None, names=()):
     return shape.cls(*[new[f] if f in new else getattr(x, f) for f in shape.fields])
 
 
-def with_part(x, field: str, value):
-    """x with one field replaced."""
-    shape = SHAPES[type(x)]
-    return shape.cls(*[value if f == field else getattr(x, f) for f in shape.fields])
-
-
 # ---------------------------------------------------------------------------
 # Free variables
 
@@ -722,7 +716,14 @@ class _Substitution:
     `with_qual` and `with_type` record in `free` the atoms their payloads
     mention (`extended`'s values are closed). A `Fun` or `All` binder
     named like one would capture it, so it is renamed apart before the
-    substitution goes under it. Only closed payloads enter a term."""
+    substitution goes under it. Only closed payloads enter a term.
+
+    A grown substitution has its own `values`, `quals`, `atoms` and
+    `names`, so `extended(..., in_place=True)` may write them, in O(1),
+    when its caller holds the only reference to it. The machine does
+    this for a let-β (`machine.Configuration` says when it holds the
+    only one). `EMPTY_SUBSTITUTION`, and any substitution another holder
+    can still read, is only ever copied."""
 
     __slots__ = ("values", "types", "quals", "atoms", "names", "free")
 
@@ -730,7 +731,7 @@ class _Substitution:
         self.values: dict = {}
         self.types: dict = {}
         self.quals: dict = {}
-        self.atoms = self.names = self.free = frozenset()
+        self.atoms, self.names, self.free = set(), set(), frozenset()
 
     def _grown(self, values, types, quals, atom, names,
                free=frozenset()) -> "_Substitution":
@@ -740,9 +741,17 @@ class _Substitution:
         new.free = self.free | free if free else self.free
         return new
 
-    def extended(self, name: str, v: Term) -> "_Substitution":
-        """This substitution with the closed value v put in for name."""
+    def extended(self, name: str, v: Term,
+                 in_place: bool = False) -> "_Substitution":
+        """This substitution with the closed value v put in for name;
+        this very object, grown, when `in_place`."""
         atom = VarAtom(name)
+        if in_place:
+            self.values[name] = v
+            self.quals.pop(atom, None)
+            self.atoms.add(atom)
+            self.names.add(name)
+            return self
         quals = dict(self.quals)
         quals.pop(atom, None)     # a qualifier the old value left behind
         return self._grown({**self.values, name: v}, self.types, quals, atom,
@@ -751,7 +760,7 @@ class _Substitution:
     def with_qual(self, name: str, q: Qualifier) -> "_Substitution":
         """This substitution with the qualifier q put in for the atom name."""
         atom = VarAtom(name)
-        return self._grown(self.values, self.types, {**self.quals, atom: q},
+        return self._grown(dict(self.values), self.types, {**self.quals, atom: q},
                            atom, {name}, q.atoms)
 
     def with_type(self, tvar: str, qvar: str,

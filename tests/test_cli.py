@@ -22,6 +22,16 @@ def corpus_path(name: str) -> str:
     return str(CORPUS / name)
 
 
+def _env_importing_rqcheck() -> dict:
+    """This environment, with this rqcheck first on PYTHONPATH, for a
+    fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(rqcheck.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -260,6 +270,19 @@ def test_many_top_level_vals_evaluate(capsys, tmp_path):
     assert (code, out, err) == (0, "value 0 (store size 0, 1500 steps)\n", "")
 
 
+def test_ten_thousand_top_level_vals_evaluate_in_a_fresh_interpreter(tmp_path):
+    # a let-β extends the pending substitution in place, so the run is
+    # linear in the vals; the interpreter keeps its default recursion limit
+    src = tmp_path / "vals.rq"
+    src.write_text("".join(f"val v_{i} = {i};\n" for i in range(10_000)) + "v_0\n",
+                   encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "rqcheck.cli", "eval", str(src)],
+                          capture_output=True, env=_env_importing_rqcheck(),
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, b"value 0 (store size 0, 10000 steps)\n", b"")
+
+
 def test_checking_declarations_builds_no_domain_per_declaration(monkeypatch):
     # the observed atoms grow one declaration at a time, so checking
     # n `val`s asks TypeEnv.dom the same number of times for every n
@@ -369,12 +392,9 @@ def test_corpus_output_matches_the_golden_file(capsys):
 def test_corpus_output_is_the_same_under_python_o():
     # `-O` strips assert statements: every invariant must be checked by
     # code that still runs there
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(rqcheck.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run([sys.executable, "-O", "-m", "rqcheck.cli", "corpus"],
-                          capture_output=True, env=env, timeout=600)
+                          capture_output=True, env=_env_importing_rqcheck(),
+                          timeout=600)
     assert (proc.returncode, proc.stderr) == (0, b"")
     with open(os.path.join(GOLDEN, "corpus.txt"), "rb") as fh:
         assert proc.stdout == fh.read()

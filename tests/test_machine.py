@@ -9,12 +9,12 @@ from helpers import bench_families, runnable_programs, sep_pairs
 from rqcheck import machine, syntax, typecheck
 from rqcheck.cli import corpus_text, load_corpus
 from rqcheck.machine import (
-    DEFAULT_EVAL_FUEL, Stepped, Value, check_preservation,
+    DEFAULT_EVAL_FUEL, Event, Stepped, Stuck, Value, check_preservation,
     erase_ascriptions, eval_term, separation_experiment, step, store_wf,
 )
 from rqcheck.surface import elaborate, parse, parse_term, pretty
 from rqcheck.syntax import (
-    Abs, Ascribe, Assign, Const, Deref, INT, Let, LocAtom, LocTerm, RefAlloc,
+    Abs, App, Ascribe, Assign, Const, Deref, INT, Let, LocAtom, LocTerm, RefAlloc,
     RefT, StoreTyping, Term, TypeEnv, UnitLit, Var, alpha_eq, map_parts, qt,
     qual,
 )
@@ -206,6 +206,132 @@ def test_a_deep_let_spine_is_rechecked_within_the_recursion_limit():
     report = check_preservation(_let_spine(3000), EMPTY_SIGMA, fuel=3)
     assert report.status == "fuel"
     assert len(report.steps) == 3 and all(s.ok for s in report.steps)
+
+
+def test_events_are_slotted_and_compare_by_value():
+    assert not hasattr(Event("beta"), "__dict__")
+    assert Event("ref", 3) == Event("ref", 3) != Event("ref", 4)
+    assert repr(Event("ref", 3)) == "Event(rule='ref', loc=3)"
+
+
+# ---------------------------------------------------------------------------
+# A configuration stepped in place against the whole term stepped anew
+
+
+def _one_term_at_a_time(t: Term, fuel: int):
+    """What `eval_term` reports, got by stepping the whole term: each
+    step splits it into a new configuration and plugs it again, so no
+    substitution outlives a step."""
+    store, events = {}, []
+    for i in range(fuel):
+        out = step(t, store)
+        if isinstance(out, Value):
+            return "value", out.term, store, i, "", events
+        if isinstance(out, Stuck):
+            return "stuck", t, store, i, out.reason, events
+        events.append(out.event)
+        t = out.term
+    return "fuel", t, store, fuel, "fuel exhausted", events
+
+
+ID = Abs("id", "x", qt(INT), None, Var("x"))
+# the body binds a let under the β substitution, then recurs
+LOOP = Abs("loop", "x", qt(INT), qt(INT), Let("y", Var("x"), App(Var("loop"), Var("y"))))
+
+# core terms, built directly, so a name may be bound twice: (name, term,
+# status, final term)
+CORE_TERMS = [
+    # the inner let must not grow the substitution that the outer let's
+    # frame and the body `y` still read
+    ("shadowed-let-in-let-rhs",
+     Let("y", Const(5), Let("x", Let("y", Const(1), Var("y")), Var("y"))),
+     "value", Const(5)),
+    ("let-in-an-argument",
+     Let("y", Const(5), Let("r", App(ID, Let("y", Const(1), Var("y"))), Var("y"))),
+     "value", Const(5)),
+    ("let-in-the-argument-of-the-body",
+     Let("y", Const(5), App(ID, Let("y", Const(1), Var("y")))),
+     "value", Const(1)),
+    ("let-in-a-let-rhs",
+     Let("a", RefAlloc(Const(1)),
+         Let("b", Let("c", Deref(Var("a")), Assign(Var("a"), Var("c"))),
+             Deref(Var("a")))),
+     "value", Const(1)),
+    ("recursive-lambda-binding-a-let", App(LOOP, Const(0)), "fuel", None),
+    ("stuck-application", Let("f", Const(1), App(Var("f"), Let("z", Const(2), Var("z")))),
+     "stuck", App(Const(1), Const(2))),
+    ("stuck-open-term", Let("a", Const(1), App(ID, Var("nowhere"))),
+     "stuck", App(ID, Var("nowhere"))),
+]
+
+
+def _configuration_differential():
+    """(name, term): the runnable corpus, the four families at n = 1, 2
+    and 5, and the core terms."""
+    for entry, term in runnable_programs():
+        yield entry.name, term
+    families = bench_families()
+    for family in sorted(families.FAMILIES):
+        for n in (1, 2, 5):
+            program = families.FAMILIES[family](n)
+            yield program.name, elaborate(parse(program.text))
+    for name, term, _, _ in CORE_TERMS:
+        yield name, term
+
+
+CONFIGURATION_DIFFERENTIAL = list(_configuration_differential())
+
+
+@pytest.mark.parametrize("name,term", CONFIGURATION_DIFFERENTIAL,
+                         ids=[d[0] for d in CONFIGURATION_DIFFERENTIAL])
+def test_a_configuration_stepped_in_place_equals_the_term_stepped_anew(name, term):
+    # every fuel up to 40 steps, then half and all of the run: a cut run's
+    # term is the configuration plugged, so it shows each frame's
+    # substitution as that point of the run left it
+    steps = eval_term(term, fuel=300).steps
+    for fuel in sorted({*range(min(steps, 40) + 2), steps // 2, steps, 300}):
+        r = eval_term(term, fuel=fuel)
+        assert (r.status, r.term, r.store, r.steps, r.reason, r.events) == \
+            _one_term_at_a_time(term, fuel), fuel
+
+
+@pytest.mark.parametrize("name,term,status,final", CORE_TERMS,
+                         ids=[c[0] for c in CORE_TERMS])
+def test_core_terms_evaluate_as_the_substitution_semantics_says(
+        name, term, status, final):
+    result = eval_term(term, fuel=50)
+    assert result.status == status
+    if final is not None:
+        assert result.term == final
+
+
+def _vals_and_calls(n: int) -> str:
+    return ("val id = fn id(x: Int^{}) { x };\n"
+            + "".join(f"val v{i} = {i};\nval w{i} = id(v{i});\n" for i in range(n // 2))
+            + "v0\n")
+
+
+def test_a_run_copies_substitution_entries_linear_in_the_program(monkeypatch):
+    # every let-β of the top-level spine extends the one substitution the
+    # machine owns; a machine that copies it on each let-β copies about
+    # 2n^2 entries, 4x from 2,000 to 4,000 vals (each β still builds one)
+    copied = []
+    grown = syntax._Substitution._grown
+
+    def counted(sub, *args):
+        copied.append(1 + len(sub.values) + len(sub.types) + len(sub.quals)
+                      + len(sub.atoms) + len(sub.names))
+        return grown(sub, *args)
+
+    monkeypatch.setattr(syntax._Substitution, "_grown", counted)
+    counts = []
+    for n in (2000, 4000):
+        copied.clear()
+        result = eval_term(elaborate(parse(_vals_and_calls(n))))
+        assert (result.status, result.term, result.steps) == ("value", Const(0),
+                                                             n + n // 2 + 1)
+        counts.append(sum(copied))
+    assert 0 < counts[1] <= 2.1 * counts[0]
 
 
 # ---------------------------------------------------------------------------
