@@ -731,13 +731,13 @@ class _Substitution:
         self.values: dict = {}
         self.types: dict = {}
         self.quals: dict = {}
-        self.atoms, self.names, self.free = set(), set(), frozenset()
+        self.atoms = self.names = self.free = frozenset()
 
     def _grown(self, values, types, quals, atom, names,
                free=frozenset()) -> "_Substitution":
         new = object.__new__(_Substitution)
         new.values, new.types, new.quals = values, types, quals
-        new.atoms, new.names = self.atoms | {atom}, self.names | names
+        new.atoms, new.names = {*self.atoms, atom}, {*self.names, *names}
         new.free = self.free | free if free else self.free
         return new
 
@@ -747,10 +747,10 @@ class _Substitution:
         this very object, grown, when `in_place`."""
         atom = VarAtom(name)
         if in_place:
+            self.atoms.add(atom)     # EMPTY_SUBSTITUTION's frozenset refuses
+            self.names.add(name)
             self.values[name] = v
             self.quals.pop(atom, None)
-            self.atoms.add(atom)
-            self.names.add(name)
             return self
         quals = dict(self.quals)
         quals.pop(atom, None)     # a qualifier the old value left behind
