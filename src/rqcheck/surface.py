@@ -3,17 +3,21 @@
 ASCII forms: `*` is the freshness marker, `{}` the empty qualifier.
 Files use extension `.rq`; `//` starts a line comment.
 
-Each pass is linear in the source. The lexer makes one regex pass and
-keeps a token's character offset, not its line and column: those are
-computed from the offset only when a ParseError is raised. Resolution
-mutates one scope dict: a binder adds its name, and the name is deleted
-again when the binder's scope closes.
+Each pass is linear in the source. The lexer is one `findall`, whose
+matches each skip the whitespace and comments before a token; a token's
+kind is looked up from its first character. No token offset is kept: a
+ParseError scans the text again to find one. Resolution mutates one
+scope dict: a binder adds its name, and the name is deleted again when
+the binder's scope closes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
+from string import ascii_letters, digits
 from typing import List, Optional, Tuple
 
 from .errors import ParseError, ScopeError
@@ -29,32 +33,41 @@ from .syntax import (
 # Lexer
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<skip>[ \t\r\n]+|//[^\n]*)
-  | (?P<int>-?[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<op>:=|<:|=>|;;|[{}()\[\]^:,;*!=.@])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+# Whitespace and comments, then the token as group 1. Any other character
+# is a token by itself and the end of the text an empty one, so the
+# matches cover the whole text.
+_TOKEN_RE = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
+                       r"([A-Za-z_][A-Za-z0-9_']*|-?[0-9]+|:=?|=>?|;;?|<:"
+                       r"|[{}()\[\]^,*!.@]|.|\Z)", re.DOTALL)
+
+# A token's kind by its first character: `i` an identifier, `n` an
+# integer, `o` an operator (and `e` the end of the text). Any other
+# character is unexpected, and so is a lone `-` or `<`.
+_KINDS = str.maketrans({**dict.fromkeys(ascii_letters + "_", "i"),
+                        **dict.fromkeys(digits + "-", "n"),
+                        **dict.fromkeys("{}()[]^:,;*!=.@<", "o")})
+_ONE_CHAR_TOKENS = frozenset(map(chr, _KINDS)) - {"-", "<"}
+_first = itemgetter(0)
 
 
-def _error(text: str, off: int, message: str) -> ParseError:
-    """A ParseError at character offset `off` of `text`, as line:col."""
+def _error(text: str, index: int, message: str) -> ParseError:
+    """A ParseError at token `index` of `text`, as line:col. The only code
+    that finds a token's offset: it lexes the text again to do so."""
+    off = next(islice(_TOKEN_RE.finditer(text), index, None)).start(1)
     return ParseError(message, text.count("\n", 0, off) + 1,
                       off - text.rfind("\n", 0, off))
 
 
-def tokenize(text: str) -> List[Tuple[str, str, int]]:
-    """(kind, value, offset) per token, then an eof entry at len(text)."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise _error(text, m.start(), f"unexpected character {m.group()!r}")
-        if kind != "skip":
-            tokens.append((kind, m.group(), m.start()))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def tokenize(text: str) -> List[str]:
+    """The value of each token, then "" for the end of the text."""
+    values = _TOKEN_RE.findall(text)
+    if len(values) > 1 and not values[-2]:
+        del values[-1]  # a text ending in a skip has two "" at its end
+    if 1 in map(len, set(values).difference(_ONE_CHAR_TOKENS)):
+        index = next(i for i, v in enumerate(values)
+                     if len(v) == 1 and v not in _ONE_CHAR_TOKENS)
+        raise _error(text, index, f"unexpected character {values[index]!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -71,38 +84,25 @@ _NAMED_TYPES = {"Int": INT, "Unit": UNIT, "Top": Top()}
 
 
 class Parser:
-    """Recursive descent over the token kinds and values, held as parallel
-    tuples padded with eof entries so that a lookahead never runs off
-    the end; a token's position is computed only for an error."""
+    """Recursive descent over the token values and their kinds (one
+    character each, see `_KINDS`), padded with end entries, whose value is
+    "", so that a lookahead never runs off the end. No token position is
+    kept: `error` finds the offset of the token it reports."""
 
     def __init__(self, text: str):
         self.text = text
-        kinds, values, self.offsets = zip(*tokenize(text))
-        self.kinds = kinds + ("eof", "eof")
-        self.values = values + ("", "")
+        self.values = tokenize(text)
+        self.kinds = ("".join(map(_first, self.values[:-1])).translate(_KINDS)
+                      + "eee")
+        self.values += "", ""
         self.pos = 0
         self.counter = 0
         self.taken = None  # the text's names, built when gen first needs them
 
     # -- plumbing ----------------------------------------------------------
 
-    def peek(self) -> str:
-        return self.values[self.pos]
-
-    def kind(self, ahead: int = 0) -> str:
-        return self.kinds[self.pos + ahead]
-
-    def next(self) -> str:
-        # every caller tests the token first, so this never steps past eof
-        self.pos += 1
-        return self.values[self.pos - 1]
-
-    def at(self, value: str, ahead: int = 0) -> bool:
-        # only the eof entries have the value ""
-        return self.values[self.pos + ahead] == value
-
     def error(self, message: str) -> ParseError:
-        return _error(self.text, self.offsets[self.pos], message)
+        return _error(self.text, self.pos, message)
 
     def found(self) -> str:
         return repr(self.values[self.pos] or "end of input")
@@ -113,13 +113,15 @@ class Parser:
         self.pos += 1
 
     def ident(self) -> str:
-        if self.kinds[self.pos] != "ident":
+        if self.kinds[self.pos] != "i":
             raise self.error(f"expected a name, found {self.found()}")
-        return self.next()
+        self.pos += 1
+        return self.values[self.pos - 1]
 
     def end(self):
-        if self.kinds[self.pos] != "eof":
-            raise self.error(f"trailing input starting at {self.peek()!r}")
+        if self.kinds[self.pos] != "e":
+            raise self.error(
+                f"trailing input starting at {self.values[self.pos]!r}")
 
     def gen(self, base: str) -> str:
         """A fresh binder name, unlike every name in the text."""
@@ -133,10 +135,11 @@ class Parser:
 
     def number(self) -> int:
         try:  # CPython caps the digits that int() converts
-            return int(self.next())
+            value = int(self.values[self.pos])
         except ValueError:
-            self.pos -= 1
             raise self.error("integer literal too long") from None
+        self.pos += 1
+        return value
 
     # -- qualifiers and types ----------------------------------------------
 
@@ -144,19 +147,20 @@ class Parser:
         self.expect("{")
         fresh = False
         atoms = set()
-        while not self.at("}"):
-            if self.at("*"):
-                self.next()
+        while (value := self.values[self.pos]) != "}":
+            if value == "*":
+                self.pos += 1
                 fresh = True
-            elif self.at("@"):
+            elif value == "@":
                 atoms.add(LocAtom(self.location()))
-            elif self.kind() == "ident":
-                atoms.add(VarAtom(self.next()))
+            elif self.kinds[self.pos] == "i":
+                self.pos += 1
+                atoms.add(VarAtom(value))
             else:
-                raise self.error(f"expected a qualifier atom, found {self.peek()!r}")
-            if not self.at("}"):
+                raise self.error(f"expected a qualifier atom, found {value!r}")
+            if self.values[self.pos] != "}":
                 self.expect(",")
-        self.expect("}")
+        self.pos += 1
         return Qualifier(fresh, frozenset(atoms))
 
     def qtype(self, bare: bool = False) -> QualifiedType:
@@ -164,38 +168,41 @@ class Parser:
         empty qualifier (used inside Ref[...] and arrow shorthands);
         otherwise the qualifier is mandatory."""
         ty = self.type_atom()
-        if self.at("^"):
-            self.next()
+        if self.values[self.pos] == "^":
+            self.pos += 1
             return QualifiedType(ty, self.qualifier())
         if bare:
             return QualifiedType(ty, Qualifier())
         raise self.error("missing qualifier: write ^{...} (there is no default)")
 
     def type_atom(self) -> Type:
-        value = self.peek()
+        value = self.values[self.pos]
         if value in _NAMED_TYPES:
-            self.next()
+            self.pos += 1
             return _NAMED_TYPES[value]
         if value == "Ref":
-            self.next()
+            self.pos += 1
             self.expect("[")
             content = self.qtype(bare=True)
             self.expect("]")
             return RefT(content)
         if value == "forall":
-            self.next()
+            self.pos += 1
             return self.forall_tail()
         if value == "(":
-            self.next()
-            ty = self.type_atom() if self.at("forall") else self.fun_inner()
+            self.pos += 1
+            ty = (self.type_atom() if self.values[self.pos] == "forall"
+                  else self.fun_inner())
             self.expect(")")
             return ty
-        if self.kind() == "ident":
-            return TVar(self.next())
+        if self.kinds[self.pos] == "i":
+            self.pos += 1
+            return TVar(value)
         raise self.error(f"expected a type, found {self.found()}")
 
     def forall_tail(self) -> All:
-        self_name = self.ident() if not self.at("[") else self.gen("f")
+        self_name = (self.gen("f") if self.values[self.pos] == "["
+                     else self.ident())
         tvar, qvar, bound = self.type_params()
         self.expect(".")
         return All(self_name, tvar, qvar, bound, self.qtype())
@@ -213,13 +220,15 @@ class Parser:
 
     def fun_inner(self) -> Fun:
         """The inside of a parenthesized function type."""
+        kinds, values = self.kinds, self.values
         self_name = None
-        if self.kind() == "ident" and self.at("(", 1):
+        if kinds[self.pos] == "i" and values[self.pos + 1] == "(":
             self_name = self.ident()
-        if self.at("(") and (self_name is not None
-                             or (self.kind(1) == "ident" and self.at(":", 2))):
-            self.next()
-            if self.kind() == "ident" and self.at(":", 1):
+        pos = self.pos
+        named = kinds[pos + 1] == "i" and values[pos + 2] == ":"
+        if values[pos] == "(" and (self_name is not None or named):
+            self.pos += 1
+            if named:
                 param = self.ident()
                 self.expect(":")
                 dom = self.qtype()
@@ -239,14 +248,14 @@ class Parser:
     # -- terms ---------------------------------------------------------------
 
     def expr(self) -> Term:
-        if self.at("val"):
+        if self.values[self.pos] == "val":
             name, rhs = self.binding()
             return Let(name, rhs, self.expr())
         return self.assign_expr()
 
     def binding(self) -> Tuple[str, Term]:
         """`val x = t;`, at the `val`."""
-        self.next()
+        self.pos += 1
         name = self.ident()
         self.expect("=")
         rhs = self.assign_expr()
@@ -255,68 +264,61 @@ class Parser:
 
     def assign_expr(self) -> Term:
         lhs = self.prefix_expr()
-        if self.at(":="):
-            self.next()
-            rhs = self.prefix_expr()
-            return Assign(lhs, rhs)
+        if self.values[self.pos] == ":=":
+            self.pos += 1
+            return Assign(lhs, self.prefix_expr())
         return lhs
 
     def prefix_expr(self) -> Term:
-        if self.at("ref"):
-            self.next()
+        value = self.values[self.pos]
+        if value == "ref":
+            self.pos += 1
             return RefAlloc(self.prefix_expr())
-        if self.at("!"):
-            self.next()
+        if value == "!":
+            self.pos += 1
             return Deref(self.prefix_expr())
         return self.postfix_expr()
 
     def postfix_expr(self) -> Term:
-        t = self.atom_expr()
+        """An atom, then the term and type applications to it."""
+        kind, value = self.kinds[self.pos], self.values[self.pos]
+        if value == "fn":
+            t = self.abstraction("(", self.fn_params, Abs)
+        elif value == "tfn":
+            t = self.abstraction("[", self.type_params, TAbs)
+        elif kind == "i":
+            self.pos += 1
+            t = UnitLit() if value == "unit" else Var(value)
+        elif kind == "n":
+            t = Const(self.number())
+        elif value == "@":
+            t = LocTerm(self.location())
+        elif value == "(":
+            self.pos += 1
+            t = self.expr()
+            if self.values[self.pos] == ":":
+                self.pos += 1
+                t = Ascribe(t, self.qtype())
+            self.expect(")")
+        else:
+            raise self.error(f"expected a term, found {self.found()}")
         while True:
-            if self.at("("):
-                self.next()
-                arg = self.expr()
+            value = self.values[self.pos]
+            if value == "(":
+                self.pos += 1
+                t = App(t, self.expr())
                 self.expect(")")
-                t = App(t, arg)
-            elif self.at("["):
-                self.next()
-                arg = self.qtype()
+            elif value == "[":
+                self.pos += 1
+                t = TApp(t, self.qtype())
                 self.expect("]")
-                t = TApp(t, arg)
             else:
                 return t
 
-    def atom_expr(self) -> Term:
-        kind, value = self.kind(), self.peek()
-        if kind == "int":
-            return Const(self.number())
-        if value == "unit":
-            self.next()
-            return UnitLit()
-        if value == "@":
-            return LocTerm(self.location())
-        if value == "fn":
-            return self.abstraction("(", self.fn_params, Abs)
-        if value == "tfn":
-            return self.abstraction("[", self.type_params, TAbs)
-        if value == "(":
-            self.next()
-            inner = self.expr()
-            if self.at(":"):
-                self.next()
-                ann = self.qtype()
-                self.expect(")")
-                return Ascribe(inner, ann)
-            self.expect(")")
-            return inner
-        if kind == "ident":
-            return Var(self.next())
-        raise self.error(f"expected a term, found {self.found()}")
-
     def location(self) -> int:
         """The number of an `@n` location, at its `@`."""
-        self.next()
-        if self.kind() != "int":
+        self.pos += 1
+        if self.kinds[self.pos] != "n":
             raise self.error("expected a location number after '@'")
         return self.number()
 
@@ -324,13 +326,12 @@ class Parser:
         """`fn` and `tfn`, at the keyword: an optional self-name and
         `^{...}` capture, the parameters (`params`, which start at
         `opener`) and the `{ body }` block."""
-        self.next()
-        self_name = (self.ident()
-                     if not self.at(opener) and not self.at("^")
-                     else self.gen("f"))
+        self.pos += 1
+        self_name = (self.gen("f") if self.values[self.pos] in (opener, "^")
+                     else self.ident())
         capture = None
-        if self.at("^"):
-            self.next()
+        if self.values[self.pos] == "^":
+            self.pos += 1
             capture = self.qualifier()
         head = params()
         self.expect("{")
@@ -346,8 +347,8 @@ class Parser:
         dom = self.qtype()
         self.expect(")")
         cod = None
-        if self.at(":"):
-            self.next()
+        if self.values[self.pos] == ":":
+            self.pos += 1
             cod = self.qtype()
         return param, dom, cod
 
@@ -356,20 +357,19 @@ class Parser:
     def program(self) -> SourceProgram:
         decls: List[tuple] = []
         while True:
-            if self.at("assume"):
-                self.next()
+            value = self.values[self.pos]
+            if value == "assume":
+                self.pos += 1
                 name = self.ident()
                 self.expect(":")
-                ann = self.qtype()
+                decls.append(("assume", name, self.qtype()))
                 self.expect(";")
-                decls.append(("assume", name, ann))
-            elif self.at("val"):
+            elif value == "val":
                 # top-level val: binds a declaration, main follows
                 decls.append(("val",) + self.binding())
             else:
                 break
-        main = self.expr()
-        return SourceProgram(decls, main)
+        return SourceProgram(decls, self.expr())
 
 
 def parse(text: str) -> SourceProgram:

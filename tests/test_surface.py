@@ -1,11 +1,15 @@
-"""Unit tests for the parser, elaborator, and pretty-printer."""
+"""Unit tests for the lexer, parser, elaborator, and pretty-printer."""
+
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rqcheck import surface
 from rqcheck.cli import corpus_text
 from rqcheck.surface import (
-    ParseError, ScopeError, elaborate, parse, parse_pair, parse_qtype,
-    parse_term, pretty, resolve_term, tokenize,
+    Parser, ParseError, ScopeError, elaborate, parse, parse_pair,
+    parse_qtype, parse_term, pretty, resolve_term, tokenize,
 )
 from rqcheck.syntax import (
     Abs, Base, Const, Deref, Fun, INT, Let, RefAlloc, TAbs, Var, alpha_eq,
@@ -75,9 +79,9 @@ def test_out_of_scope_qualifier_atom_is_a_scope_error():
         parse("fn f(x: Int^{y}) { x }")
 
 
-# Every text below was produced by the lexer and parser that tracked a
-# line and column per token; positions are now computed from the offset
-# only when an error is raised, and must read the same.
+# Every text below was produced by a lexer that kept each token's line
+# and column, or later its offset; positions are now found only when an
+# error is raised, and must read the same.
 _PARSE_ERRORS = [
     ("val x = 1;\n$x", "2:1: unexpected character '$'"),
     ("val x = 1; // note\n?x", "2:1: unexpected character '?'"),
@@ -98,6 +102,17 @@ _PARSE_ERRORS = [
     ("val = 1; 2", "1:5: expected a name, found '='"),
     # integer literals are ASCII digits only (an ARABIC-INDIC DIGIT THREE)
     ("val x = \u0663;\nx", "1:9: unexpected character '\u0663'"),
+    # the last character, with no newline after it
+    ("1 $", "1:3: unexpected character '$'"),
+    # a `-` or `<` is a token only as part of `-12` or `<:`
+    ("val x = -;\nx", "1:9: unexpected character '-'"),
+    ("1 2 <", "1:5: unexpected character '<'"),
+    pytest.param("val x = " + "9" * 5000 + ";\nx",
+                 "1:9: integer literal too long", id="5000-digit-literal"),
+    # right after a comment; and a comment that ends the text hides it
+    ("1 // note\n$", "2:1: unexpected character '$'"),
+    ("val x = 1; // note$", "1:20: expected a term, found 'end of input'"),
+    ("// only a comment", "1:18: expected a term, found 'end of input'"),
 ]
 
 
@@ -115,6 +130,13 @@ def test_parse_pair_error_texts_are_pinned():
         parse_pair("1 ;; 2 3")
 
 
+def test_a_parse_error_wins_over_a_scope_error():
+    # resolution runs on the whole parsed program, after the parser
+    with pytest.raises(ParseError,
+                       match="^2:3: trailing input starting at '2'$"):
+        parse("val x = y;\n1 2")
+
+
 @pytest.mark.parametrize("file,count", [
     ("counter.rq", 359), ("opair_conv.rq", 505), ("pair_fst.rq", 286)])
 def test_token_counts_of_corpus_files_are_pinned(file, count):
@@ -122,6 +144,86 @@ def test_token_counts_of_corpus_files_are_pinned(file, count):
     # `surface.tokens` counter reads this length
     entry = next(e for e in corpus_entries() if e.file == file)
     assert len(tokenize(corpus_text(entry))) == count
+
+
+def test_parsing_the_corpus_finds_no_token_offset(monkeypatch):
+    # an offset is found only for a ParseError, by lexing the text again
+    found = []
+    offset_error = surface._error
+
+    def counted(*args):
+        found.append(args)
+        return offset_error(*args)
+
+    monkeypatch.setattr(surface, "_error", counted)
+    failing = 0
+    for e in corpus_entries():
+        try:
+            (parse_pair if e.kind == "sep" else parse)(corpus_text(e))
+        except ParseError:
+            failing += 1
+        except ScopeError:
+            pass
+    assert failing > 0 and len(found) == failing
+
+
+# The lexer that kept every token's offset: one Python step per match,
+# whitespace and comments included.
+_REFERENCE_RE = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|//[^\n]*)
+  | (?P<int>-?[0-9]+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<op>:=|<:|=>|;;|[{}()\[\]^:,;*!=.@])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def _reference_position(text, off):
+    line, col = text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
+    return f"{line}:{col}"
+
+
+def _reference_lex(text):
+    """(kind, value, offset) per token and then eof, or the error text."""
+    tokens = []
+    for m in _REFERENCE_RE.finditer(text):
+        if m.lastgroup == "bad":
+            return (f"{_reference_position(text, m.start())}: "
+                    f"unexpected character {m.group()!r}")
+        if m.lastgroup != "skip":
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    return tokens + [("eof", "", len(text))]
+
+
+_KIND_NAMES = {"i": "ident", "n": "int", "o": "op", "e": "eof"}
+
+_FRAGMENTS = [
+    "val", "x", "x'", "_f1", "Int", "0", "12", "-12", "-", "<:", "<", ":=",
+    ":", "=>", "=", ";;", ";", "{", "}", "(", ")", "[", "]", "^", ",", "*",
+    "!", ".", "@", "/", " ", "  ", "\t", "\n", "\r\n", "// note", "// c\n",
+    "//", "\u0663", "$", "\u00e9", "\x0b",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join))
+def test_lexer_agrees_with_the_reference_lexer(text):
+    reference = _reference_lex(text)
+    try:
+        parser = Parser(text)
+    except ParseError as error:
+        assert str(error) == reference
+        return
+    assert isinstance(reference, list)
+    n = len(parser.values) - 2  # without the padding
+    assert len(tokenize(text)) == n
+    assert [(_KIND_NAMES[k], v) for k, v in
+            zip(parser.kinds[:n], parser.values[:n])] == \
+        [(kind, value) for kind, value, _ in reference]
+    # the position found on an error is the reference's, at every token
+    for index, (_, _, off) in enumerate(reference):
+        parser.pos = index
+        assert str(parser.error("m")) == f"{_reference_position(text, off)}: m"
 
 
 # ---------------------------------------------------------------------------
