@@ -167,8 +167,8 @@ def test_parsing_the_corpus_finds_no_token_offset(monkeypatch):
     assert failing > 0 and len(found) == failing
 
 
-# The lexer that kept every token's offset: one Python step per match,
-# whitespace and comments included.
+# A reference lexer that keeps every token's offset: one Python step per
+# match, whitespace and comments included.
 _REFERENCE_RE = re.compile(r"""
     (?P<skip>[ \t\r\n]+|//[^\n]*)
   | (?P<int>-?[0-9]+)
