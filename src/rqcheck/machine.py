@@ -2,50 +2,41 @@
 validation of the preservation, progress, and separation properties.
 
 The machine runs on a `Configuration`, after Danvy and Nielsen's
-refocusing ("Refocusing in Reduction Semantics", 2004): a focus term; the
-focus's pending substitution, which maps variables to closed values and
-type and qualifier variables to a closed type argument; and a stack of
-evaluation-context frames, each holding a node, its pending
-substitution and the values of its evaluation positions before the
-hole. A step searches for the next redex from the focus, not from the
-root: it focuses each evaluation position of a node in turn, looks a
-variable in focus up in the pending substitution (which is not a step),
-and appends a value in focus to the top frame's values, which the
-node's rule reads. No rule rewrites the rest of the program: `Let x = v
-in b` goes on with b under the substitution extended by x ↦ v, in place
-when nothing else reads it (see `Configuration`), β with the body under
-{self ↦ fn, param ↦ arg} alone, and β_t with the body under
-{self ↦ fn, X^x ↦ T^q}.
+refocusing ("Refocusing in Reduction Semantics", 2004): a focus term,
+its pending substitution (variables to closed values, type and
+qualifier variables to a closed type argument), and a stack of frames,
+each a node, its pending substitution and the values of its evaluation
+positions before the hole. A step searches for the next redex from the
+focus, not from the root: it focuses each evaluation position of a node
+in turn, looks a variable up in the pending substitution (not a step),
+and appends a value to the top frame's values, which the node's rule
+reads. No rule rewrites the rest of the program: `Let x = v in b` goes
+on with b under the substitution extended by x ↦ v, in place when
+nothing else reads it (see `Configuration`), β with the body under
+{self ↦ fn, param ↦ arg} alone, and β_t under {self ↦ fn, X^x ↦ T^q}.
 
-The pending substitution is applied in three places only: to a value in
-focus, once, before it is plugged; to a redex's annotations (the type
-argument of β_t); and when the whole term is needed
-(`Configuration.plug`). So a frame's earlier evaluation positions and a
-redex's are closed values. Only closed values and types enter it, so
-applying it at once equals applying its bindings one at a time, as the
-eager rules did.
+The pending substitution is applied to a value in focus, once; to a
+redex's annotations (the type argument of β_t); and by
+`Configuration.plug`. So frames hold closed values, and as only closed
+values and types enter it, applying it at once equals applying its
+bindings one at a time, as the eager rules did.
 
-`step` takes a term or a configuration. Given a term it makes one
-transition and plugs, so `Stepped.term` is the whole next term, which is
-what the preservation and separation harnesses re-type. Given a
-configuration it advances that configuration in place; `eval_term` runs
-this way, so a step costs the search from the last redex, not a walk
-over the program.
+`step` takes a term or a configuration. Given a configuration it
+advances it in place, so a step costs the search from the last redex,
+not a walk over the program; given a term it splits, steps and plugs.
 
 The store is one dict, location to value, that the rules write in
 place: `ref` allocates at `len(store)`, as no cell is ever freed, and
 `:=` overwrites its cell. A run, or the two sides of a separation
 experiment, write one store; no step copies it.
 
-The harnesses re-type every term they step to, with one
-`typecheck.Retyper` per call. It reuses the typing of each closed λ or
-Λ that a step left as it was, and of each binding of the root let
-spine whose right-hand side the step left as it was while the entries
-that rhs can reach are unchanged (its docstring says why both are
-exact). A step shares every value and every right-hand side it does not
-touch, and the pending substitution puts in the same closed values, not
-copies, so most of a term is met again: a step that rewrites the first
-binding of n re-types that binding and the ones that read it, not all n.
+`eval_term` and both harnesses step one configuration each. The
+harnesses re-type it after every step with one `typecheck.Retyper` per
+side, which keeps a typing record per frame and per binding of the root
+let spine and types again only the focus, the frames above it whose
+hole's conclusion changed, and the bindings that read a changed entry
+(its docstring says why that is exact). Nothing plugs the term but a
+final report.
 """
 
 from __future__ import annotations
@@ -58,7 +49,7 @@ from .errors import CheckError
 from .syntax import (
     EMPTY_ENV, EMPTY_SUBSTITUTION, SHAPES, Abs, App, Ascribe, Assign, Deref,
     Let, LocAtom, LocTerm, QualifiedType, Qualifier, RefAlloc, StoreTyping,
-    TAbs, TApp, Term, UnitLit, Var, alpha_eq, free_atoms_qtype,
+    TAbs, TApp, Term, UnitLit, Var, alpha_eq, filled, free_atoms_qtype,
     free_term_atoms, is_value, map_parts,
 )
 from .subtyping import type_sub
@@ -92,22 +83,19 @@ class Configuration:
     def __init__(self, t: Term):
         self.focus, self.sub, self.frames = t, EMPTY_SUBSTITUTION, []
 
+    def done(self) -> bool:
+        """Whether the whole term is a value: no frame is left, and the
+        focus is a value or a variable its substitution binds."""
+        return not self.frames and (
+            is_value(self.focus)
+            or type(self.focus) is Var and self.focus.name in self.sub.values)
+
     def plug(self) -> Term:
         """The whole term, every pending substitution applied."""
         t = self.sub.term(self.focus)
         for node, sub, vals, _ in reversed(self.frames):
-            t = sub.term(_filled(node, vals + [t]))
+            t = sub.term(filled(node, vals + [t]))
         return t
-
-
-def _filled(node, parts: list):
-    """node with its first evaluation positions holding parts: node
-    itself, shared, unless one of them differs."""
-    shape = SHAPES[type(node)]
-    new = {f: v for f, v in zip(shape.evals, parts) if v is not getattr(node, f)}
-    if not new:
-        return node
-    return shape.cls(*[new.get(f, getattr(node, f)) for f in shape.fields])
 
 
 @dataclass
@@ -240,7 +228,7 @@ def _transition(c: Configuration, store: dict) -> Union[Stepped, Value, Stuck]:
         frames.pop()
         out = _RULES[type(t)](t, vals, sub, owned, store)
         if type(out) is Stuck:
-            c.focus, c.sub = sub.term(_filled(t, vals)), EMPTY_SUBSTITUTION
+            c.focus, c.sub = sub.term(filled(t, vals)), EMPTY_SUBSTITUTION
             return out
         c.focus, c.sub, event = out
         return Stepped(c, store, event)
@@ -317,21 +305,18 @@ def check_preservation(t: Term, sigma0: StoreTyping,
     After a step the new qualifier must be derivably below the previous
     one grown with the newly allocated locations (growth only applies at
     the freshness marker), and the new type part below the previous one.
-    Each term is typed as `check_program(TypeEnv(), Σ, t)` types it; a
-    closed λ or Λ carried over from the step before keeps its typing
-    under the same Σ, and a let binding whose rhs and reachable entries
-    the step left alone keeps its typing (see `Retyper`), for this call
-    only. The run starts from an empty store. A term the checker rejects
-    ends the run with a failed step whose detail names the error code, and
-    the status "ill-typed".
+    Each configuration is typed as `check_program(TypeEnv(), Σ, t)`
+    types the term it plugs to (see `Retyper`). The run starts from an
+    empty store. A term the checker rejects ends the run with a failed
+    step whose detail names the error code, and the status "ill-typed".
     """
     store: dict = {}
     sigma = sigma0
-    retype = Retyper()
-    qty = retype(sigma, t)
+    retype, c = Retyper(), Configuration(t)
+    qty = retype(sigma, c)
     report = PreservationReport(True, "value")
     for i in range(fuel):
-        out = step(t, store)
+        out = step(c, store)
         if isinstance(out, Value):
             report.final_term = out.term
             return report
@@ -339,13 +324,12 @@ def check_preservation(t: Term, sigma0: StoreTyping,
             report.ok = False
             report.status = f"stuck: {out.reason}"
             return report
-        t = out.term
         new_locs = frozenset()
         if out.event.rule == "ref":
             sigma = _extend_store_typing(sigma, store, out.event.loc)
             new_locs = frozenset({LocAtom(out.event.loc)})
         try:
-            qty2 = retype(sigma, t)
+            qty2 = retype(sigma, c)
         except CheckError as exc:
             report.steps.append(StepReport(
                 i, out.event.rule, new_locs, qty.q, None, False,
@@ -403,11 +387,8 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
     qualifiers stay disjoint (overlap within the freshness marker).
 
     The side that stepped is re-typed after every step, as
-    `check_program` types it, by its side's own memo for this call: a
-    closed λ or Λ that it carried over keeps its typing under the same
-    Σ, and so does a let binding whose rhs and reachable entries are
-    unchanged (see `Retyper`). A memo compares with what its own last
-    calls met, so the two sides do not share one. The other side keeps its qualified
+    `check_program` types it, by its side's own `Retyper`, whose records
+    follow its own configuration. The other side keeps its qualified
     type: its term is the same, and Σ only grew. A side the checker
     rejects after a step ends the run, not ok, with the error code in
     the detail. The run writes a copy of `store0` (cells 0 to n-1, as a
@@ -415,31 +396,30 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
     store = dict(store0 or {})
     sigma = sigma0
     retype = (Retyper(), Retyper())
-    q1 = retype[0](sigma, t1).q
-    q2 = retype[1](sigma, t2).q
+    configs = (Configuration(t1), Configuration(t2))
+    q1 = retype[0](sigma, configs[0]).q
+    q2 = retype[1](sigma, configs[1]).q
     ov = overlap(EMPTY_ENV, sigma, q1, q2)
     if ov.atoms:
         return SeparationReport(False, False,
                                 detail=f"premise failed: overlap has {len(ov.atoms)} atoms")
     report = SeparationReport(True, True)
-    terms = [t1, t2]
     quals = [q1, q2]
     for i in range(fuel):
         side = i % 2
-        if is_value(terms[0]) and is_value(terms[1]):
+        if configs[0].done() and configs[1].done():
             break
-        if is_value(terms[side]):
+        if configs[side].done():
             side = 1 - side
-        out = step(terms[side], store)
+        out = step(configs[side], store)
         if isinstance(out, Stuck):
             report.ok = False
             report.detail = f"side {side + 1} stuck: {out.reason}"
             return report
-        terms[side] = out.term
         if out.event.rule == "ref":
             sigma = _extend_store_typing(sigma, store, out.event.loc)
         try:
-            quals[side] = retype[side](sigma, terms[side]).q
+            quals[side] = retype[side](sigma, configs[side]).q
         except CheckError as exc:
             report.ok = False
             report.detail = (f"side {side + 1} re-typing rejected at step {i} "
@@ -453,9 +433,9 @@ def separation_experiment(t1: Term, t2: Term, sigma0: StoreTyping,
             report.ok = False
             report.detail = f"disjointness violated at step {i}"
             return report
-    report.finished = is_value(terms[0]) and is_value(terms[1])
-    locs1 = _reachable_locs(terms[0], store)
-    locs2 = _reachable_locs(terms[1], store)
+    report.finished = configs[0].done() and configs[1].done()
+    locs1 = _reachable_locs(configs[0].plug(), store)
+    locs2 = _reachable_locs(configs[1].plug(), store)
     report.final_locs = (locs1, locs2)
     if locs1 & locs2:
         report.ok = False

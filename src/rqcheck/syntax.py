@@ -614,6 +614,16 @@ def map_parts(x, term=None, qtype=None, qual=None, names=()):
     return shape.cls(*[new[f] if f in new else getattr(x, f) for f in shape.fields])
 
 
+def filled(node, parts: list):
+    """node with its first evaluation positions holding parts: node
+    itself, shared, unless one of them differs."""
+    shape = SHAPES[type(node)]
+    new = {f: v for f, v in zip(shape.evals, parts) if v is not getattr(node, f)}
+    if not new:
+        return node
+    return shape.cls(*[new.get(f, getattr(node, f)) for f in shape.fields])
+
+
 # ---------------------------------------------------------------------------
 # Free variables
 
@@ -697,8 +707,9 @@ class _Substitution:
     qualifier of `quals` in for its atom, stopping under a binder of any
     substituted name (`names`). A value's variable is also an atom, which
     `value_qualifier(v)` replaces; that qualifier is computed when a
-    qualifier first mentions the atom. `atoms` holds every substituted
-    atom. Calling it maps a qualified type; `term` maps a term; unchanged
+    qualifier first mentions the atom, and kept in `quals` under the
+    name. Names are keyed as strings, so growing a substitution interns
+    no atom. Calling it maps a qualified type; `term` maps a term; unchanged
     parts are shared, not copied. (An object rather than a recursive
     closure, which would leave a reference cycle behind for the collector
     on every call.)
@@ -718,26 +729,25 @@ class _Substitution:
     named like one would capture it, so it is renamed apart before the
     substitution goes under it. Only closed payloads enter a term.
 
-    A grown substitution has its own `values`, `quals`, `atoms` and
-    `names`, so `extended(..., in_place=True)` may write them, in O(1),
+    A grown substitution has its own `values`, `quals` and `names`, so `extended(..., in_place=True)` may write them, in O(1),
     when its caller holds the only reference to it. The machine does
     this for a let-β (`machine.Configuration` says when it holds the
     only one). `EMPTY_SUBSTITUTION`, and any substitution another holder
     can still read, is only ever copied."""
 
-    __slots__ = ("values", "types", "quals", "atoms", "names", "free")
+    __slots__ = ("values", "types", "quals", "names", "free")
 
     def __init__(self):
         self.values: dict = {}
         self.types: dict = {}
         self.quals: dict = {}
-        self.atoms = self.names = self.free = frozenset()
+        self.names = self.free = frozenset()
 
-    def _grown(self, values, types, quals, atom, names,
+    def _grown(self, values, types, quals, names,
                free=frozenset()) -> "_Substitution":
         new = object.__new__(_Substitution)
         new.values, new.types, new.quals = values, types, quals
-        new.atoms, new.names = {*self.atoms, atom}, {*self.names, *names}
+        new.names = {*self.names, *names}
         new.free = self.free | free if free else self.free
         return new
 
@@ -745,23 +755,19 @@ class _Substitution:
                  in_place: bool = False) -> "_Substitution":
         """This substitution with the closed value v put in for name;
         this very object, grown, when `in_place`."""
-        atom = VarAtom(name)
         if in_place:
-            self.atoms.add(atom)     # EMPTY_SUBSTITUTION's frozenset refuses
-            self.names.add(name)
+            self.names.add(name)     # EMPTY_SUBSTITUTION's frozenset refuses
             self.values[name] = v
-            self.quals.pop(atom, None)
+            self.quals.pop(name, None)
             return self
         quals = dict(self.quals)
-        quals.pop(atom, None)     # a qualifier the old value left behind
-        return self._grown({**self.values, name: v}, self.types, quals, atom,
-                           {name})
+        quals.pop(name, None)     # a qualifier the old value left behind
+        return self._grown({**self.values, name: v}, self.types, quals, (name,))
 
     def with_qual(self, name: str, q: Qualifier) -> "_Substitution":
         """This substitution with the qualifier q put in for the atom name."""
-        atom = VarAtom(name)
-        return self._grown(dict(self.values), self.types, {**self.quals, atom: q},
-                           atom, {name}, q.atoms)
+        return self._grown(dict(self.values), self.types, {**self.quals, name: q},
+                           (name,), q.atoms)
 
     def with_type(self, tvar: str, qvar: str,
                   payload: QualifiedType) -> "_Substitution":
@@ -774,13 +780,16 @@ class _Substitution:
         return new
 
     def qual(self, q: Qualifier) -> Qualifier:
-        if q.atoms.isdisjoint(self.atoms):
+        values, quals = self.values, self.quals
+        hit = [a for a in q.atoms if type(a) is VarAtom
+               and (a.name in quals or a.name in values)]
+        if not hit:
             return q
-        fresh, atoms = q.fresh, q.atoms - self.atoms
-        for a in q.atoms & self.atoms:
-            payload = self.quals.get(a)
+        fresh, atoms = q.fresh, q.atoms.difference(hit)
+        for a in hit:
+            payload = quals.get(a.name)
             if payload is None:
-                payload = self.quals[a] = value_qualifier(self.values[a.name])
+                payload = quals[a.name] = value_qualifier(values[a.name])
             fresh, atoms = fresh or payload.fresh, atoms | payload.atoms
         return Qualifier(fresh, atoms)
 
@@ -830,7 +839,7 @@ class _Substitution:
 
     def term(self, t: Term) -> Term:
         """t with the substitution applied."""
-        return self._term(t) if self.atoms or self.types else t
+        return self._term(t) if self.values or self.quals or self.types else t
 
     def _term(self, t: Term) -> Term:
         # a loop down a spine of lets, not a recursion, so the number of

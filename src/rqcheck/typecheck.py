@@ -9,15 +9,16 @@ X^x: `_abstraction` serves T-Abs and T-TAbs, `_application` T-App and
 T-TApp. T-Let grows Γ and φ by one binder: Γ by `TypeEnv.extended`, φ
 in place, in a copy made once per let spine. Running out of subtyping
 fuel is never a rejection: `FuelExhausted` reaches the caller as it
-is. `Retyper` types the
-successive terms of a machine run as `check_program` does, reusing what
-it synthesized for a closed λ or Λ, or a binding of the root let spine,
-that a step left as it was.
+is. `Retyper` types each configuration of a machine run as
+`check_program` types the term it plugs to, keeping a typing record per
+frame and per binding of the root let spine, so a step costs the typing
+of what it changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import AbstractSet, List
 
 from .errors import CheckError, InternalError
@@ -28,8 +29,9 @@ from .syntax import (
     EMPTY_ENV, EMPTY_SUBSTITUTION, Abs, All, App, Ascribe, Assign, Const,
     Deref, EMPTY, Fun, INT, Let, LocTerm, LocAtom, QualifiedType, Qualifier,
     RefAlloc, RefT, StoreTyping, TAbs, TApp, TermBind, Term, Top, TypeBind,
-    TypeEnv, UNIT, UnitLit, Var, VarAtom, free_atoms_qtype, free_atoms_type,
-    free_term_atoms, telescope_ok, value_qualifier, well_scoped_qtype,
+    TypeEnv, UNIT, UnitLit, Var, VarAtom, filled, free_atoms_qtype,
+    free_atoms_type, free_term_atoms, telescope_ok, value_qualifier,
+    well_scoped_qtype,
 )
 
 # Error codes
@@ -324,38 +326,36 @@ class _Checker:
             env = env.extended(TermBind(t.name, rhs_q))
             phi.add(VarAtom(t.name))
             t = t.body
-        return self._unbind(names, types, self.synth(env, phi, t))
-
-    def _unbind(self, names: list, types: list,
-                body_q: QualifiedType) -> QualifiedType:
-        """T-Let's conclusion for a spine binding each name to the type
-        at its index, innermost first: no fresh binding in the result
-        type, and each name replaced by its binding's qualifier. The
-        replacement is skipped where it returns body_q itself: the name
-        is not free in it, and the qualifier has no variable, so no
-        binder of body_q is renamed apart."""
-        in_ty = in_q = None    # the names free in body_q's type, qualifier
+        body_q, seen = self.synth(env, phi, t), None
         for i in range(len(names) - 1, -1, -1):
-            name, q = names[i], types[i].q
-            renames = False
-            for a in q.atoms:
-                if type(a) is VarAtom:
-                    renames = True
-                    break
-            if in_ty is None and (q.fresh or not renames):
-                in_ty = {a.name for a in free_atoms_type(body_q.ty)
-                         if type(a) is VarAtom}
-                in_q = {a.name for a in body_q.q.atoms if type(a) is VarAtom}
-            if q.fresh and name in in_ty:
-                raise CheckError(
-                    DEPENDENCY_VIOLATION,
-                    f"result type depends on {name} whose binding is fresh")
-            self.trace.append(f"t-let {name}")
-            if renames or name in in_ty or name in in_q:
-                # q may mention earlier names: one substitution each
-                body_q = EMPTY_SUBSTITUTION.with_qual(name, q)(body_q)
-                in_ty = None
+            body_q, seen = self._unbind(names[i], types[i].q, body_q, seen)
         return body_q
+
+    def _unbind(self, name: str, q: Qualifier, body_q: QualifiedType, seen):
+        """T-Let's conclusion for one binding of name, at qualifier q,
+        around a body of type body_q: no fresh binding in the result
+        type, and the name replaced by q. `seen` is the pair of the names
+        free in body_q's type and in its qualifier, or None until asked;
+        returns the conclusion and its pair. The replacement is skipped
+        where it returns body_q itself: the name is not free in it, and q
+        has no variable, so no binder of body_q is renamed apart."""
+        renames = False
+        for a in q.atoms:
+            if type(a) is VarAtom:
+                renames = True
+                break
+        if seen is None and (q.fresh or not renames):
+            seen = ({a.name for a in free_atoms_type(body_q.ty) if type(a) is VarAtom},
+                    {a.name for a in body_q.q.atoms if type(a) is VarAtom})
+        if q.fresh and name in seen[0]:
+            raise CheckError(
+                DEPENDENCY_VIOLATION,
+                f"result type depends on {name} whose binding is fresh")
+        self.trace.append(f"t-let {name}")
+        if renames or name in seen[0] or name in seen[1]:
+            # q may mention earlier names: one substitution each
+            return EMPTY_SUBSTITUTION.with_qual(name, q)(body_q), None
+        return body_q, seen
 
 
 # The typing rule of each term constructor.
@@ -390,135 +390,125 @@ def check_program(env: TypeEnv, store: StoreTyping, t: Term,
     return result
 
 
+# the hole of a frame's template; no program names a variable ""
+_HOLE = Var("")
+
+
 class Retyper(_Checker):
-    """`check_program(TypeEnv(), store, t).qtype` for the successive
-    terms of one run, reusing the typing of each closed λ and Λ that a
-    step left as it was, and of each binding of the root let spine that
-    the step left as it was while nothing its typing can consult changed.
+    """`check_program(TypeEnv(), store, c.plug()).qtype` for the
+    configurations c of one run, which the machine steps in place between
+    calls, without plugging them: each part keeps a typing record, and a
+    call types again what the step made stale.
+
+    Frames and the focus sit at evaluation positions, under no binder,
+    so each is typed closed, under Γ = ∅ and φ = dom(Σ). A frame above
+    the root spine keeps a `_Frame`. A call types the focus, then each
+    frame above it, innermost first, until one met as the same frame
+    with as many values finds its hole's conclusion equal to the last:
+    it and all below keep theirs. That is exact: a rule reads the hole
+    only through `synth`, which gives the hole's conclusion; the other
+    parts are the same closed terms; and Σ only grew (a changed entry
+    drops every record), which changes no closed typing, as it reads Σ
+    and φ at the locations the term holds or reaches, never a new one.
+
+    The root let spine keeps a `_Root`. Its binding p, x_p = rhs_p (the
+    body is position n), is typed as rhs_p under the pending
+    substitution, Γ = x_j..x_{p-1} and φ = dom(Σ) ∪ {x_j..x_{p-1}}, a
+    let-β having taken x_0..x_{j-1} out. The checker reads Γ, φ and Σ at
+    named atoms only (a name's innermost binder, membership, `get`), and
+    forms every type or qualifier from the term, from the entries of
+    atoms it holds, or from names the term or a type binds. So binding p
+    reads the entries of D_p, its rhs's free atoms (annotations
+    included) closed through their entries, and its record holds while
+    none of those changed. A let-β changes x_j's entry, and a conclusion
+    unequal to the last x_p's. The positions whose D holds a changed x
+    are those whose rhs names x (`readers`) or whose type mentions x
+    (`mentions`), and, through their names, the positions they reach.
+    They are typed again in order, as `_let` types them, so the first
+    rejection is `check_program`'s; T-Let's conclusion, a fold of
+    `_unbind` from the body down, is redone from each change while it
+    changes. Γ and φ keep x_0..x_{j-1}, which no D reaches once each
+    position that read one is typed again. A spine that binds a name
+    twice, or one the substitution binds, is typed whole.
 
     A λ or Λ met again as the same object under the same store typing
-    object is given the qualified type synthesized for it before, once
-    it is found closed (no free variable atom, annotations included), if
-    that type's qualifier, its capture, is in φ. That is exact. Every
-    lookup of a name stops at the innermost binder of the name
-    (`TypeEnv.binder`), so a closed value is typed the same in every
-    environment. φ enters its typing only where its capture must be
-    observable, since the body is typed under capture ∪ {self, param}.
-    A store typing is never changed once built.
-
-    The let spine at the root, which the machine's steps rewrite at its
-    first binding, is walked here instead of by `_let`. Its binding j is
-    typed under the types of bindings 0..j-1, φ = dom(Σ) ∪ {x_0..x_{j-1}}
-    and Σ; as in `_let`, the walk extends Γ by each binding and grows one
-    copy of φ in place, O(1) per binding, up to the last binding it types
-    again. The checker reads these at named atoms only: the
-    environment through the innermost binder of a name, φ by
-    membership, Σ by `get` (`dom` is membership too; `type_sub` tests a
-    `Ref` content atom the same way). Every type and qualifier the
-    typing of the rhs forms is built from the rhs, from the entries of
-    atoms it already holds, or from names the rhs or a type binds. So
-    the atoms whose entries it can read are D: the free atoms of the rhs
-    (annotations included), closed through their environment entries
-    and their Σ entries. A variable of D is in φ exactly when the spine
-    binds it before j, and a location exactly when Σ has it, so D's
-    entries fix φ on D too. A rhs met again as the same object, at the
-    same position or one further on (a let-β drops the first binding),
-    is given the qualified type of the last call if each atom of D, as
-    the last call's entries close it, has the same entry object now, or
-    none in both: then the typing reads what it read, and D is the same
-    set. Only spines that bind no name twice are compared, so a name's
-    entry is its binder's at every later binding; the answer for each
-    atom is kept for the rest of the call (`_Spine.clean`), so a chain
-    of aliases is followed once per call, not once per binding. A
-    freshly synthesized type equal to the last call's for its name is
-    replaced by that object, so entries are compared by identity. Σ
-    only grows and `StoreTyping.extended` keeps the entry objects, so
-    this survives a `ref` step, where the λ memo does not. λ and Λ
-    right-hand sides stay with the λ memo: a step that substitutes into
-    an open one rebuilds it, and comparing its type with the last
-    call's costs about what typing it again does. Every other node, and
-    every binding whose rhs or D the step changed, is synthesized
-    again, so every step is checked as before.
-
-    The machine's harnesses make one `Retyper` per call, so the memos
-    die with it. The λ memo holds the λs and Λs met in the last two
-    calls, each as (node, store typing, closed or None while not asked,
-    qualified type) under the node's id; an entry holds its node, so
-    the id names no other object while the entry lives. The spine memo
-    is the last call's `_Spine`."""
+    is given its last qualified type once found closed (no free
+    variable atom, annotations included), if its capture is in φ: a
+    lookup stops at a name's innermost binder (`TypeEnv.binder`), so a
+    closed value types the same anywhere, and φ enters only where its
+    capture must be observable. The memo holds the λs and Λs met in the
+    last two calls, as (node, store typing, closed or None until asked,
+    qualified type) under the node's id; holding the node, the id names
+    no other object while the entry lives."""
 
     def __init__(self):
         super().__init__(StoreTyping())
-        self._seen: dict = {}
-        self._last: dict = {}
-        self._store_atoms: dict = {}
-        self._spine = _NO_SPINE
+        self._seen, self._last = {}, {}    # the λ memo
+        self._frames, self._root = [], None
+        self._hole = self._hole_q = None
 
-    def __call__(self, store: StoreTyping, t: Term) -> QualifiedType:
-        self.store, self.trace = store, []
+    def __call__(self, store: StoreTyping, c) -> QualifiedType:
+        old = self.store.mapping
+        if store is not self.store:
+            if any(store.mapping.get(loc) is not e for loc, e in old.items()):
+                self._root, self._frames = None, []
+            elif self._root is not None:
+                self._root.phi.update(LocAtom(loc) for loc in store.mapping
+                                      if loc not in old)
+            self.store = store
+        self.trace = []
         self._last, self._seen = self._seen, {}
-        if type(t) is Let:
-            qty = self._retype_spine(t)
-        else:
-            # a step rebuilds the root, so a term that is not a spine of
-            # lets is never met again
-            qty = self.synth(EMPTY_ENV, store.dom(), t)
+        try:
+            qty = self._configuration(c)
+        except BaseException:
+            # a record may be half updated: start again from the term
+            self._root, self._frames = None, []
+            raise
+        finally:
+            self._hole = None
         if not qty.q.atoms <= store.dom():
             raise InternalError("synthesized an unobservable qualifier")
         return qty
 
-    def _retype_spine(self, t: Let) -> QualifiedType:
-        """`_let` on the root spine, growing Γ and φ as `_let` does. The
-        record of each binding, and of the body, is the last call's
-        record of the same rhs, at the same position or one further on (a
-        let-β drops the first binding), if nothing its typing can consult
-        changed (see the class docstring); else the rhs is synthesized
-        again."""
-        then = self._spine
-        spine = self._spine = _Spine(self.store, self._store_atoms)
-        names, bound, old = spine.names, spine.bound, then.bound
-        n, j, k = len(old), 0, 0
-        # the environment and φ of bindings 0..k-1, grown as `_let` grows
-        # them, up to the current binding when a rhs is synthesized
-        env, phi = EMPTY_ENV, set(self.store.dom())
-        while True:
-            rhs = t.rhs if type(t) is Let else t
-            value = type(rhs) is Abs or type(rhs) is TAbs
-            b = free = None
-            if j < n and not value:
-                at = j if old[j].rhs is rhs else j + 1
-                if at < n and old[at].rhs is rhs:
-                    b = old[at]
-                    if b.free is None:
-                        # walked on a second sighting only, as the λ
-                        # memo asks `closed`, so a rhs every step
-                        # rebuilds is not
-                        b.free = free_term_atoms(rhs, annotations=True)
-                    if not spine.unchanged(b.free, then, at):
-                        b, free = None, b.free
-            if b is None:
-                while k < j:
-                    env = env.extended(TermBind(names[k], bound[k].qtype))
-                    phi.add(VarAtom(names[k]))
-                    k += 1
-                b = _Bound(rhs, self.synth(env, phi, rhs), free)
-                p = then.index.get(t.name) if type(t) is Let else None
-                if p is not None and not value and b.qtype == old[p].qtype:
-                    # the last call's object for an equal type, so that
-                    # `unchanged` compares entries by identity
-                    b.qtype, b.atoms = old[p].qtype, old[p].atoms
-            bound.append(b)
-            if type(t) is not Let:
+    def _configuration(self, c) -> QualifiedType:
+        frames = c.frames
+        root, sub = (frames[0][0], frames[0][1]) if frames else (c.focus, c.sub)
+        if type(root) is Let:
+            spine = self._root
+            if spine is None or not spine.follow(root, sub):
+                spine = self._root = _Root(root, sub, self.store)
+            if spine.unique:
+                return spine.retype(self, self._levels(c, 1) if frames else None)
+        return self._levels(c, 0)
+
+    def _levels(self, c, start: int) -> QualifiedType:
+        """The conclusion of frames[start:] plugged around the focus: the
+        focus typed again, then the frames while a hole's conclusion changed."""
+        frames, recs = c.frames, self._frames
+        keep = 0
+        while (keep < len(recs) and start + keep < len(frames)
+               and recs[keep].frame is frames[start + keep]
+               and len(recs[keep].vals) == len(frames[start + keep][2])):
+            keep += 1
+        del recs[keep:]
+        recs.extend(_Frame(f) for f in frames[start + keep:])
+        phi = self.store.dom()
+        term = c.sub.term(c.focus)
+        q = self.synth(EMPTY_ENV, phi, term)
+        for k in range(len(recs) - 1, -1, -1):
+            rec = recs[k]
+            if k < keep and (q is rec.hole_q or q == rec.hole_q):
+                q = recs[0].qtype
                 break
-            if t.name in spine.index:
-                spine.unique = False
-            spine.index[t.name] = j
-            names.append(t.name)
-            j += 1
-            t = t.body
-        return self._unbind(names, [b.qtype for b in bound], bound[-1].qtype)
+            self._hole, self._hole_q = term, q
+            term = rec.plugged(term)
+            rec.hole_q, q = q, self.synth(EMPTY_ENV, phi, term)
+            rec.qtype = q
+        return q
 
     def synth(self, env: TypeEnv, phi: AbstractSet, t: Term) -> QualifiedType:
+        if t is self._hole and env is EMPTY_ENV:
+            return self._hole_q
         if type(t) is not Abs and type(t) is not TAbs:
             return _Checker.synth(self, env, phi, t)
         known = self._seen.get(id(t)) or self._last.get(id(t))
@@ -526,8 +516,8 @@ class Retyper(_Checker):
         if known is not None:
             _, store, closed, qty = known
             if closed is None:
-                # asked on a second sighting only, so a node that plug
-                # rebuilds on every step is never walked
+                # asked on a second sighting only, so a node built for
+                # one call only is never walked
                 closed = not any(type(a) is VarAtom for a in
                                  free_term_atoms(t, annotations=True))
             if closed and store is self.store and qty.q.atoms <= phi:
@@ -538,130 +528,160 @@ class Retyper(_Checker):
         return qty
 
 
-class _Bound:
-    """A right-hand side of a root spine and the qualified type it was
-    given, with its free atoms (annotations included) and the free atoms
-    of the type, each None until asked. A record found unchanged is
-    shared by the spines of both calls."""
+class _Frame:
+    """A frame's record: its values, its node under its substitution with
+    `_HOLE` where it is evaluated, the hole's last conclusion and its own."""
 
-    __slots__ = ("rhs", "qtype", "free", "atoms")
+    __slots__ = ("frame", "vals", "template", "hole_q", "qtype")
 
-    def __init__(self, rhs: Term, qtype: QualifiedType, free):
-        self.rhs, self.qtype, self.free, self.atoms = rhs, qtype, free, None
+    def __init__(self, frame):
+        node, sub, vals, _ = frame
+        self.frame, self.vals = frame, list(vals)
+        self.template = sub.term(filled(node, self.vals + [_HOLE]))
+        self.hole_q = self.qtype = None
+
+    def plugged(self, term: Term) -> Term:
+        return filled(self.template, self.vals + [term])
 
 
-class _Spine:
-    """The let spine at the root of one `Retyper` call, as far as it is
-    walked: the names bound, a record per binding (and, once walked, one
-    for the body), the position of each name's binder, whether no name
-    is bound twice, and Σ; with, for this call, which atoms are known
-    `clean` against the last call's spine."""
+class _Root:
+    """The records of the root let spine (see `Retyper`): per position
+    its conclusion (`types`) and T-Let's from there on (`folds`); the
+    positions that name each name (`readers`) or whose type mentions it
+    (`mentions`); the environments and φ, and the positions to type
+    again (`queue`, a heap)."""
 
-    __slots__ = ("names", "bound", "index", "unique", "store",
-                 "store_atoms", "memo")
+    __slots__ = ("lets", "body", "names", "vars", "j", "sub", "unique",
+                 "readers", "types", "atoms", "mentions", "folds", "envs",
+                 "phi", "h", "queue", "touched")
 
-    def __init__(self, store: StoreTyping, store_atoms: dict):
-        self.names, self.bound, self.index = [], [], {}
-        self.unique, self.store, self.store_atoms = True, store, store_atoms
-        self.memo: dict = {}
+    def __init__(self, root: Let, sub, store: StoreTyping):
+        lets, t = [], root
+        while type(t) is Let:
+            lets.append(t)
+            t = t.body
+        n = len(lets)
+        self.lets, self.body, self.j, self.sub = lets, t, 0, sub
+        self.names = [let.name for let in lets]
+        self.unique = (len(set(self.names)) == n
+                       and sub.names.isdisjoint(self.names))
+        self.readers, self.mentions, self.touched = {}, {}, set()
+        for p in range(n + 1):
+            for a in free_term_atoms(lets[p].rhs if p < n else t,
+                                     annotations=True):
+                if type(a) is VarAtom:
+                    self.readers.setdefault(a.name, []).append(p)
+        self.queue = list(range(n + 1))
+        self.vars = [VarAtom(x) for x in self.names]
+        self.types, self.folds = [None] * (n + 1), [None] * (n + 1)
+        self.atoms, self.envs = [frozenset()] * n, [EMPTY_ENV]
+        self.phi, self.h = set(store.dom()), 0
 
-    def atoms_of(self, entry) -> frozenset:
-        """The free atoms of an entry: a record's type, or a Σ entry
-        (kept under its id with the entry, for the `Retyper`'s life)."""
-        if type(entry) is _Bound:
-            if entry.atoms is None:
-                entry.atoms = free_atoms_qtype(entry.qtype)
-            return entry.atoms
-        known = self.store_atoms.get(id(entry))
-        if known is None:
-            known = self.store_atoms[id(entry)] = (
-                entry, free_atoms_qtype(entry))
-        return known[1]
+    def follow(self, root: Let, sub) -> bool:
+        """Whether root is the spine's binding x_j, or x_{j+1} after a
+        let-β (x_j's readers are then queued)."""
+        j = self.j
+        if root is self.lets[j]:
+            return sub is self.sub
+        if (j + 1 < len(self.lets) and root is self.lets[j + 1]
+                and self.names[j] in sub.names):
+            self.j, self.sub = j + 1, sub
+            if self.unique:
+                self._touch(self.names[j], j)
+            return True
+        return False
 
-    def unchanged(self, free: frozenset, then: "_Spine", at: int) -> bool:
-        """Whether each atom of D of binding `at` of `then` (see
-        `Retyper`: the atoms of free, closed through their entries
-        there) has the same entry after the spine so far: for a
-        variable the type of its binder, for a location its Σ entry, or
-        none in both. Only spines that bind no name twice are compared,
-        so a name's entry is its binder's wherever it is bound."""
-        if not (self.unique and then.unique):
-            return False
-        old_index, index = then.index, self.index
-        memo = self.memo
-        for a in free:
-            if type(a) is VarAtom:
-                p, q = old_index.get(a.name), index.get(a.name)
-                if p is None or q is None:
-                    if p is not q:
-                        return False
-                    continue
-                if p >= at:
-                    return False
-            known = memo.get(a)
-            if not (self.clean(a, then) if known is None else known):
-                return False
-        return True
-
-    def clean(self, root, then: "_Spine") -> bool:
-        """Whether root, a location or a variable both spines bind, has
-        the same entry in both, and so has every atom its entry reaches.
-        A variable's entry may only reach variables bound before it in
-        both spines, and locations; a Σ entry only smaller locations. So
-        the search meets no atom twice on one path, and each answer holds
-        for the rest of the call (what it reads is bound before it): it
-        is kept in `memo` under the atom, which the caller reads first."""
-        memo = self.memo
-        stack = [(root, self._reaches(root, then))]
-        while stack:
-            a, kids = stack[-1]
-            if kids:
-                z = kids.pop()
-                known = memo.get(z)
-                if known is None:
-                    stack.append((z, self._reaches(z, then)))
-                    continue
-                if known:
-                    continue
-            elif kids is not None:
-                stack.pop()
-                memo[a] = True
+    def _touch(self, name: str, after: int):
+        """Queue each position after `after` whose typing can read name's
+        entry (see `Retyper`). A name touched before in this call, at a
+        position not above this one, has its readers queued already."""
+        work, queue, touched = [name], self.queue, self.touched
+        while work:
+            x = work.pop()
+            if x in touched:
                 continue
-            # a changed, or reaches what changed: so does every atom on
-            # the stack
-            for a, _ in stack:
-                memo[a] = False
-            return False
-        return True
+            touched.add(x)
+            for p in self.readers.get(x, ()):
+                if p > after:
+                    heappush(queue, p)
+            for p in self.mentions.get(x, ()):
+                if p > after:
+                    heappush(queue, p)
+                    work.append(self.names[p])
 
-    def _reaches(self, a, then: "_Spine"):
-        """The atoms a's entry reaches, to be found clean in turn; None
-        if the entry changed or reaches what it may not."""
-        if type(a) is LocAtom:
-            old = then.store.mapping.get(a.loc)
-            if old is not self.store.mapping.get(a.loc):
-                return None
-            kids = [] if old is None else list(self.atoms_of(old))
-            for z in kids:
-                if type(z) is VarAtom or z.loc >= a.loc:
-                    return None
-            return kids
-        p, q = then.index[a.name], self.index[a.name]
-        old = then.bound[p]
-        if old.qtype is not self.bound[q].qtype:
-            return None
-        kids = []
-        for z in self.atoms_of(old):
-            if type(z) is VarAtom:
-                pz, qz = then.index.get(z.name), self.index.get(z.name)
-                if pz is None and qz is None:
-                    continue
-                if pz is None or qz is None or pz >= p or qz >= q:
-                    return None
-            kids.append(z)
-        return kids
+    def retype(self, checker: Retyper, hole_q) -> QualifiedType:
+        """T-Let's conclusion from x_j on, typing the queued positions
+        again in order; x_j's conclusion is hole_q while its rhs is
+        being evaluated."""
+        j, n, types, queue = self.j, len(self.lets), self.types, self.queue
+        changed = []
+        if hole_q is not None and hole_q is not types[j] and hole_q != types[j]:
+            self._set(j, hole_q)
+            changed.append(j)
+        last = -1
+        while queue:
+            p = heappop(queue)
+            if p == last or p < j or (p == j and hole_q is not None):
+                continue
+            last = p
+            env, phi = self._scope(p)
+            term = self.lets[p].rhs if p < n else self.body
+            q = checker.synth(env, phi, self.sub.term(term))
+            if q is not types[p] and q != types[p]:
+                self._set(p, q)
+                changed.append(p)
+        self.touched.clear()
+        if changed:
+            self._fold(checker, set(changed))
+        return self.folds[j]
 
+    def _set(self, p: int, q: QualifiedType):
+        """A new conclusion at p, which changes the entry of x_p."""
+        first = self.types[p] is None
+        self.types[p] = q
+        del self.envs[p + 1:]
+        if p == len(self.lets):
+            return
+        atoms = {a.name for a in free_atoms_qtype(q) if type(a) is VarAtom}
+        for x in self.atoms[p] - atoms:
+            self.mentions[x].discard(p)
+        for x in atoms - self.atoms[p]:
+            self.mentions.setdefault(x, set()).add(p)
+        self.atoms[p] = atoms
+        if not first:
+            self._touch(self.names[p], p)
 
-# the last spine before a `Retyper`'s first call: it binds nothing, and
-# nothing is ever written to it
-_NO_SPINE = _Spine(StoreTyping(), {})
+    def _scope(self, p: int):
+        """Γ and φ for position p: x_0 ... x_{p-1}."""
+        envs, names, types = self.envs, self.names, self.types
+        while len(envs) <= p:
+            k = len(envs) - 1
+            envs.append(envs[k].extended(TermBind(names[k], types[k])))
+        phi, h, atoms = self.phi, self.h, self.vars
+        while h < p:
+            phi.add(atoms[h])
+            h += 1
+        while h > p:
+            h -= 1
+            phi.discard(atoms[h])
+        self.h = h
+        return envs[p], phi
+
+    def _fold(self, checker: Retyper, marks: set):
+        """T-Let's conclusion at each position from the highest whose
+        type changed (`marks`) down to the root, while it changes."""
+        n, names, types, folds = len(self.lets), self.names, self.types, self.folds
+        carry, seen = False, None
+        for p in range(max(marks), self.j - 1, -1):
+            if not (carry or p in marks):
+                continue
+            if p == n:
+                new, seen = types[n], None
+            else:
+                new, seen = checker._unbind(names[p], types[p].q, folds[p + 1], seen)
+            old = folds[p]
+            carry = old is None or (new is not old and new != old)
+            if carry:
+                folds[p] = new
+            else:
+                seen = None

@@ -252,9 +252,9 @@ def _differential_run(monkeypatch, term, fuel) -> Counter:
             expected = reference_subst_term(expected, name, v)
         for tvar, ty in sub.types.items():
             expected = _rewrite(expected, tvar, ty=ty)
-        for atom, q in sub.quals.items():
-            if atom.name not in sub.values:
-                expected = _rewrite(expected, atom.name, payload=q)
+        for name, q in sub.quals.items():
+            if name not in sub.values:
+                expected = _rewrite(expected, name, payload=q)
         assert out == expected
         free = free_term_atoms(t, annotations=True)
         unchanged = not any(VarAtom(n) in free for n in sub.names if n)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -281,6 +282,25 @@ def test_ten_thousand_top_level_vals_evaluate_in_a_fresh_interpreter(tmp_path):
                           timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, b"value 0 (store size 0, 10000 steps)\n", b"")
+
+
+def test_ten_thousand_top_level_vals_verify_in_a_fresh_interpreter(tmp_path):
+    # the harness re-types a configuration in place, so a step re-types
+    # what it changed, not the spine; the interpreter keeps its default
+    # recursion limit. Re-typing the whole spine after every step takes
+    # 110-125 s; this takes about 1 s, and the bound leaves room for a
+    # loaded host
+    src = tmp_path / "vals.rq"
+    src.write_text("".join(f"val v_{i} = {i};\n" for i in range(10_000)) + "v_0\n",
+                   encoding="utf-8")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "rqcheck.cli", "eval",
+                           "--verify-preservation", str(src)],
+                          capture_output=True, env=_env_importing_rqcheck(),
+                          timeout=120)
+    assert time.perf_counter() - start < 30
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.endswith(b"\nvalue 0; all steps verified\n")
 
 
 def test_checking_declarations_builds_no_domain_per_declaration(monkeypatch):

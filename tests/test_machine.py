@@ -1,6 +1,7 @@
 """Unit tests for the small-step machine and its metatheory harnesses."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,9 @@ from helpers import bench_families, runnable_programs, sep_pairs
 from rqcheck import machine, syntax, typecheck
 from rqcheck.cli import corpus_text, load_corpus
 from rqcheck.machine import (
-    DEFAULT_EVAL_FUEL, Event, Stepped, Stuck, Value, check_preservation,
-    erase_ascriptions, eval_term, separation_experiment, step, store_wf,
+    DEFAULT_EVAL_FUEL, Configuration, Event, Stepped, Stuck, Value,
+    check_preservation, erase_ascriptions, eval_term, separation_experiment,
+    step, store_wf,
 )
 from rqcheck.surface import elaborate, parse, parse_term, pretty
 from rqcheck.syntax import (
@@ -311,8 +313,7 @@ def test_growing_a_substitution_in_place_leaves_every_other_one_as_it_was():
     for _, term, _, _ in CORE_TERMS:
         eval_term(term, fuel=50)
     empty = syntax.EMPTY_SUBSTITUTION
-    assert not (empty.values or empty.types or empty.quals or empty.atoms
-                or empty.names)
+    assert not (empty.values or empty.types or empty.quals or empty.names)
     with pytest.raises(AttributeError):
         empty.extended("x", Const(0), in_place=True)
     assert not empty.values
@@ -343,7 +344,7 @@ def test_a_run_copies_substitution_entries_linear_in_the_program(monkeypatch):
 
     def counted(sub, *args):
         copied.append(1 + len(sub.values) + len(sub.types) + len(sub.quals)
-                      + len(sub.atoms) + len(sub.names))
+                      + len(sub.names))
         return grown(sub, *args)
 
     monkeypatch.setattr(syntax._Substitution, "_grown", counted)
@@ -553,8 +554,8 @@ def test_eval_and_preservation_match_the_golden_file():
 class _FullRecheck:
     """The reference: `check_program` on the whole term after every step."""
 
-    def __call__(self, store, t):
-        return check_program(TypeEnv(), store, t).qtype
+    def __call__(self, store, c):
+        return check_program(TypeEnv(), store, c.plug()).qtype
 
 
 def _outcome(harness, *args, **kwargs):
@@ -599,6 +600,19 @@ LOC_IN_LAMBDA_LET_BODY = (
     "val c = ref 0; val d = ref c; "
     "val f = fn f^{c, d}(u: Unit^{}) { val k = 1; d }; val g = f(unit); 0")
 
+# id's frame, and k's, outlive the steps of g's call, whose conclusion
+# narrows from g's codomain {a, b} to {a} at its β; so must y's type
+KEPT_FRAMES = ("val a = ref 0; val b = ref 1; "
+               "val g = fn g(w: Int^{}) : Ref[Int]^{a, b} { a }; "
+               "val h = fn h(w: Int^{}) { w }; "
+               "val id = fn id(x: Ref[Int]^{a, b}) { x }; "
+               "val y = (val k = id(g(h(0))); k); y")
+
+# every step changes the entry at the chain's root, which every later
+# binding reaches through the entry before it
+ALIAS_CHAIN = ("val a0 = ref 0; "
+               + "".join(f"val a{i} = a{i - 1}; " for i in range(1, 100)) + "!a99")
+
 
 def _differential_programs():
     """(name, term): the runnable corpus, the four families at n=1..20,
@@ -617,6 +631,8 @@ def _differential_programs():
     yield "narrowed-at-let", parse_term(NARROWED_AT_LET)
     yield "loc-in-let-body", parse_term(LOC_IN_LET_BODY)
     yield "loc-in-lambda-let-body", parse_term(LOC_IN_LAMBDA_LET_BODY)
+    yield "alias-chain", parse_term(ALIAS_CHAIN)
+    yield "kept-frames", parse_term(KEPT_FRAMES)
 
 
 DIFFERENTIAL = list(_differential_programs())
@@ -643,18 +659,21 @@ def test_separation_reports_equal_a_full_recheck_after_every_step(monkeypatch):
 def test_the_retyper_equals_check_program_on_any_store_typing_and_phi():
     # the harness runs above only grow Σ and re-type well-typed terms, so
     # they cannot tell a memo that skips the Σ test or the capture test
-    # apart; here one closed λ is typed under two store typings with one
-    # domain, then inside a λ whose empty capture hides its location
+    # apart; here one closed λ, and one spine whose binding reads a cell,
+    # are typed under two store typings with one domain, then the λ
+    # inside a λ whose empty capture hides its location
     outer = parse_term("fn w^{}(z: Unit^{}) { fn f(u: Unit^{}) { @0 } }")
     inner = outer.body
+    spine = parse_term("val a = 1; val b = !@0; b")
     int_cell = EMPTY_SIGMA.extended(0, qt(INT))
     unit_cell = EMPTY_SIGMA.extended(0, qt(syntax.UNIT))
     retype = typecheck.Retyper()
     for sigma, t in ((int_cell, inner), (unit_cell, inner), (int_cell, inner),
+                     (int_cell, spine), (unit_cell, spine), (int_cell, spine),
                      (int_cell, outer), (int_cell, inner)):
-        memoized = _outcome(retype, sigma, t)
-        assert memoized == _outcome(_FullRecheck(), sigma, t)
-    assert memoized != _outcome(_FullRecheck(), unit_cell, inner)
+        memoized = _outcome(retype, sigma, Configuration(t))
+        assert memoized == _outcome(_FullRecheck(), sigma, Configuration(t))
+    assert memoized != _outcome(_FullRecheck(), unit_cell, Configuration(inner))
 
 
 def test_a_value_carried_from_step_to_step_is_typed_once(monkeypatch):
@@ -697,52 +716,59 @@ def _counting(monkeypatch, cls):
     return calls
 
 
+def _evaluating_first_rhs(spine: Let, rhs) -> Configuration:
+    """The configuration whose root let is evaluating its first
+    right-hand side, which is now rhs."""
+    c = Configuration(rhs)
+    c.frames.append((spine, syntax.EMPTY_SUBSTITUTION, [], False))
+    return c
+
+
 def test_the_retyper_reuses_a_binding_only_while_its_entries_are_unchanged(
         monkeypatch):
-    # one rhs object, !a, under spines that differ in a's entry (it reads
-    # a's cell, so it is typed again), or only in the unrelated u (so its
-    # type is reused), against check_program on every spine
+    # one rhs object, !a, under configurations that differ in a's entry
+    # (it reads a's cell, so it is typed again), or only in the unrelated
+    # u inside a's rhs (so its type is reused), against check_program on
+    # every configuration
     read = Deref(Var("a"))
     sigma = EMPTY_SIGMA.extended(0, qt(INT)).extended(1, qt(syntax.UNIT))
+    spine = Let("a", LocTerm(0), Let("b", read, Var("b")))
 
-    def spine(cell, unrelated):
-        return Let("a", LocTerm(cell), Let("u", unrelated,
-                                           Let("b", read, Var("b"))))
+    def rhs(cell, unrelated):
+        return Let("u", unrelated, LocTerm(cell))
 
     calls = _counting(monkeypatch, Deref)
     retype = typecheck.Retyper()
-    last = spine(0, UnitLit())
-    # the last term again, under a Σ that types cell 0 as Unit: a's entry
-    # reads it, so !a is typed again
+    last = _evaluating_first_rhs(spine, rhs(0, UnitLit()))
+    # the last configuration again, under a Σ that types cell 0 as Unit:
+    # a's entry reads it, so !a is typed again
     other = EMPTY_SIGMA.extended(0, qt(syntax.UNIT))
-    for store, t, typed in ((sigma, spine(0, Const(1)), 1),
-                            (sigma, spine(1, Const(1)), 1),
-                            (sigma, spine(1, UnitLit()), 0),
+    for store, c, typed in ((sigma, _evaluating_first_rhs(spine, rhs(0, Const(1))), 1),
+                            (sigma, _evaluating_first_rhs(spine, rhs(1, Const(1))), 1),
+                            (sigma, _evaluating_first_rhs(spine, rhs(1, UnitLit())), 0),
                             (sigma, last, 1), (other, last, 1),
                             (other, last, 0)):
         calls.clear()
-        assert retype(store, t) == check_program(TypeEnv(), store, t).qtype
+        assert retype(store, c) == check_program(TypeEnv(), store, c.plug()).qtype
         assert calls.count(read) == typed + 1   # check_program's own
 
 
 def test_the_retyper_follows_the_entries_a_binding_reaches():
     # b's ascription holds while r is @0 and fails while r is a fresh
     # reference, and b reads r only through a's entry Ref[Int]^{r}, which
-    # is the same object in both spines: only the closure through a's
-    # entry finds that r's changed
+    # is the same object in both configurations: only the closure through
+    # a's entry finds that r's changed
     sigma = EMPTY_SIGMA.extended(0, qt(INT))
     alias, narrowed = Var("r"), Ascribe(Var("a"), qt(RefT(qt(INT)),
                                                         qual(locs=[0])))
-
-    def spine(r):
-        return Let("r", r, Let("a", alias, Let("b", narrowed, Var("b"))))
+    spine = Let("r", LocTerm(0), Let("a", alias, Let("b", narrowed, Var("b"))))
 
     retype = typecheck.Retyper()
     outcomes = []
     for r in (LocTerm(0), RefAlloc(Const(0)), LocTerm(0)):
-        t = spine(r)
-        outcomes.append(_outcome(retype, sigma, t))
-        assert outcomes[-1] == _outcome(_FullRecheck(), sigma, t)
+        c = _evaluating_first_rhs(spine, r)
+        outcomes.append(_outcome(retype, sigma, c))
+        assert outcomes[-1] == _outcome(_FullRecheck(), sigma, c)
     assert outcomes[1][0] == "CheckError" and outcomes[0] == outcomes[2]
 
 
@@ -756,10 +782,10 @@ def test_a_binding_the_step_left_alone_is_not_synthesized_again(monkeypatch):
     typed = []
 
     class Recording(typecheck.Retyper):
-        def __call__(self, store, t):
+        def __call__(self, store, c):
             assigns.clear()
-            qty = super().__call__(store, t)
-            typed.append((t, list(assigns)))
+            qty = super().__call__(store, c)
+            typed.append((c.plug(), list(assigns)))
             return qty
 
     monkeypatch.setattr(machine, "Retyper", Recording)
@@ -770,7 +796,95 @@ def test_a_binding_the_step_left_alone_is_not_synthesized_again(monkeypatch):
              if s.rule in ("deref", "assign") and isinstance(t, Let)]
     assert len(quiet) == 2 * 8
     for t, again in quiet:
-        assert all(node is t.rhs for node in again)
+        # the harness holds no plugged term, so a node is matched by
+        # equality; the ring's assignments are pairwise unequal
+        assert len(again) <= 1 and all(node == t.rhs for node in again)
     # over the run, each of the 8 assignments is typed a few times, not
     # once per step as a full recheck types it
     assert sum(len(a) for _, a in typed) <= 8 * 8
+
+
+def _vals(n: int) -> str:
+    return "".join(f"val v_{i} = {i};\n" for i in range(n)) + "v_0\n"
+
+
+def _verify_vals(count) -> list:
+    """count's tally after `check_preservation` on 1,000 and on 2,000
+    top-level `val`s; count(run) runs run and returns its tally."""
+    tallies = []
+    for n in (1000, 2000):
+        term = elaborate(parse(_vals(n)))
+        reports = []
+        tallies.append(count(lambda: reports.append(
+            check_preservation(term, EMPTY_SIGMA))))
+        assert (reports[0].ok, reports[0].status, len(reports[0].steps)) == (
+            True, "value", n)
+    return tallies
+
+
+def test_a_verify_step_plugs_no_spine(monkeypatch):
+    # the harness steps one configuration in place; plugging it after
+    # every step walks the spine with the pending substitution, 0.5M
+    # walks at 1,000 vals and 2.0M at 2,000
+    walks = [0]
+    walk = syntax._Substitution._term
+
+    def counted(sub, t):
+        walks[0] += 1
+        return walk(sub, t)
+
+    def count(run):
+        walks[0] = 0
+        run()
+        return walks[0]
+
+    monkeypatch.setattr(syntax._Substitution, "_term", counted)
+    small, large = _verify_vals(count)
+    assert 0 < large <= 2.1 * small
+
+
+def test_a_verify_step_visits_only_the_bindings_it_changed():
+    # the Retyper keeps a record per binding and types again only what
+    # reads a changed entry; visiting every binding to find its record,
+    # as a per-step walk of the spine does, makes 0.5M calls into the
+    # checker at 1,000 vals and 2.0M at 2,000
+    path = typecheck.__file__
+
+    def count(run):
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == path:
+                calls[0] += 1
+
+        old = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(old)
+        return calls[0]
+
+    small, large = _verify_vals(count)
+    assert 0 < large <= 2.1 * small
+
+
+def test_a_beta_and_a_let_beta_intern_nothing(monkeypatch):
+    # a substitution keys its names as strings, so running the divergent
+    # program longer interns no further atom or qualifier
+    entry = next(e for e in load_corpus() if e.name == "eval-diverge")
+    term = elaborate(parse(corpus_text(entry)))
+    made = [0]
+    for cls in syntax._Interned.__subclasses__():
+        def counted(c, *args, _new=cls.__new__):
+            made[0] += 1
+            return _new(c, *args)
+
+        monkeypatch.setattr(cls, "__new__", counted)
+    counts = []
+    for fuel in (200, 2000):
+        made[0] = 0
+        result = eval_term(term, fuel=fuel)
+        assert (result.status, result.steps) == ("fuel", fuel)
+        counts.append(made[0])
+    assert counts[0] == counts[1]
