@@ -234,9 +234,9 @@ def reference_subst_term(t, name, v):
 
 
 def _differential_run(monkeypatch, term, fuel) -> Counter:
-    """Evaluate term, and step it as whole terms the way the
-    preservation harness does, checking every non-empty pending
-    substitution the machine applies against the reference, which puts
+    """Evaluate term, and run the preservation harness on it, checking
+    every non-empty pending substitution the machine and the re-typing
+    apply against the reference, which puts
     its bindings in one at a time; counts (kind, whether it left t as
     is), the kind "types" when a type argument is among the bindings."""
     seen = Counter()
