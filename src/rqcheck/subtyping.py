@@ -4,6 +4,14 @@ Universal types use the full (contravariant-bound) rule, which is
 undecidable in general, so every unfolding of a type variable or a
 universal spends fuel; running out raises FuelExhausted rather than
 returning a verdict.
+
+S-Fun and S-All compare the codomains (bodies) of two binders under one
+set of names, bound in Γ for the comparison. They are the left type's
+own binder names when those are pairwise distinct, bound in Γ by
+nothing and free in neither type: renaming them to fresh names would
+change nothing, so the left side is compared as it is and the right
+side is renamed only when its names differ. Otherwise both sides are
+renamed to fresh names (`_Ctx.fresh`), which no type mentions.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ from .errors import FuelExhausted
 from .qualifiers import qual_sub
 from .syntax import (
     EMPTY_SUBSTITUTION, All, Base, FRESH, Fun, QualifiedType, RefT,
-    StoreTyping, Top, TVar, TermBind, Type, TypeBind, TypeEnv, VarAtom, qual,
+    StoreTyping, Top, TVar, TermBind, Type, TypeBind, TypeEnv, VarAtom,
+    free_atoms_type, qual,
 )
 
 DEFAULT_FUEL = 512
@@ -63,11 +72,12 @@ def _type_sub(env: TypeEnv, store: StoreTyping, s: Type, t: Type, ctx: _Ctx) -> 
     if isinstance(s, Fun) and isinstance(t, Fun):
         if not _qtype_sub(env, store, t.dom, s.dom, ctx):
             return False
-        f = ctx.fresh("f")
-        x = ctx.fresh("x")
-        fq, xq = qual(f), qual(x)
-        scod = EMPTY_SUBSTITUTION.with_qual(s.self_name, fq).with_qual(s.param, xq)(s.cod)
-        tcod = EMPTY_SUBSTITUTION.with_qual(t.self_name, fq).with_qual(t.param, xq)(t.cod)
+        f, x = _names(env, ctx, s, t, (s.self_name, s.param), "fx")
+        scod, tcod = (
+            u.cod if u.self_name == f and u.param == x
+            else EMPTY_SUBSTITUTION.with_qual(u.self_name, qual(f)).with_qual(
+                u.param, qual(x))(u.cod)
+            for u in (s, t))
         inner = (env
                  .extended(TermBind(f, QualifiedType(s, FRESH)))
                  .extended(TermBind(x, t.dom)))
@@ -76,19 +86,34 @@ def _type_sub(env: TypeEnv, store: StoreTyping, s: Type, t: Type, ctx: _Ctx) -> 
         ctx.spend()
         if not _qtype_sub(env, store, t.bound, s.bound, ctx):
             return False
-        f = ctx.fresh("f")
-        tv = ctx.fresh("X")
-        qv = ctx.fresh("x")
-        fq, payload = qual(f), QualifiedType(TVar(tv), qual(qv))
-        sbody = EMPTY_SUBSTITUTION.with_qual(s.self_name, fq).with_type(
-            s.tvar, s.qvar, payload)(s.body)
-        tbody = EMPTY_SUBSTITUTION.with_qual(t.self_name, fq).with_type(
-            t.tvar, t.qvar, payload)(t.body)
+        f, tv, qv = _names(env, ctx, s, t, (s.self_name, s.tvar, s.qvar), "fXx")
+        sbody, tbody = (
+            u.body if u.self_name == f and u.tvar == tv and u.qvar == qv
+            else EMPTY_SUBSTITUTION.with_qual(u.self_name, qual(f)).with_type(
+                u.tvar, u.qvar, QualifiedType(TVar(tv), qual(qv)))(u.body)
+            for u in (s, t))
         inner = (env
                  .extended(TermBind(f, QualifiedType(s, FRESH)))
                  .extended(TypeBind(tv, qv, t.bound)))
         return _qtype_sub(inner, store, sbody, tbody, ctx)
     return False
+
+
+def _names(env: TypeEnv, ctx: _Ctx, s: Type, t: Type, own: tuple,
+           bases: str) -> tuple:
+    """The names to compare the binders of s and t under: s's own, when
+    they are pairwise distinct, bound in Γ by nothing and free in neither
+    type, as renaming them to fresh names would then change nothing;
+    else fresh names, one per letter of bases."""
+    if len(set(own)) == len(own):
+        s_free, t_free = free_atoms_type(s), free_atoms_type(t)
+        for name in own:
+            a = VarAtom(name)
+            if a in s_free or a in t_free or env.binder(name) is not None:
+                break
+        else:
+            return own
+    return tuple(ctx.fresh(b) for b in bases)
 
 
 def _qtype_sub(env: TypeEnv, store: StoreTyping, p: QualifiedType,

@@ -248,10 +248,18 @@ class Parser:
     # -- terms ---------------------------------------------------------------
 
     def expr(self) -> Term:
-        if self.values[self.pos] == "val":
-            name, rhs = self.binding()
-            return Let(name, rhs, self.expr())
-        return self.assign_expr()
+        if self.values[self.pos] != "val":
+            return self.assign_expr()
+        # a loop down a spine of `val`s, not a recursion, so that the
+        # length of a spine in any position is not bounded by the
+        # recursion limit
+        spine = []
+        while self.values[self.pos] == "val":
+            spine.append(self.binding())
+        t = self.assign_expr()
+        for name, rhs in reversed(spine):
+            t = Let(name, rhs, t)
+        return t
 
     def binding(self) -> Tuple[str, Term]:
         """`val x = t;`, at the `val`."""
@@ -441,7 +449,20 @@ def resolve_term(x, scope: dict):
     """Check that a term (or a type) only mentions names bound around it,
     each used as its kind, and that no binder shadows another. `scope`
     maps each name in scope to its kind; it is left as it was found,
-    unless a ScopeError is raised."""
+    unless a ScopeError is raised. A spine of lets is walked by a loop,
+    not a recursion, so that its length is not bounded by the recursion
+    limit."""
+    if type(x) is Let:
+        spine = []
+        while type(x) is Let:
+            resolve_term(x.rhs, scope)
+            _bind(scope, x.name, "term")
+            spine.append(x.name)
+            x = x.body
+        resolve_term(x, scope)
+        for name in spine:
+            del scope[name]
+        return
     shape = SHAPES[type(x)]
     if shape.occurs is not None:
         field, kind = shape.occurs

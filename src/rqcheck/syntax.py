@@ -1,8 +1,10 @@
 """Abstract syntax shared by every other module.
 
-Values here are immutable. Types, terms and environment entries are
-frozen dataclasses; atoms and qualifiers are interned (hash-consed), so
-equal ones are one object and compare and hash by identity, in C.
+Values here are immutable. Atoms, qualifiers, types and qualified types
+are interned (hash-consed, `_Interned`), so equal ones are one object
+and compare and hash by identity, in C, and a type keeps its free atoms
+once they are computed. Terms and environment entries are frozen
+dataclasses.
 
 Binder names are required to be unique within a program (the surface
 elaborator rejects shadowing). The machine's payloads are closed, so
@@ -51,20 +53,32 @@ class _Interned:
     Goto, "Monocopy and associative algorithms in extended Lisp", 1974;
     Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).
 
-    Each class's `__new__` looks its key up in the class's table and
-    makes the object only when the key is new, through `dict.setdefault`,
-    so two threads that make the same value get one object. Equal values
-    are therefore identical: `==` and `hash` are `object`'s, and a set or
-    dict of them hashes and compares in C. The tables are state of the
-    process and keep every value made for as long as the process lives,
-    as `TypeEnv`'s index does. Fields are set once, in `__new__`;
-    assigning or deleting one raises `FrozenInstanceError`, as on a
-    frozen dataclass. `copy`, `deepcopy` and `pickle` make the value
-    again through the constructor, so they give back the interned
-    object.
+    Atoms, qualifiers, the six type constructors and `QualifiedType` are
+    interned. Each class's `__new__` takes its fields by position or by
+    keyword, looks their key up in the class's table, and makes the
+    object only when the key is new, through `dict.setdefault`, so two
+    threads that make the same value get one object. A type's key is the
+    tuple of its fields, which are strings and interned objects, so it
+    hashes and compares without a walk. Equal values are therefore
+    identical: `==` and `hash` are `object`'s, and a set or dict of them
+    hashes and compares in C. The tables are state of the process and
+    keep every value made for as long as the process lives, as
+    `TypeEnv`'s index does.
+
+    The fields are the `__slots__` not named with an underscore
+    (`_fields`, in order); a type also has the slot `_free`, its free
+    atoms, computed when first asked (`free_atoms_type`). Fields are set
+    once, in `__new__`; assigning or deleting one raises
+    `FrozenInstanceError`, as on a frozen dataclass, and `repr` reads as
+    a dataclass's. `copy`, `deepcopy` and `pickle` make the value again
+    through the constructor, so they give back the interned object.
     """
 
     __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -73,10 +87,10 @@ class _Interned:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({fields})"
 
 
@@ -172,45 +186,73 @@ def qual(*names: str, fresh: bool = False, locs: Iterable[int] = ()) -> Qualifie
 # Types
 
 
-@dataclass(frozen=True)
-class Base:
-    name: str  # "Int" or "Unit"
+def _made(cls, table: dict, key: tuple):
+    """The new object of an interned type for key, made unless another
+    thread made it first; its free atoms are not computed yet."""
+    obj = object.__new__(cls)
+    for f, v in zip(cls._fields, key):
+        object.__setattr__(obj, f, v)
+    object.__setattr__(obj, "_free", None)
+    return table.setdefault(key, obj)
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+class Base(_Interned):
+    __slots__ = ("name", "_free")   # name: "Int" or "Unit"
+    _table: dict = {}
+
+    def __new__(cls, name: str):
+        key = (name,)
+        return Base._table.get(key) or _made(cls, Base._table, key)
 
 
-@dataclass(frozen=True)
-class TVar:
-    name: str
+class Top(_Interned):
+    __slots__ = ("_free",)
+    _table: dict = {}
+
+    def __new__(cls):
+        return Top._table.get(()) or _made(cls, Top._table, ())
 
 
-@dataclass(frozen=True)
-class RefT:
-    content: "QualifiedType"
+class TVar(_Interned):
+    __slots__ = ("name", "_free")
+    _table: dict = {}
+
+    def __new__(cls, name: str):
+        key = (name,)
+        return TVar._table.get(key) or _made(cls, TVar._table, key)
 
 
-@dataclass(frozen=True)
-class Fun:
+class RefT(_Interned):
+    __slots__ = ("content", "_free")
+    _table: dict = {}
+
+    def __new__(cls, content: "QualifiedType"):
+        key = (content,)
+        return RefT._table.get(key) or _made(cls, RefT._table, key)
+
+
+class Fun(_Interned):
     """Dependent function type; cod may mention self_name and param."""
 
-    self_name: str
-    param: str
-    dom: "QualifiedType"
-    cod: "QualifiedType"
+    __slots__ = ("self_name", "param", "dom", "cod", "_free")
+    _table: dict = {}
+
+    def __new__(cls, self_name: str, param: str, dom: "QualifiedType",
+                cod: "QualifiedType"):
+        key = (self_name, param, dom, cod)
+        return Fun._table.get(key) or _made(cls, Fun._table, key)
 
 
-@dataclass(frozen=True)
-class All:
+class All(_Interned):
     """Bounded universal; body may mention self_name, tvar, and qvar."""
 
-    self_name: str
-    tvar: str
-    qvar: str
-    bound: "QualifiedType"
-    body: "QualifiedType"
+    __slots__ = ("self_name", "tvar", "qvar", "bound", "body", "_free")
+    _table: dict = {}
+
+    def __new__(cls, self_name: str, tvar: str, qvar: str,
+                bound: "QualifiedType", body: "QualifiedType"):
+        key = (self_name, tvar, qvar, bound, body)
+        return All._table.get(key) or _made(cls, All._table, key)
 
 
 Type = Union[Base, Top, TVar, RefT, Fun, All]
@@ -219,10 +261,13 @@ INT = Base("Int")
 UNIT = Base("Unit")
 
 
-@dataclass(frozen=True)
-class QualifiedType:
-    ty: Type
-    q: Qualifier
+class QualifiedType(_Interned):
+    __slots__ = ("ty", "q", "_free")
+    _table: dict = {}
+
+    def __new__(cls, ty: Type, q: Qualifier):
+        key = (ty, q)
+        return QualifiedType._table.get(key) or _made(cls, QualifiedType._table, key)
 
 
 def qt(ty: Type, q: Qualifier = EMPTY) -> QualifiedType:
@@ -544,7 +589,8 @@ class Shape:
     def __init__(self, cls, binds=(), outer=(), inner=(), occurs=None):
         self.cls, self.binds, self.occurs = cls, binds, occurs
         self.outer, self.inner = outer, inner
-        self.fields = tuple(f.name for f in dataclass_fields(cls))
+        self.fields = (cls._fields if issubclass(cls, _Interned)
+                       else tuple(f.name for f in dataclass_fields(cls)))
         role = {f: (r, False) for f, r in outer}
         role.update({f: (r, True) for f, r in inner})
         # (field, role, under the binders) in field order
@@ -629,9 +675,8 @@ def filled(node, parts: list):
 
 
 def _collect(x, bound: frozenset, annotations: bool, acc: set):
-    """Add the free atoms of a term or type to acc; type variables count
-    as VarAtoms. A term's annotations and captures only count when
-    `annotations` is set."""
+    """Add the free atoms of a term to acc. Its annotations and captures
+    only count when `annotations` is set."""
     shape = SHAPES[type(x)]
     if shape.occurs is not None:
         field, kind = shape.occurs
@@ -651,23 +696,50 @@ def _collect(x, bound: frozenset, annotations: bool, acc: set):
             continue
         if part is None or not annotations:
             continue
-        if role == QTYPE:
-            _collect(part.ty, scope, True, acc)
-            part = part.q
-        for a in part.atoms:
+        for a in (free_atoms_qtype(part) if role == QTYPE else part.atoms):
             if type(a) is LocAtom or a.name not in scope:
                 acc.add(a)
 
 
+_NO_ATOMS: frozenset = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a ∪ b, which is a or b itself when one holds the other: a type
+    keeps its free atoms for good, so they share sets where they can."""
+    if b <= a:
+        return a
+    return b if a <= b else a | b
+
+
 def free_atoms_type(ty: Type) -> frozenset:
-    """Free atoms of a type: qualifier atoms plus type variables (as VarAtom)."""
-    acc: set = set()
-    _collect(ty, frozenset(), True, acc)
-    return frozenset(acc)
+    """Free atoms of a type: qualifier atoms plus type variables (as
+    VarAtom). Computed once per type, from its parts' own, and kept."""
+    free = ty._free
+    if free is None:
+        shape = SHAPES[type(ty)]
+        if shape.occurs is not None:
+            free = frozenset({VarAtom(getattr(ty, shape.occurs[0]))})
+        else:
+            binders = {getattr(ty, f) for f, _ in shape.binds}
+            free = _NO_ATOMS
+            for f, _, under in shape.parts:
+                part = free_atoms_qtype(getattr(ty, f))
+                if under and any(type(a) is VarAtom and a.name in binders
+                                 for a in part):
+                    part = frozenset(a for a in part if type(a) is LocAtom
+                                     or a.name not in binders) or _NO_ATOMS
+                free = _union(free, part)
+        object.__setattr__(ty, "_free", free)
+    return free
 
 
 def free_atoms_qtype(qty: QualifiedType) -> frozenset:
-    return free_atoms_type(qty.ty) | qty.q.atoms
+    free = qty._free
+    if free is None:
+        free = _union(free_atoms_type(qty.ty), qty.q.atoms)
+        object.__setattr__(qty, "_free", free)
+    return free
 
 
 def free_term_atoms(t: Term, annotations: bool = False) -> frozenset:
@@ -937,6 +1009,8 @@ _NO_RENAMING = ({}, {})
 
 def alpha_eq(a, b) -> bool:
     """Equality modulo consistent renaming of bound names."""
+    if a is b:
+        return True
     if isinstance(a, QualifiedType) and isinstance(b, QualifiedType):
         return _alpha_qtype(a, b, _NO_RENAMING)
     if isinstance(a, Qualifier) and isinstance(b, Qualifier):

@@ -9,7 +9,9 @@ X^x: `_abstraction` serves T-Abs and T-TAbs, `_application` T-App and
 T-TApp. T-Let grows Γ and φ by one binder: Γ by `TypeEnv.extended`, φ
 in place, in a copy made once per let spine. Running out of subtyping
 fuel is never a rejection: `FuelExhausted` reaches the caller as it
-is. `Retyper` types each configuration of a machine run as
+is. A checker looks the substitutions of T-App, T-TApp and T-Let up by
+their interned inputs, in a table of its own, before it builds one
+(`_substituted`). `Retyper` types each configuration of a machine run as
 `check_program` types the term it plugs to, keeping a typing record per
 frame and per binding of the root let spine, so a step costs the typing
 of what it changed.
@@ -67,6 +69,10 @@ class _Checker:
         self.store = store
         self.fuel = fuel
         self.trace: List[str] = []
+        # the substitution table (`_substituted`), and the one `Retyper`
+        # keeps from its last call
+        self._subs: dict = {}
+        self._subs_before: dict = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -95,6 +101,18 @@ class _Checker:
         if missing:
             missing = ", ".join(sorted(a.render() for a in missing))
             raise CheckError(UNOBSERVABLE, f"{what}: {missing} not observable")
+
+    def _substituted(self, key: tuple, make) -> QualifiedType:
+        """The result of a typing rule's substitution whose inputs are
+        key: `make()` once per key. The inputs are interned, so equal
+        inputs are one key, and a substitution is a function of them."""
+        out = self._subs.get(key)
+        if out is None:
+            out = self._subs_before.get(key)
+            if out is None:
+                out = make()
+            self._subs[key] = out
+        return out
 
     # -- the rules λ and Λ share ------------------------------------------
 
@@ -240,8 +258,10 @@ class _Checker:
         self._application(env, phi, qf, arg_q, fun.dom, fun.cod,
                           fun.param, fun.self_name, _APP)
         # U[p/x, q_f/f] at once: the parameter wins a shared name
-        return (EMPTY_SUBSTITUTION.with_qual(fun.self_name, qf)
-                .with_qual(fun.param, arg_q.q)(fun.cod))
+        return self._substituted(
+            (fun, qf, arg_q.q),
+            lambda: EMPTY_SUBSTITUTION.with_qual(fun.self_name, qf)
+            .with_qual(fun.param, arg_q.q)(fun.cod))
 
     def _tapp(self, env: TypeEnv, phi: AbstractSet, t: TApp) -> QualifiedType:
         fn_q = self.synth(env, phi, t.fn)
@@ -253,8 +273,10 @@ class _Checker:
         self._require_scoped(env, t.arg, "type argument")
         self._application(env, phi, qf, t.arg, univ.bound, univ.body,
                           univ.qvar, univ.self_name, _TAPP)
-        return (EMPTY_SUBSTITUTION.with_qual(univ.self_name, qf)
-                .with_type(univ.tvar, univ.qvar, t.arg)(univ.body))
+        return self._substituted(
+            (univ, qf, t.arg),
+            lambda: EMPTY_SUBSTITUTION.with_qual(univ.self_name, qf)
+            .with_type(univ.tvar, univ.qvar, t.arg)(univ.body))
 
     def _ref(self, env: TypeEnv, phi: AbstractSet, t: RefAlloc) -> QualifiedType:
         init_q = self.synth(env, phi, t.init)
@@ -326,36 +348,32 @@ class _Checker:
             env = env.extended(TermBind(t.name, rhs_q))
             phi.add(VarAtom(t.name))
             t = t.body
-        body_q, seen = self.synth(env, phi, t), None
+        body_q = self.synth(env, phi, t)
         for i in range(len(names) - 1, -1, -1):
-            body_q, seen = self._unbind(names[i], types[i].q, body_q, seen)
+            body_q = self._unbind(names[i], types[i].q, body_q)
         return body_q
 
-    def _unbind(self, name: str, q: Qualifier, body_q: QualifiedType, seen):
+    def _unbind(self, name: str, q: Qualifier,
+                body_q: QualifiedType) -> QualifiedType:
         """T-Let's conclusion for one binding of name, at qualifier q,
         around a body of type body_q: no fresh binding in the result
-        type, and the name replaced by q. `seen` is the pair of the names
-        free in body_q's type and in its qualifier, or None until asked;
-        returns the conclusion and its pair. The replacement is skipped
+        type, and the name replaced by q. The replacement is skipped
         where it returns body_q itself: the name is not free in it, and q
         has no variable, so no binder of body_q is renamed apart."""
-        renames = False
-        for a in q.atoms:
-            if type(a) is VarAtom:
-                renames = True
-                break
-        if seen is None and (q.fresh or not renames):
-            seen = ({a.name for a in free_atoms_type(body_q.ty) if type(a) is VarAtom},
-                    {a.name for a in body_q.q.atoms if type(a) is VarAtom})
-        if q.fresh and name in seen[0]:
+        x = VarAtom(name)
+        in_type = x in free_atoms_type(body_q.ty)
+        if q.fresh and in_type:
             raise CheckError(
                 DEPENDENCY_VIOLATION,
                 f"result type depends on {name} whose binding is fresh")
         self.trace.append(f"t-let {name}")
-        if renames or name in seen[0] or name in seen[1]:
+        if in_type or x in body_q.q.atoms or any(type(a) is VarAtom
+                                                 for a in q.atoms):
             # q may mention earlier names: one substitution each
-            return EMPTY_SUBSTITUTION.with_qual(name, q)(body_q), None
-        return body_q, seen
+            return self._substituted(
+                (name, q, body_q),
+                lambda: EMPTY_SUBSTITUTION.with_qual(name, q)(body_q))
+        return body_q
 
 
 # The typing rule of each term constructor.
@@ -439,7 +457,14 @@ class Retyper(_Checker):
     capture must be observable. The memo holds the λs and Λs met in the
     last two calls, as (node, store typing, closed or None until asked,
     qualified type) under the node's id; holding the node, the id names
-    no other object while the entry lives."""
+    no other object while the entry lives.
+
+    The table of T-App's, T-TApp's and T-Let's substitutions
+    (`_Checker._substituted`) lives as long: a call starts a new one and
+    keeps the last call's as `_subs_before`, whose hits it copies in. So
+    a step that types the same annotations again reuses their
+    substitutions, the memory held is that of two calls, and no result
+    passes from one run to another."""
 
     def __init__(self):
         super().__init__(StoreTyping())
@@ -458,6 +483,7 @@ class Retyper(_Checker):
             self.store = store
         self.trace = []
         self._last, self._seen = self._seen, {}
+        self._subs_before, self._subs = self._subs, {}
         try:
             qty = self._configuration(c)
         except BaseException:
@@ -497,7 +523,7 @@ class Retyper(_Checker):
         q = self.synth(EMPTY_ENV, phi, term)
         for k in range(len(recs) - 1, -1, -1):
             rec = recs[k]
-            if k < keep and (q is rec.hole_q or q == rec.hole_q):
+            if k < keep and q is rec.hole_q:
                 q = recs[0].qtype
                 break
             self._hole, self._hole_q = term, q
@@ -615,7 +641,7 @@ class _Root:
         being evaluated."""
         j, n, types, queue = self.j, len(self.lets), self.types, self.queue
         changed = []
-        if hole_q is not None and hole_q is not types[j] and hole_q != types[j]:
+        if hole_q is not None and hole_q is not types[j]:
             self._set(j, hole_q)
             changed.append(j)
         last = -1
@@ -627,7 +653,7 @@ class _Root:
             env, phi = self._scope(p)
             term = self.lets[p].rhs if p < n else self.body
             q = checker.synth(env, phi, self.sub.term(term))
-            if q is not types[p] and q != types[p]:
+            if q is not types[p]:
                 self._set(p, q)
                 changed.append(p)
         self.touched.clear()
@@ -671,17 +697,12 @@ class _Root:
         """T-Let's conclusion at each position from the highest whose
         type changed (`marks`) down to the root, while it changes."""
         n, names, types, folds = len(self.lets), self.names, self.types, self.folds
-        carry, seen = False, None
+        carry = False
         for p in range(max(marks), self.j - 1, -1):
             if not (carry or p in marks):
                 continue
-            if p == n:
-                new, seen = types[n], None
-            else:
-                new, seen = checker._unbind(names[p], types[p].q, folds[p + 1], seen)
-            old = folds[p]
-            carry = old is None or (new is not old and new != old)
+            new = (types[n] if p == n
+                   else checker._unbind(names[p], types[p].q, folds[p + 1]))
+            carry = new is not folds[p]
             if carry:
                 folds[p] = new
-            else:
-                seen = None

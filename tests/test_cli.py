@@ -271,6 +271,19 @@ def test_many_top_level_vals_evaluate(capsys, tmp_path):
     assert (code, out, err) == (0, "value 0 (store size 0, 1500 steps)\n", "")
 
 
+@pytest.mark.parametrize("command,out", [
+    ("check", "Int^{y}\n"), ("eval", "value 0 (store size 0, 5001 steps)\n")])
+def test_a_long_spine_inside_a_binding_checks_and_evaluates(
+        capsys, tmp_path, command, out):
+    # the parser and scope resolution walk a spine of `val`s in any
+    # position by a loop, as the checker and the machine do, so its length
+    # is not bounded by the recursion limit
+    src = tmp_path / "inner.rq"
+    src.write_text("val y = (" + "".join(f"val v_{i} = {i}; " for i in range(5000))
+                   + "v_0); y\n", encoding="utf-8")
+    assert run(capsys, command, str(src)) == (0, out, "")
+
+
 def test_ten_thousand_top_level_vals_evaluate_in_a_fresh_interpreter(tmp_path):
     # a let-β extends the pending substitution in place, so the run is
     # linear in the vals; the interpreter keeps its default recursion limit

@@ -1,5 +1,6 @@
-"""Atoms and qualifiers are interned: equal values are one object, and
-identity `==`, `hash` and set membership agree with comparing keys."""
+"""Atoms, qualifiers, types and qualified types are interned: equal
+values are one object, and identity `==`, `hash` and set membership
+agree with comparing keys."""
 
 import copy
 import pickle
@@ -9,7 +10,10 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rqcheck.syntax import EMPTY, FRESH, LocAtom, Qualifier, VarAtom, qual
+from rqcheck.syntax import (
+    EMPTY, FRESH, INT, All, Base, Fun, LocAtom, QualifiedType, Qualifier, RefT,
+    StoreTyping, TermBind, Top, TVar, TypeBind, TypeEnv, VarAtom, qt, qual,
+)
 
 
 def test_equal_values_are_one_object():
@@ -21,6 +25,41 @@ def test_equal_values_are_one_object():
     assert Qualifier() is EMPTY
     assert Qualifier(fresh=True) is FRESH
     assert Qualifier(atoms=frozenset(), fresh=False) is EMPTY
+
+
+def _types():
+    """One value of each type class, each built afresh on every call, by
+    position and by keyword."""
+    ref = RefT(qt(INT, qual("r")))
+    fun = Fun("f", "x", qt(INT), qt(ref, qual("x")))
+    univ = All("g", "X", "x", qt(Top(), FRESH), qt(TVar("X"), qual("x")))
+    by_position = [Base("Int"), Top(), TVar("X"), ref, fun, univ,
+                   QualifiedType(fun, qual("r"))]
+    by_keyword = [
+        Base(name="Int"), Top(), TVar(name="X"),
+        RefT(content=QualifiedType(ty=Base(name="Int"), q=qual("r"))),
+        Fun(cod=QualifiedType(q=qual("x"), ty=ref), dom=qt(INT), param="x",
+            self_name="f"),
+        All("g", "X", qvar="x", body=qt(TVar("X"), qual("x")),
+            bound=QualifiedType(Top(), FRESH)),
+        QualifiedType(q=qual("r"), ty=fun),
+    ]
+    return by_position, by_keyword
+
+
+TYPE_CLASSES = (Base, Top, TVar, RefT, Fun, All, QualifiedType)
+
+
+def test_equal_types_are_one_object():
+    first, by_keyword = _types()
+    again, _ = _types()
+    assert [type(t) for t in first] == list(TYPE_CLASSES)
+    for a, b, c in zip(first, again, by_keyword):
+        assert a is b and a is c and a == c and hash(a) == hash(c)
+    assert INT is Base("Int") and Top() is Top()
+    assert TVar("Int") is not Base("Int") and TVar("Int") != Base("Int")
+    assert Fun("f", "x", qt(INT), qt(INT)) is not Fun("f", "y", qt(INT), qt(INT))
+    assert qt(INT) is not qt(INT, FRESH)
 
 
 def test_a_variable_and_a_location_differ():
@@ -45,6 +84,14 @@ def test_the_key_is_normalized():
     (LocAtom(3), "loc"),
     (qual("x", locs=[3]), "fresh"),
     (qual("x", locs=[3]), "atoms"),
+    (Base("Int"), "name"),
+    (TVar("X"), "name"),
+    (RefT(qt(INT)), "content"),
+    (Fun("f", "x", qt(INT), qt(INT)), "cod"),
+    (All("g", "X", "x", qt(Top()), qt(TVar("X"))), "tvar"),
+    (qt(INT), "ty"),
+    (qt(INT), "q"),
+    (qt(INT), "_free"),
 ])
 def test_fields_cannot_be_assigned_or_deleted(value, field):
     with pytest.raises(FrozenInstanceError):
@@ -57,6 +104,7 @@ def test_fields_cannot_be_assigned_or_deleted(value, field):
 
 @pytest.mark.parametrize("value", [
     VarAtom("x"), LocAtom(3), EMPTY, FRESH, qual("x", "y", fresh=True, locs=[0, 3]),
+    *_types()[0],
 ])
 def test_copies_and_pickles_are_the_interned_object(value):
     assert copy.copy(value) is value
@@ -71,6 +119,46 @@ def test_repr_is_the_dataclass_form():
     assert repr(EMPTY) == "Qualifier(fresh=False, atoms=frozenset())"
     assert repr(qual("x", fresh=True)) == (
         "Qualifier(fresh=True, atoms=frozenset({VarAtom(name='x')}))")
+    # pinned from the frozen dataclasses the types were before
+    empty = "Qualifier(fresh=False, atoms=frozenset())"
+    int_ = f"QualifiedType(ty=Base(name='Int'), q={empty})"
+    x = "Qualifier(fresh=False, atoms=frozenset({VarAtom(name='x')}))"
+    r = "Qualifier(fresh=False, atoms=frozenset({VarAtom(name='r')}))"
+    ref = f"RefT(content=QualifiedType(ty=Base(name='Int'), q={r}))"
+    fun = (f"Fun(self_name='f', param='x', dom={int_}, "
+           f"cod=QualifiedType(ty={ref}, q={x}))")
+    assert [repr(t) for t in _types()[0]] == [
+        "Base(name='Int')",
+        "Top()",
+        "TVar(name='X')",
+        ref,
+        fun,
+        "All(self_name='g', tvar='X', qvar='x', bound=QualifiedType(ty=Top(), "
+        "q=Qualifier(fresh=True, atoms=frozenset())), "
+        f"body=QualifiedType(ty=TVar(name='X'), q={x}))",
+        f"QualifiedType(ty={fun}, q={r})",
+    ]
+
+
+def test_environments_and_store_typings_compare_as_before():
+    # entries hold interned types, so equal entries built apart are equal
+    # and hash alike, and an environment or store typing still compares
+    # and hashes by its entries, not by identity
+    def env():
+        return TypeEnv((TermBind("a", qt(RefT(qt(INT)), FRESH)),
+                        TypeBind("X", "x", qt(Top(), FRESH)),
+                        TermBind("b", qt(TVar("X"), qual("x", "a")))))
+
+    assert env() is not env() and env() == env() and hash(env()) == hash(env())
+    assert env() != env().extended(TermBind("c", qt(INT)))
+    assert env().entries == env().entries
+    sigma = StoreTyping({0: qt(INT)}).extended(1, qt(RefT(qt(INT)), qual(locs=[0])))
+    other = StoreTyping({0: QualifiedType(Base("Int"), EMPTY)}).extended(
+        1, QualifiedType(RefT(qt(INT)), qual(locs=[0])))
+    # a StoreTyping compares by identity, as before; its entries are one
+    assert sigma != other and sigma == sigma
+    assert sigma.mapping == other.mapping
+    assert all(sigma.get(l) is other.get(l) for l in (0, 1))
 
 
 def test_threads_making_the_same_values_get_one_object():

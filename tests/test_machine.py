@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from helpers import bench_families, runnable_programs, sep_pairs
-from rqcheck import machine, syntax, typecheck
+from rqcheck import machine, subtyping, syntax, typecheck
 from rqcheck.cli import corpus_text, load_corpus
 from rqcheck.machine import (
     DEFAULT_EVAL_FUEL, Configuration, Event, Stepped, Stuck, Value,
@@ -875,10 +875,14 @@ def test_a_beta_and_a_let_beta_intern_nothing(monkeypatch):
     entry = next(e for e in load_corpus() if e.name == "eval-diverge")
     term = elaborate(parse(corpus_text(entry)))
     made = [0]
-    for cls in syntax._Interned.__subclasses__():
-        def counted(c, *args, _new=cls.__new__):
+    classes = syntax._Interned.__subclasses__()
+    assert {cls.__name__ for cls in classes} == {
+        "VarAtom", "LocAtom", "Qualifier", "Base", "Top", "TVar", "RefT", "Fun",
+        "All", "QualifiedType"}
+    for cls in classes:
+        def counted(c, *args, _new=cls.__new__, **kwargs):
             made[0] += 1
-            return _new(c, *args)
+            return _new(c, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__new__", counted)
     counts = []
@@ -888,3 +892,58 @@ def test_a_beta_and_a_let_beta_intern_nothing(monkeypatch):
         assert (result.status, result.steps) == ("fuel", fuel)
         counts.append(made[0])
     assert counts[0] == counts[1]
+
+
+def _interned_entries() -> int:
+    tables = [syntax.Qualifier._tables[0], syntax.Qualifier._tables[1]]
+    tables += [cls._table for cls in syntax._Interned.__subclasses__()
+               if cls is not syntax.Qualifier]
+    return sum(len(t) for t in tables)
+
+
+def test_a_longer_verify_run_keeps_no_more_types(monkeypatch):
+    # the Retyper keeps its substitution table for its last two calls
+    # only, and the divergent program's steps make no new type, so
+    # verifying it ten times longer holds as many entries
+    entry = next(e for e in load_corpus() if e.name == "eval-diverge")
+    term = elaborate(parse(corpus_text(entry)))
+    retypers = []
+
+    class Kept(typecheck.Retyper):
+        def __init__(self):
+            super().__init__()
+            retypers.append(self)
+
+    monkeypatch.setattr(machine, "Retyper", Kept)
+    sizes = []
+    for fuel in (200, 2000):
+        report = check_preservation(term, EMPTY_SIGMA, fuel=fuel)
+        assert (report.ok, report.status, len(report.steps)) == (True, "fuel", fuel)
+        subs = retypers[-1]._subs, retypers[-1]._subs_before
+        sizes.append((len(subs[0]) + len(subs[1]), _interned_entries()))
+    assert sizes[0] == sizes[1] and sizes[0][0] > 0
+
+
+def test_a_verify_round_reuses_the_typing_rules_substitutions(monkeypatch):
+    # T-App's, T-TApp's and T-Let's substitutions are looked up by their
+    # interned inputs, and S-Fun and S-All compare binders under their
+    # own names: verifying pair_tower(4) grew 1,062 substitutions and
+    # minted 380 fresh names before
+    families = bench_families()
+    term = elaborate(parse(families.pair_tower(4).text))
+    grown, minted = [0], [0]
+    grow, fresh = syntax._Substitution._grown, subtyping._Ctx.fresh
+
+    def counted_grow(sub, *args):
+        grown[0] += 1
+        return grow(sub, *args)
+
+    def counted_fresh(ctx, base):
+        minted[0] += 1
+        return fresh(ctx, base)
+
+    monkeypatch.setattr(syntax._Substitution, "_grown", counted_grow)
+    monkeypatch.setattr(subtyping._Ctx, "fresh", counted_fresh)
+    report = check_preservation(term, EMPTY_SIGMA)
+    assert report.ok and report.status == "value"
+    assert 0 < grown[0] <= 0.4 * 1062 and minted[0] == 0

@@ -1,21 +1,25 @@
 """Unit tests for type and qualified-type subtyping."""
 
+import importlib
 import itertools
 
 import pytest
 
+from rqcheck import machine, subtyping, typecheck
 from rqcheck.cli import check_source, corpus_text
-from rqcheck.errors import FuelExhausted
+from rqcheck.errors import FuelExhausted, RqError
+from rqcheck.machine import check_preservation
 from rqcheck.qualifiers import qual_sub
 from rqcheck.subtyping import qtype_sub, type_sub
-from rqcheck.surface import parse
+from rqcheck.surface import elaborate, parse
 from rqcheck.syntax import (
-    All, Fun, INT, QualifiedType, Qualifier, RefT, StoreTyping, TermBind, Top,
-    TVar, TypeBind, TypeEnv, UNIT, VarAtom, qt, qual,
+    SHAPES, All, Fun, INT, QualifiedType, Qualifier, RefT, StoreTyping,
+    TermBind, Top, TVar, TypeBind, TypeEnv, UNIT, VarAtom, free_atoms_type, qt,
+    qual,
 )
 from rqcheck.typecheck import synthesize
 
-from helpers import corpus_entries
+from helpers import bench_families, corpus_entries, runnable_programs
 
 EMPTY_ENV = TypeEnv()
 EMPTY_STORE = StoreTyping()
@@ -193,3 +197,118 @@ def test_universal_unfolding_costs_fuel():
     assert type_sub(EMPTY_ENV, EMPTY_STORE, forall, forall)
     with pytest.raises(FuelExhausted):
         type_sub(EMPTY_ENV, EMPTY_STORE, forall, forall, fuel=0)
+
+
+# ---------------------------------------------------------------------------
+# Binders compared under their own names
+
+
+def _recorded_queries(monkeypatch) -> list:
+    """Every type_sub query, as (Γ, Σ, s, t, fuel), made while checking
+    the corpus and the families at n = 1..4, and while verifying the
+    runnable corpus programs and the verify workload's family programs;
+    a query asked again of the same Γ and Σ objects is kept once."""
+    queries = {}
+
+    def recording(env, store, s, t, fuel=subtyping.DEFAULT_FUEL):
+        queries.setdefault((id(env), id(store), s, t, fuel), (env, store, s, t, fuel))
+        return type_sub(env, store, s, t, fuel)
+
+    monkeypatch.setattr(typecheck, "type_sub", recording)
+    monkeypatch.setattr(machine, "type_sub", recording)
+    families = bench_families()
+    for entry in corpus_entries("check"):
+        try:
+            check_source(corpus_text(entry))
+        except RqError:
+            pass    # a rejected program makes queries too
+    for make in families.FAMILIES.values():
+        for n in range(1, 5):
+            check_source(make(n).text)
+    workloads = importlib.import_module("workloads")
+    sizes = [("assign_ring", n) for n in workloads.LADDERS["verify"]]
+    sizes += workloads.GRADES["verify"]
+    terms = [t for _, t in runnable_programs()]
+    terms += [elaborate(parse(families.FAMILIES[f](n).text)) for f, n in sizes]
+    for term in terms:
+        check_preservation(term, StoreTyping())
+    monkeypatch.undo()
+    return list(queries.values())
+
+
+def _binder_names(ty, acc: set) -> set:
+    """acc with every binder name of the type, at any depth."""
+    shape = SHAPES[type(ty)]
+    acc.update(getattr(ty, f) for f, _ in shape.binds)
+    for f, _, _ in shape.parts:
+        _binder_names(getattr(ty, f).ty, acc)
+    return acc
+
+
+def _verdict(env, store, s, t, fuel):
+    try:
+        return type_sub(env, store, s, t, fuel)
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def test_binders_under_their_own_names_agree_with_fresh_names(monkeypatch):
+    # a dummy binding in Γ of each binder name of s and t (unless it is
+    # free in them or already bound) makes S-Fun and S-All rename both
+    # sides to fresh names at every depth, as they always did before
+    queries = _recorded_queries(monkeypatch)
+    assert len(queries) > 500, len(queries)
+    minted = [0]
+    fresh = subtyping._Ctx.fresh
+
+    def counted(ctx, base):
+        minted[0] += 1
+        return fresh(ctx, base)
+
+    monkeypatch.setattr(subtyping._Ctx, "fresh", counted)
+    own_names = forced_names = 0
+    for env, store, s, t, fuel in queries:
+        minted[0] = 0
+        want = _verdict(env, store, s, t, fuel)
+        own_names += minted[0]
+        free = {a.name for a in free_atoms_type(s) | free_atoms_type(t)
+                if type(a) is VarAtom}
+        forced = env
+        for name in sorted(_binder_names(s, set()) | _binder_names(t, set())):
+            if name not in free and env.binder(name) is None:
+                forced = forced.extended(TermBind(name, qt(INT)))
+        minted[0] = 0
+        assert _verdict(forced, store, s, t, fuel) == want, (s, t)
+        forced_names += minted[0]
+    # the queries reach S-Fun and S-All, and only the forced replays
+    # rename every binder to fresh names
+    assert forced_names > 500 and 20 * own_names < forced_names
+
+
+_FRESH_INT = qt(INT, Qualifier(fresh=True))
+
+
+@pytest.mark.parametrize("s, t, want", [
+    # alpha-equivalent: only the right side's differing param is renamed
+    (Fun("f", "x", _FRESH_INT, qt(INT, qual("x"))),
+     Fun("f", "y", _FRESH_INT, qt(INT, qual("y"))), True),
+    (All("p", "X", "x", qt(Top(), qual(fresh=True)), qt(TVar("X"), qual("x"))),
+     All("q", "Y", "y", qt(Top(), qual(fresh=True)), qt(TVar("Y"), qual("y"))),
+     True),
+    # s's names are not pairwise distinct: its param hides its self name,
+    # and naming both of t's binders alike would merge them
+    (Fun("a", "a", _FRESH_INT, qt(INT, qual("a"))),
+     Fun("g", "y", _FRESH_INT, qt(INT, qual("g"))), False),
+    # s's self name is free in t (an unbound name): comparing under it
+    # would capture t's free a
+    (Fun("a", "x", qt(INT), qt(RefT(qt(INT, qual("a"))))),
+     Fun("g", "y", qt(INT), qt(RefT(qt(INT, qual("a"))))), False),
+])
+def test_binders_are_compared_under_own_names_only_when_that_renames_nothing(
+        s, t, want):
+    assert type_sub(EMPTY_ENV, EMPTY_STORE, s, t) is want
+    # a binding of each binder name forces fresh names
+    forced = EMPTY_ENV
+    for name in sorted(_binder_names(s, set()) | _binder_names(t, set())):
+        forced = forced.extended(TermBind(name, qt(INT)))
+    assert type_sub(forced, EMPTY_STORE, s, t) is want

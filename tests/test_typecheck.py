@@ -321,3 +321,18 @@ def test_the_observability_invariant_holds_under_python_o(monkeypatch):
         check_program(EMPTY_ENV, EMPTY_STORE, Const(1))
     assert isinstance(info.value, RqError)
     assert not isinstance(info.value, CheckError)
+
+
+def test_a_substitution_is_looked_up_by_every_input():
+    # one checker's table holds T-Let's substitutions by (name, q, body):
+    # the same qualifier and body under another name is another entry
+    from rqcheck import typecheck
+    from rqcheck.syntax import RefT
+
+    checker = typecheck._Checker(EMPTY_STORE)
+    ref, r = RefT(qt(INT)), qual("r")
+    body = qt(ref, qual("a", "b"))
+    assert checker._unbind("b", r, body) is qt(ref, qual("a", "r"))
+    assert checker._unbind("a", r, body) is qt(ref, qual("r", "b"))
+    assert checker._unbind("b", r, body) is qt(ref, qual("a", "r"))
+    assert len(checker._subs) == 2
