@@ -1,10 +1,10 @@
 """Abstract syntax shared by every other module.
 
-Values here are immutable. Atoms, qualifiers, types and qualified types
-are interned (hash-consed, `_Interned`), so equal ones are one object
-and compare and hash by identity, in C, and a type keeps its free atoms
-once they are computed. Terms and environment entries are frozen
-dataclasses.
+Values here are immutable. Atoms, qualifiers, types, qualified types
+and terms are interned (hash-consed, `_Interned`), so equal ones are one
+object and compare and hash by identity, in C, and a type or a term
+keeps its free atoms once they are computed. Environment entries are
+frozen dataclasses.
 
 Binder names are required to be unique within a program (the surface
 elaborator rejects shadowing). The machine's payloads are closed, so
@@ -18,7 +18,7 @@ annotations or capture qualifiers, which fields are binders and of what
 kind (term, tvar or qvar), and which parts the binders scope over. Free
 atoms, substitution, alpha-equivalence, scope resolution
 (`surface.resolve_term`) and the evaluation contexts of `machine.step`
-are written once against it. A new term form adds its dataclass, one
+are written once against it. A new term form adds its class, one
 `Shape` row, one `_SYNTH` row (its typing rule, in `typecheck`) and, if
 it can be the subject of a reduction, a rule in `machine._RULES`; its
 concrete syntax (`surface`) is the only other place that needs a clause.
@@ -40,7 +40,7 @@ beside the spine, does O(1) environment work per binding and per lookup.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, fields as dataclass_fields
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional, Union
 
 
@@ -53,25 +53,29 @@ class _Interned:
     Goto, "Monocopy and associative algorithms in extended Lisp", 1974;
     Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).
 
-    Atoms, qualifiers, the six type constructors and `QualifiedType` are
-    interned. Each class's `__new__` takes its fields by position or by
-    keyword, looks their key up in the class's table, and makes the
-    object only when the key is new, through `dict.setdefault`, so two
-    threads that make the same value get one object. A type's key is the
-    tuple of its fields, which are strings and interned objects, so it
-    hashes and compares without a walk. Equal values are therefore
-    identical: `==` and `hash` are `object`'s, and a set or dict of them
-    hashes and compares in C. The tables are state of the process and
-    keep every value made for as long as the process lives, as
-    `TypeEnv`'s index does.
+    Atoms, qualifiers, the six type constructors, `QualifiedType` and the
+    13 term constructors are interned. Each class's `__new__` takes its
+    fields by position or by keyword, looks their key up in the class's
+    table, and makes the object only when the key is new, through
+    `dict.setdefault`, so two threads that make the same value get one
+    object. A type's or a term's key is the tuple of its fields, which are
+    strings, numbers, None and interned objects, so it hashes and
+    compares without a walk. Equal values are therefore identical: `==`
+    and `hash` are `object`'s, and a set or dict of them hashes and
+    compares in C. The tables are state of the process and keep every
+    value made for as long as the process lives, as `TypeEnv`'s index
+    does.
 
     The fields are the `__slots__` not named with an underscore
     (`_fields`, in order); a type also has the slot `_free`, its free
-    atoms, computed when first asked (`free_atoms_type`). Fields are set
-    once, in `__new__`; assigning or deleting one raises
-    `FrozenInstanceError`, as on a frozen dataclass, and `repr` reads as
-    a dataclass's. `copy`, `deepcopy` and `pickle` make the value again
-    through the constructor, so they give back the interned object.
+    atoms, computed when first asked (`free_atoms_type`), and a term
+    `_free` and `_free_ann`, its free atoms without and with its
+    annotations, kept once asked for it or for a term that holds it as a
+    λ or Λ (`free_term_atoms`). Fields are set once, in
+    `__new__`; assigning or deleting one raises `FrozenInstanceError`, as
+    on a frozen dataclass, and `repr` reads as a dataclass's. `copy`,
+    `deepcopy` and `pickle` make the value again through the constructor,
+    so they give back the interned object.
     """
 
     __slots__ = ()
@@ -187,72 +191,65 @@ def qual(*names: str, fresh: bool = False, locs: Iterable[int] = ()) -> Qualifie
 
 
 def _made(cls, table: dict, key: tuple):
-    """The new object of an interned type for key, made unless another
-    thread made it first; its free atoms are not computed yet."""
+    """The new object of an interned type or term for key, made unless
+    another thread made it first; its free atoms are not computed yet."""
     obj = object.__new__(cls)
     for f, v in zip(cls._fields, key):
         object.__setattr__(obj, f, v)
-    object.__setattr__(obj, "_free", None)
+    for f in cls._caches:
+        object.__setattr__(obj, f, None)
     return table.setdefault(key, obj)
 
 
-class Base(_Interned):
-    __slots__ = ("name", "_free")   # name: "Int" or "Unit"
-    _table: dict = {}
+class _Keyed(_Interned):
+    """An interned type or term, keyed by the tuple of its fields, with
+    its free atoms in `_free` once asked. Each class gets its table and a
+    `__new__` made from its fields, as a dataclass gets its `__init__`:
+    it takes them by position or by keyword, the last ones defaulting to
+    the class's `defaults`, and looks their tuple up."""
 
-    def __new__(cls, name: str):
-        key = (name,)
-        return Base._table.get(key) or _made(cls, Base._table, key)
-
-
-class Top(_Interned):
     __slots__ = ("_free",)
-    _table: dict = {}
+    _caches = __slots__    # the slots `_made` leaves None
 
-    def __new__(cls):
-        return Top._table.get(()) or _made(cls, Top._table, ())
-
-
-class TVar(_Interned):
-    __slots__ = ("name", "_free")
-    _table: dict = {}
-
-    def __new__(cls, name: str):
-        key = (name,)
-        return TVar._table.get(key) or _made(cls, TVar._table, key)
-
-
-class RefT(_Interned):
-    __slots__ = ("content", "_free")
-    _table: dict = {}
-
-    def __new__(cls, content: "QualifiedType"):
-        key = (content,)
-        return RefT._table.get(key) or _made(cls, RefT._table, key)
+    def __init_subclass__(cls, defaults: tuple = ()):
+        super().__init_subclass__()
+        cls._table = {}
+        fields, n = cls._fields, len(cls._fields) - len(defaults)
+        params = [f if i < n else f"{f}={defaults[i - n]!r}"
+                  for i, f in enumerate(fields)]
+        scope = {"table": cls._table, "made": _made}
+        exec(f"def __new__(cls, {', '.join(params)}):\n"
+             f"    key = ({''.join(f + ', ' for f in fields)})\n"
+             f"    return table.get(key) or made(cls, table, key)\n", scope)
+        cls.__new__ = staticmethod(scope["__new__"])
 
 
-class Fun(_Interned):
+class Base(_Keyed):
+    __slots__ = ("name",)   # "Int" or "Unit"
+
+
+class Top(_Keyed):
+    __slots__ = ()
+
+
+class TVar(_Keyed):
+    __slots__ = ("name",)
+
+
+class RefT(_Keyed):
+    __slots__ = ("content",)
+
+
+class Fun(_Keyed):
     """Dependent function type; cod may mention self_name and param."""
 
-    __slots__ = ("self_name", "param", "dom", "cod", "_free")
-    _table: dict = {}
-
-    def __new__(cls, self_name: str, param: str, dom: "QualifiedType",
-                cod: "QualifiedType"):
-        key = (self_name, param, dom, cod)
-        return Fun._table.get(key) or _made(cls, Fun._table, key)
+    __slots__ = ("self_name", "param", "dom", "cod")
 
 
-class All(_Interned):
+class All(_Keyed):
     """Bounded universal; body may mention self_name, tvar, and qvar."""
 
-    __slots__ = ("self_name", "tvar", "qvar", "bound", "body", "_free")
-    _table: dict = {}
-
-    def __new__(cls, self_name: str, tvar: str, qvar: str,
-                bound: "QualifiedType", body: "QualifiedType"):
-        key = (self_name, tvar, qvar, bound, body)
-        return All._table.get(key) or _made(cls, All._table, key)
+    __slots__ = ("self_name", "tvar", "qvar", "bound", "body")
 
 
 Type = Union[Base, Top, TVar, RefT, Fun, All]
@@ -261,13 +258,8 @@ INT = Base("Int")
 UNIT = Base("Unit")
 
 
-class QualifiedType(_Interned):
-    __slots__ = ("ty", "q", "_free")
-    _table: dict = {}
-
-    def __new__(cls, ty: Type, q: Qualifier):
-        key = (ty, q)
-        return QualifiedType._table.get(key) or _made(cls, QualifiedType._table, key)
+class QualifiedType(_Keyed):
+    __slots__ = ("ty", "q")
 
 
 def qt(ty: Type, q: Qualifier = EMPTY) -> QualifiedType:
@@ -278,88 +270,67 @@ def qt(ty: Type, q: Qualifier = EMPTY) -> QualifiedType:
 # Terms
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class _Term(_Keyed):
+    """A term constructor; `_free_ann` holds the free atoms with the
+    annotations (`free_term_atoms`)."""
+
+    __slots__ = ("_free_ann",)
+    _caches = ("_free", "_free_ann")
 
 
-@dataclass(frozen=True)
-class UnitLit:
-    pass
+class Const(_Term):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class UnitLit(_Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Abs:
+class Var(_Term):
+    __slots__ = ("name",)
+
+
+class Abs(_Term, defaults=(None,)):
     """Lambda; capture, when given, overrides the default captured
     qualifier (the free variables of the body)."""
 
-    self_name: str
-    param: str
-    dom: QualifiedType
-    cod: Optional[QualifiedType]
-    body: "Term"
-    capture: Optional[Qualifier] = None
+    __slots__ = ("self_name", "param", "dom", "cod", "body", "capture")
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Term"
-    arg: "Term"
+class App(_Term):
+    __slots__ = ("fn", "arg")
 
 
-@dataclass(frozen=True)
-class RefAlloc:
-    init: "Term"
+class RefAlloc(_Term):
+    __slots__ = ("init",)
 
 
-@dataclass(frozen=True)
-class Deref:
-    ref: "Term"
+class Deref(_Term):
+    __slots__ = ("ref",)
 
 
-@dataclass(frozen=True)
-class Assign:
-    lhs: "Term"
-    rhs: "Term"
+class Assign(_Term):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class LocTerm:
-    loc: int
+class LocTerm(_Term):
+    __slots__ = ("loc",)
 
 
-@dataclass(frozen=True)
-class TAbs:
-    self_name: str
-    tvar: str
-    qvar: str
-    bound: QualifiedType
-    body: "Term"
-    capture: Optional[Qualifier] = None
+class TAbs(_Term, defaults=(None,)):
+    __slots__ = ("self_name", "tvar", "qvar", "bound", "body", "capture")
 
 
-@dataclass(frozen=True)
-class TApp:
-    fn: "Term"
-    arg: QualifiedType
+class TApp(_Term):
+    __slots__ = ("fn", "arg")
 
 
-@dataclass(frozen=True)
-class Ascribe:
-    term: "Term"
-    qtype: QualifiedType
+class Ascribe(_Term):
+    __slots__ = ("term", "qtype")
 
 
-@dataclass(frozen=True)
-class Let:
-    name: str
-    rhs: "Term"
-    body: "Term"
+class Let(_Term):
+    __slots__ = ("name", "rhs", "body")
 
 
 Term = Union[
@@ -589,8 +560,7 @@ class Shape:
     def __init__(self, cls, binds=(), outer=(), inner=(), occurs=None):
         self.cls, self.binds, self.occurs = cls, binds, occurs
         self.outer, self.inner = outer, inner
-        self.fields = (cls._fields if issubclass(cls, _Interned)
-                       else tuple(f.name for f in dataclass_fields(cls)))
+        self.fields = cls._fields
         role = {f: (r, False) for f, r in outer}
         role.update({f: (r, True) for f, r in inner})
         # (field, role, under the binders) in field order
@@ -674,42 +644,41 @@ def filled(node, parts: list):
 # Free variables
 
 
-def _collect(x, bound: frozenset, annotations: bool, acc: set):
-    """Add the free atoms of a term to acc. Its annotations and captures
-    only count when `annotations` is set."""
-    shape = SHAPES[type(x)]
-    if shape.occurs is not None:
-        field, kind = shape.occurs
-        if kind == "loc":
-            acc.add(LocAtom(getattr(x, field)))
-        elif getattr(x, field) not in bound:
-            acc.add(VarAtom(getattr(x, field)))
-        return
-    inner = bound
-    if shape.binds:
-        inner = bound | {getattr(x, f) for f, _ in shape.binds}
-    for f, role, under in shape.parts:
-        part = getattr(x, f)
-        scope = inner if under else bound
-        if role == TERM:
-            _collect(part, scope, annotations, acc)
-            continue
-        if part is None or not annotations:
-            continue
-        for a in (free_atoms_qtype(part) if role == QTYPE else part.atoms):
-            if type(a) is LocAtom or a.name not in scope:
-                acc.add(a)
-
-
 _NO_ATOMS: frozenset = frozenset()
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
-    """a ∪ b, which is a or b itself when one holds the other: a type
-    keeps its free atoms for good, so they share sets where they can."""
+    """a ∪ b, which is a or b itself when one holds the other: a type or
+    term keeps its free atoms for good, so they share sets where they can."""
     if b <= a:
         return a
     return b if a <= b else a | b
+
+
+def _free_of(x, slot: str, annotations: bool, found=None) -> frozenset:
+    """The free atoms of a type or term from its parts' own, a subterm's
+    in its `slot` or else in `found`; annotations' atoms (type variables
+    as VarAtom) only when `annotations` is set, as for a type."""
+    shape = SHAPES[type(x)]
+    if shape.occurs is not None:
+        field, kind = shape.occurs
+        return frozenset({LocAtom(getattr(x, field)) if kind == "loc"
+                          else VarAtom(getattr(x, field))})
+    binders = {getattr(x, f) for f, _ in shape.binds}
+    free = _NO_ATOMS
+    for f, role, under in shape.parts:
+        part = getattr(x, f)
+        if role == TERM:
+            part = found[part] if getattr(part, slot) is None else getattr(part, slot)
+        elif part is None or not annotations:
+            continue
+        else:
+            part = free_atoms_qtype(part) if role == QTYPE else part.atoms
+        if under and any(type(a) is VarAtom and a.name in binders for a in part):
+            part = frozenset(a for a in part if type(a) is LocAtom
+                             or a.name not in binders) or _NO_ATOMS
+        free = _union(free, part)
+    return free
 
 
 def free_atoms_type(ty: Type) -> frozenset:
@@ -717,19 +686,7 @@ def free_atoms_type(ty: Type) -> frozenset:
     VarAtom). Computed once per type, from its parts' own, and kept."""
     free = ty._free
     if free is None:
-        shape = SHAPES[type(ty)]
-        if shape.occurs is not None:
-            free = frozenset({VarAtom(getattr(ty, shape.occurs[0]))})
-        else:
-            binders = {getattr(ty, f) for f, _ in shape.binds}
-            free = _NO_ATOMS
-            for f, _, under in shape.parts:
-                part = free_atoms_qtype(getattr(ty, f))
-                if under and any(type(a) is VarAtom and a.name in binders
-                                 for a in part):
-                    part = frozenset(a for a in part if type(a) is LocAtom
-                                     or a.name not in binders) or _NO_ATOMS
-                free = _union(free, part)
+        free = _free_of(ty, "_free", True)
         object.__setattr__(ty, "_free", free)
     return free
 
@@ -746,11 +703,31 @@ def free_term_atoms(t: Term, annotations: bool = False) -> frozenset:
     """Free term-level atoms of a term (variables and locations).
 
     With annotations=False this is the untyped notion of free variable,
-    which is what function capture qualifiers default to.
+    which is what function capture qualifiers default to. Kept by the
+    term asked and by each λ and Λ below it, so a closed value nested in
+    many is walked once; each node's are found from its subterms' in a
+    walk with an explicit stack, so a deep term costs memory, not
+    recursion.
     """
-    acc: set = set()
-    _collect(t, frozenset(), annotations, acc)
-    return frozenset(acc)
+    slot = "_free_ann" if annotations else "_free"
+    free = getattr(t, slot)
+    if free is None:
+        stack, found = [t], {}
+        while stack:
+            x = stack[-1]
+            todo = [p for p in (getattr(x, f) for f, role, _ in SHAPES[type(x)].parts
+                                if role == TERM)
+                    if getattr(p, slot) is None and p not in found]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            if getattr(x, slot) is None and x not in found:
+                found[x] = free = _free_of(x, slot, annotations, found)
+                if x is t or type(x) is Abs or type(x) is TAbs:
+                    object.__setattr__(x, slot, free)
+        free = getattr(t, slot)
+    return free
 
 
 def value_qualifier(v: Term) -> Qualifier:

@@ -9,12 +9,11 @@ X^x: `_abstraction` serves T-Abs and T-TAbs, `_application` T-App and
 T-TApp. T-Let grows Γ and φ by one binder: Γ by `TypeEnv.extended`, φ
 in place, in a copy made once per let spine. Running out of subtyping
 fuel is never a rejection: `FuelExhausted` reaches the caller as it
-is. A checker looks the substitutions of T-App, T-TApp and T-Let up by
-their interned inputs, in a table of its own, before it builds one
-(`_substituted`). `Retyper` types each configuration of a machine run as
+is. `Retyper` types each configuration of a machine run as
 `check_program` types the term it plugs to, keeping a typing record per
 frame and per binding of the root let spine, so a step costs the typing
-of what it changed.
+of what it changed; it also looks the substitutions of T-App, T-TApp and
+T-Let up by their interned inputs before it builds one (`_substituted`).
 """
 
 from __future__ import annotations
@@ -69,10 +68,6 @@ class _Checker:
         self.store = store
         self.fuel = fuel
         self.trace: List[str] = []
-        # the substitution table (`_substituted`), and the one `Retyper`
-        # keeps from its last call
-        self._subs: dict = {}
-        self._subs_before: dict = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -104,15 +99,8 @@ class _Checker:
 
     def _substituted(self, key: tuple, make) -> QualifiedType:
         """The result of a typing rule's substitution whose inputs are
-        key: `make()` once per key. The inputs are interned, so equal
-        inputs are one key, and a substitution is a function of them."""
-        out = self._subs.get(key)
-        if out is None:
-            out = self._subs_before.get(key)
-            if out is None:
-                out = make()
-            self._subs[key] = out
-        return out
+        key: `make()`, which `Retyper` looks up in a table first."""
+        return make()
 
     # -- the rules λ and Λ share ------------------------------------------
 
@@ -208,8 +196,7 @@ class _Checker:
             raise CheckError(UNOBSERVABLE,
                              f"variable {t.name} is not observable here")
         self.trace.append(f"t-var {t.name}")
-        return QualifiedType(bound.ty,
-                             Qualifier(False, frozenset({VarAtom(t.name)})))
+        return QualifiedType(bound.ty, Qualifier(False, free_term_atoms(t)))
 
     def _loc(self, env: TypeEnv, phi: AbstractSet, t: LocTerm) -> QualifiedType:
         entry = self.store.get(t.loc)
@@ -449,26 +436,36 @@ class Retyper(_Checker):
     position that read one is typed again. A spine that binds a name
     twice, or one the substitution binds, is typed whole.
 
-    A λ or Λ met again as the same object under the same store typing
-    is given its last qualified type once found closed (no free
-    variable atom, annotations included), if its capture is in φ: a
-    lookup stops at a name's innermost binder (`TypeEnv.binder`), so a
-    closed value types the same anywhere, and φ enters only where its
-    capture must be observable. The memo holds the λs and Λs met in the
-    last two calls, as (node, store typing, closed or None until asked,
-    qualified type) under the node's id; holding the node, the id names
-    no other object while the entry lives.
+    Terms are interned, so a term met again is the same node, and a
+    memo keyed by the node (`_closed`) holds conclusions of closed terms
+    under the store typing Σ they were typed under. A term typed at the
+    top of `_levels`, the focus or a frame's plugged term, is typed under
+    Γ = ∅ and φ = dom(Σ), the same for every such term: typed, it is
+    closed (T-Var and the scope checks reject a free name under Γ = ∅),
+    so its conclusion is a function of the node and Σ, and is given again
+    while Σ is the same object. A λ or Λ typed anywhere else is kept only
+    when closed (no free variable atom, annotations included), and is
+    given again, under the same Σ, where its qualifier, the capture, is
+    in φ: a lookup stops at a name's innermost binder (`TypeEnv.binder`),
+    so a closed value types the same anywhere, and φ enters only where
+    its capture must be observable, as it does at the top, where φ holds
+    every location a typed term can name. The memo holds the terms met in
+    the last two calls: a call starts a new one and keeps the last call's
+    as `_last`, whose hits it copies in, each with the entries of the
+    memo's terms met while typing it (`_keep`), which a later step may
+    meet without it, as β takes a value out of the λ that holds it.
 
     The table of T-App's, T-TApp's and T-Let's substitutions
-    (`_Checker._substituted`) lives as long: a call starts a new one and
-    keeps the last call's as `_subs_before`, whose hits it copies in. So
-    a step that types the same annotations again reuses their
-    substitutions, the memory held is that of two calls, and no result
-    passes from one run to another."""
+    (`_substituted`) lives as long, `_subs` beside `_subs_before`. The
+    inputs are interned, so equal inputs are one key, and a substitution
+    is a function of them. So a step that types the same annotations
+    again reuses their substitutions, the memory held is that of two
+    calls, and no result passes from one run to another."""
 
     def __init__(self):
         super().__init__(StoreTyping())
-        self._seen, self._last = {}, {}    # the λ memo
+        self._seen, self._last, self._inner = {}, {}, []    # the node memo
+        self._subs, self._subs_before = {}, {}
         self._frames, self._root = [], None
         self._hole = self._hole_q = None
 
@@ -482,7 +479,7 @@ class Retyper(_Checker):
                                       if loc not in old)
             self.store = store
         self.trace = []
-        self._last, self._seen = self._seen, {}
+        self._last, self._seen, self._inner = self._seen, {}, []
         self._subs_before, self._subs = self._subs, {}
         try:
             qty = self._configuration(c)
@@ -518,9 +515,8 @@ class Retyper(_Checker):
             keep += 1
         del recs[keep:]
         recs.extend(_Frame(f) for f in frames[start + keep:])
-        phi = self.store.dom()
-        term = c.sub.term(c.focus)
-        q = self.synth(EMPTY_ENV, phi, term)
+        phi, term = self.store.dom(), c.sub.term(c.focus)
+        q = self._closed(term, EMPTY_ENV, phi)
         for k in range(len(recs) - 1, -1, -1):
             rec = recs[k]
             if k < keep and q is rec.hole_q:
@@ -528,8 +524,8 @@ class Retyper(_Checker):
                 break
             self._hole, self._hole_q = term, q
             term = rec.plugged(term)
-            rec.hole_q, q = q, self.synth(EMPTY_ENV, phi, term)
-            rec.qtype = q
+            rec.hole_q = q
+            rec.qtype = q = self._closed(term, EMPTY_ENV, phi)
         return q
 
     def synth(self, env: TypeEnv, phi: AbstractSet, t: Term) -> QualifiedType:
@@ -537,21 +533,41 @@ class Retyper(_Checker):
             return self._hole_q
         if type(t) is not Abs and type(t) is not TAbs:
             return _Checker.synth(self, env, phi, t)
-        known = self._seen.get(id(t)) or self._last.get(id(t))
-        closed = None
-        if known is not None:
-            _, store, closed, qty = known
-            if closed is None:
-                # asked on a second sighting only, so a node built for
-                # one call only is never walked
-                closed = not any(type(a) is VarAtom for a in
-                                 free_term_atoms(t, annotations=True))
-            if closed and store is self.store and qty.q.atoms <= phi:
-                self._seen[id(t)] = (t, store, True, qty)
+        return self._closed(t, env, phi)
+
+    def _closed(self, t: Term, env: TypeEnv, phi: AbstractSet) -> QualifiedType:
+        """t's conclusion, from the memo if it holds t under this Σ with
+        a qualifier in φ; else t typed, and kept if closed, with the
+        memo's terms met directly within it."""
+        known = self._seen.get(t) or self._last.get(t)
+        if known is not None and known[0] is self.store and known[1].q.atoms <= phi:
+            self._keep(t, known)
+        else:
+            outer, self._inner = self._inner, []
+            qty = _Checker.synth(self, env, phi, t)
+            inner, self._inner = self._inner, outer
+            if env is not EMPTY_ENV and any(type(a) is VarAtom for a in
+                                            free_term_atoms(t, annotations=True)):
                 return qty
-        qty = _Checker.synth(self, env, phi, t)
-        self._seen[id(t)] = (t, self.store, closed, qty)
-        return qty
+            known = self._seen[t] = (self.store, qty, tuple(inner))
+        self._inner.append(t)
+        return known[1]
+
+    def _keep(self, t: Term, known: tuple):
+        """Put t's entry in this call's memo, with those of the terms met
+        within it that the last call's holds."""
+        work = [(t, known)]
+        while work:
+            t, known = work.pop()
+            self._seen[t] = known
+            for u in known[2]:
+                if u not in self._seen and u in self._last:
+                    work.append((u, self._last[u]))
+
+    def _substituted(self, key: tuple, make) -> QualifiedType:
+        out = self._subs.get(key) or self._subs_before.get(key) or make()
+        self._subs[key] = out
+        return out
 
 
 class _Frame:
@@ -605,7 +621,9 @@ class _Root:
 
     def follow(self, root: Let, sub) -> bool:
         """Whether root is the spine's binding x_j, or x_{j+1} after a
-        let-β (x_j's readers are then queued)."""
+        let-β (x_j's readers are then queued). Its lets are distinct
+        nodes, each holding the next, and a spine met again from its
+        start (the body of a λ applied again) has a new substitution."""
         j = self.j
         if root is self.lets[j]:
             return sub is self.sub

@@ -1,6 +1,6 @@
-"""Atoms, qualifiers, types and qualified types are interned: equal
-values are one object, and identity `==`, `hash` and set membership
-agree with comparing keys."""
+"""Atoms, qualifiers, types, qualified types and terms are interned:
+equal values are one object, and identity `==`, `hash` and set
+membership agree with comparing keys."""
 
 import copy
 import pickle
@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqcheck.syntax import (
-    EMPTY, FRESH, INT, All, Base, Fun, LocAtom, QualifiedType, Qualifier, RefT,
-    StoreTyping, TermBind, Top, TVar, TypeBind, TypeEnv, VarAtom, qt, qual,
+    EMPTY, FRESH, INT, SHAPES, Abs, All, App, Ascribe, Assign, Base, Const,
+    Deref, Fun, Let, LocAtom, LocTerm, QualifiedType, Qualifier, RefAlloc, RefT,
+    StoreTyping, TAbs, TApp, TermBind, Top, TVar, TypeBind, TypeEnv, UnitLit,
+    Var, VarAtom, free_term_atoms, qt, qual,
 )
 
 
@@ -138,6 +140,119 @@ def test_repr_is_the_dataclass_form():
         f"body=QualifiedType(ty=TVar(name='X'), q={x}))",
         f"QualifiedType(ty={fun}, q={r})",
     ]
+
+
+def _terms():
+    """One value of each term class, each built afresh on every call, by
+    position (`capture` left to its default) and by keyword."""
+    by_position = [
+        Const(3), UnitLit(), Var("x"),
+        Abs("f", "x", qt(INT), None, Var("x")),
+        App(Var("x"), Const(1)), RefAlloc(Const(0)), Deref(Var("x")),
+        Assign(Var("x"), UnitLit()), LocTerm(2),
+        TAbs("g", "X", "y", qt(Top(), FRESH), Var("x"), qual("r")),
+        TApp(Var("x"), qt(TVar("X"), qual("y"))), Ascribe(Var("x"), qt(INT)),
+        Let("y", Const(1), Var("x")),
+    ]
+    by_keyword = [
+        Const(value=3), UnitLit(), Var(name="x"),
+        Abs(body=Var(name="x"), cod=None, dom=qt(INT), param="x",
+            self_name="f", capture=None),
+        App(arg=Const(1), fn=Var("x")), RefAlloc(init=Const(0)),
+        Deref(ref=Var("x")), Assign(rhs=UnitLit(), lhs=Var("x")), LocTerm(loc=2),
+        TAbs("g", "X", capture=qual("r"), body=Var("x"), qvar="y",
+             bound=qt(Top(), FRESH)),
+        TApp(Var("x"), arg=qt(TVar("X"), qual("y"))),
+        Ascribe(qtype=qt(INT), term=Var("x")),
+        Let(body=Var("x"), rhs=Const(1), name="y"),
+    ]
+    return by_position, by_keyword
+
+
+TERM_CLASSES = (Const, UnitLit, Var, Abs, App, RefAlloc, Deref, Assign, LocTerm,
+                TAbs, TApp, Ascribe, Let)
+
+
+def test_equal_terms_are_one_object():
+    first, by_keyword = _terms()
+    again, _ = _terms()
+    assert [type(t) for t in first] == list(TERM_CLASSES)
+    for a, b, c in zip(first, again, by_keyword):
+        assert a is b and a is c and a == c and hash(a) == hash(c)
+    assert Abs("f", "x", qt(INT), None, Var("x")).capture is None
+    assert TAbs("g", "X", "y", qt(Top()), Var("x")).capture is None
+    assert Const(3) is not Const(4) and Var("x") is not Var("y")
+    assert Let("y", Const(1), Var("y")) is not Let("z", Const(1), Var("y"))
+    with pytest.raises(TypeError):
+        Abs("f", "x", qt(INT))
+
+
+@pytest.mark.parametrize("term", _terms()[0], ids=lambda t: type(t).__name__)
+def test_term_fields_cannot_be_assigned_or_deleted(term):
+    for field in SHAPES[type(term)].fields + ("_free", "_free_ann"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(term, field, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(term, field)
+    with pytest.raises(FrozenInstanceError):
+        term.other = 1
+
+
+@pytest.mark.parametrize("term", _terms()[0], ids=lambda t: type(t).__name__)
+def test_term_copies_and_pickles_are_the_interned_object(term):
+    assert copy.copy(term) is term
+    assert copy.deepcopy(term) is term
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(term, protocol)) is term
+
+
+def test_term_repr_and_fields_are_the_dataclass_forms():
+    # pinned from the frozen dataclasses the terms were before
+    int_ = "QualifiedType(ty=Base(name='Int'), q=Qualifier(fresh=False, atoms=frozenset()))"
+    x = "Var(name='x')"
+    assert [repr(t) for t in _terms()[0]] == [
+        "Const(value=3)",
+        "UnitLit()",
+        x,
+        f"Abs(self_name='f', param='x', dom={int_}, cod=None, body={x}, capture=None)",
+        f"App(fn={x}, arg=Const(value=1))",
+        "RefAlloc(init=Const(value=0))",
+        f"Deref(ref={x})",
+        f"Assign(lhs={x}, rhs=UnitLit())",
+        "LocTerm(loc=2)",
+        "TAbs(self_name='g', tvar='X', qvar='y', bound=QualifiedType(ty=Top(), "
+        f"q=Qualifier(fresh=True, atoms=frozenset())), body={x}, "
+        "capture=Qualifier(fresh=False, atoms=frozenset({VarAtom(name='r')})))",
+        f"TApp(fn={x}, arg=QualifiedType(ty=TVar(name='X'), "
+        "q=Qualifier(fresh=False, atoms=frozenset({VarAtom(name='y')}))))",
+        f"Ascribe(term={x}, qtype={int_})",
+        f"Let(name='y', rhs=Const(value=1), body={x})",
+    ]
+    assert {cls.__name__: SHAPES[cls].fields for cls in TERM_CLASSES} == {
+        "Const": ("value",), "UnitLit": (), "Var": ("name",),
+        "Abs": ("self_name", "param", "dom", "cod", "body", "capture"),
+        "App": ("fn", "arg"), "RefAlloc": ("init",), "Deref": ("ref",),
+        "Assign": ("lhs", "rhs"), "LocTerm": ("loc",),
+        "TAbs": ("self_name", "tvar", "qvar", "bound", "body", "capture"),
+        "TApp": ("fn", "arg"), "Ascribe": ("term", "qtype"),
+        "Let": ("name", "rhs", "body"),
+    }
+
+
+def test_deep_terms_compare_hash_and_give_free_atoms_without_recursion():
+    # built bottom-up in a loop; `==` and `hash` are identity's, and the
+    # free atoms are found by a walk with an explicit stack
+    depth = 100_000
+    chain, spine = Var("deep"), Var("v0")
+    for i in range(depth):
+        chain = Deref(chain)
+        spine = Let(f"v{i}", LocTerm(i % 7), spine)
+    assert chain == chain and chain != spine and hash(chain) != hash(spine)
+    assert {chain: 1, spine: 2}[chain] == 1
+    assert free_term_atoms(chain) == {VarAtom("deep")}
+    assert free_term_atoms(spine) == {LocAtom(i) for i in range(7)}
+    assert free_term_atoms(spine, annotations=True) == free_term_atoms(spine)
+    assert free_term_atoms(chain) is free_term_atoms(chain)
 
 
 def test_environments_and_store_typings_compare_as_before():

@@ -582,6 +582,14 @@ STALE_OPEN_CLOSURE = (
     "val x = (g : (g2(w: Int^{}) => Ref[Int]^{a, b})^{a, b}); "
     "(fn h^{x, a, b}(y: Int^{}) { x(0) })(0)")
 
+# as above, with the body reading g too, so it is typed again at g's
+# let-β, one step before x's ascription is dropped: the open h met again
+# in the next call must not be given its type under the wider x
+STALE_OPEN_CLOSURE_NEXT_CALL = (
+    "val a = ref 0; val b = ref 1; "
+    "val g = fn g(w: Int^{}) : Ref[Int]^{a} { a }; "
+    "val x = (g : (g2(w: Int^{}) => Ref[Int]^{a, b})^{a, b}); "
+    "(fn h^{x, a, b}(y: Ref[Int]^{a}) { x(0) })(g(0))")
 
 # b's rhs `!a` is the same object until a is substituted, and a's rhs
 # `r` until r is; the ref step changes r's entry, which D of !a reaches
@@ -627,6 +635,7 @@ def _differential_programs():
             yield program.name, elaborate(parse(program.text))
     yield "shadowed-qvar", parse_term(SHADOWED_QVAR)
     yield "stale-open-closure", parse_term(STALE_OPEN_CLOSURE)
+    yield "stale-open-closure-next-call", parse_term(STALE_OPEN_CLOSURE_NEXT_CALL)
     yield "alias-at-ref", parse_term(ALIAS_AT_REF)
     yield "narrowed-at-let", parse_term(NARROWED_AT_LET)
     yield "loc-in-let-body", parse_term(LOC_IN_LET_BODY)
@@ -674,6 +683,35 @@ def test_the_retyper_equals_check_program_on_any_store_typing_and_phi():
         memoized = _outcome(retype, sigma, Configuration(t))
         assert memoized == _outcome(_FullRecheck(), sigma, Configuration(t))
     assert memoized != _outcome(_FullRecheck(), unit_cell, Configuration(inner))
+
+
+def test_a_memoized_closed_lambda_is_given_again_only_where_observable():
+    # f is typed at the top, then met in the next call inside w, whose
+    # empty capture hides f's location: check_program rejects w there
+    outer = parse_term("fn w^{}(z: Unit^{}) { fn f(u: Unit^{}) { @0 } }")
+    int_cell = EMPTY_SIGMA.extended(0, qt(INT))
+    retype = typecheck.Retyper()
+    for t in (outer.body, outer):
+        memoized = _outcome(retype, int_cell, Configuration(t))
+        assert memoized == _outcome(_FullRecheck(), int_cell, Configuration(t))
+    assert memoized[0] == "CheckError" and "not observable" in memoized[1]
+
+
+def test_a_memo_hit_keeps_the_closed_terms_typed_within_it(monkeypatch):
+    # β takes a value out of the λ that holds it, so a λ given again
+    # keeps the entries of the λs met while typing it: f, typed inside w
+    # two calls before, is not typed again
+    outer = parse_term("fn w(z: Unit^{}) { fn f(u: Unit^{}) { 0 } }")
+    terms = (outer, App(outer, UnitLit()), outer.body)
+    want = [check_program(TypeEnv(), EMPTY_SIGMA, t).qtype for t in terms]
+    calls = _counting(monkeypatch, Abs)
+    retype = typecheck.Retyper()
+    typed = []
+    for t, qty in zip(terms, want):
+        calls.clear()
+        assert retype(EMPTY_SIGMA, Configuration(t)) == qty
+        typed.append(len(calls))
+    assert typed == [2, 0, 0]
 
 
 def test_a_value_carried_from_step_to_step_is_typed_once(monkeypatch):
@@ -869,44 +907,50 @@ def test_a_verify_step_visits_only_the_bindings_it_changed():
     assert 0 < large <= 2.1 * small
 
 
-def test_a_beta_and_a_let_beta_intern_nothing(monkeypatch):
-    # a substitution keys its names as strings, so running the divergent
-    # program longer interns no further atom or qualifier
+def _interned_classes() -> list:
+    """Every interned class: atoms, qualifiers, types and terms."""
+    classes, work = [], [syntax._Interned]
+    while work:
+        below = work.pop().__subclasses__()
+        classes += [cls for cls in below if not cls.__name__.startswith("_")]
+        work += below
+    return classes
+
+
+def _interned_entries() -> dict:
+    """How many objects each interned class's table holds."""
+    sizes = {cls.__name__: len(getattr(cls, "_table", ()))
+             for cls in _interned_classes()}
+    sizes["Qualifier"] = sum(len(t) for t in syntax.Qualifier._tables)
+    return sizes
+
+
+def _diverge() -> Term:
     entry = next(e for e in load_corpus() if e.name == "eval-diverge")
-    term = elaborate(parse(corpus_text(entry)))
-    made = [0]
-    classes = syntax._Interned.__subclasses__()
-    assert {cls.__name__ for cls in classes} == {
+    return elaborate(parse(corpus_text(entry)))
+
+
+def test_a_beta_and_a_let_beta_intern_nothing():
+    # a substitution keys its names as strings, and the divergent
+    # program's steps rebuild terms met before, so running it ten times
+    # longer interns no further object of any class
+    assert {cls.__name__ for cls in _interned_classes()} == {
         "VarAtom", "LocAtom", "Qualifier", "Base", "Top", "TVar", "RefT", "Fun",
-        "All", "QualifiedType"}
-    for cls in classes:
-        def counted(c, *args, _new=cls.__new__, **kwargs):
-            made[0] += 1
-            return _new(c, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__new__", counted)
-    counts = []
+        "All", "QualifiedType", "Const", "UnitLit", "Var", "Abs", "App",
+        "RefAlloc", "Deref", "Assign", "LocTerm", "TAbs", "TApp", "Ascribe",
+        "Let"}
+    sizes = []
     for fuel in (200, 2000):
-        made[0] = 0
-        result = eval_term(term, fuel=fuel)
+        result = eval_term(_diverge(), fuel=fuel)
         assert (result.status, result.steps) == ("fuel", fuel)
-        counts.append(made[0])
-    assert counts[0] == counts[1]
-
-
-def _interned_entries() -> int:
-    tables = [syntax.Qualifier._tables[0], syntax.Qualifier._tables[1]]
-    tables += [cls._table for cls in syntax._Interned.__subclasses__()
-               if cls is not syntax.Qualifier]
-    return sum(len(t) for t in tables)
+        sizes.append(_interned_entries())
+    assert sizes[0] == sizes[1]
 
 
 def test_a_longer_verify_run_keeps_no_more_types(monkeypatch):
-    # the Retyper keeps its substitution table for its last two calls
-    # only, and the divergent program's steps make no new type, so
-    # verifying it ten times longer holds as many entries
-    entry = next(e for e in load_corpus() if e.name == "eval-diverge")
-    term = elaborate(parse(corpus_text(entry)))
+    # the Retyper keeps its node memo and its substitution table for its
+    # last two calls only, and the divergent program's steps make no new
+    # term or type, so verifying it ten times longer holds as many entries
     retypers = []
 
     class Kept(typecheck.Retyper):
@@ -917,11 +961,31 @@ def test_a_longer_verify_run_keeps_no_more_types(monkeypatch):
     monkeypatch.setattr(machine, "Retyper", Kept)
     sizes = []
     for fuel in (200, 2000):
-        report = check_preservation(term, EMPTY_SIGMA, fuel=fuel)
+        report = check_preservation(_diverge(), EMPTY_SIGMA, fuel=fuel)
         assert (report.ok, report.status, len(report.steps)) == (True, "fuel", fuel)
-        subs = retypers[-1]._subs, retypers[-1]._subs_before
-        sizes.append((len(subs[0]) + len(subs[1]), _interned_entries()))
+        kept = retypers[-1]
+        sizes.append((len(kept._seen) + len(kept._last),
+                      len(kept._subs) + len(kept._subs_before),
+                      _interned_entries()))
     assert sizes[0] == sizes[1] and sizes[0][0] > 0
+
+
+def test_verifying_the_divergent_program_types_an_application_a_few_times(
+        monkeypatch):
+    # each step's focus is `loop(unit)` again, under the same store
+    # typing, so the node memo gives its conclusion: T-App ran once per
+    # step before the memo
+    calls = [0]
+    app = typecheck._SYNTH[App]
+
+    def counted(checker, env, phi, t):
+        calls[0] += 1
+        return app(checker, env, phi, t)
+
+    monkeypatch.setitem(typecheck._SYNTH, App, counted)
+    report = check_preservation(_diverge(), EMPTY_SIGMA, fuel=2000)
+    assert (report.ok, report.status, len(report.steps)) == (True, "fuel", 2000)
+    assert calls[0] <= 10
 
 
 def test_a_verify_round_reuses_the_typing_rules_substitutions(monkeypatch):

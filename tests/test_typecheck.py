@@ -324,12 +324,12 @@ def test_the_observability_invariant_holds_under_python_o(monkeypatch):
 
 
 def test_a_substitution_is_looked_up_by_every_input():
-    # one checker's table holds T-Let's substitutions by (name, q, body):
+    # the Retyper's table holds T-Let's substitutions by (name, q, body):
     # the same qualifier and body under another name is another entry
     from rqcheck import typecheck
     from rqcheck.syntax import RefT
 
-    checker = typecheck._Checker(EMPTY_STORE)
+    checker = typecheck.Retyper()
     ref, r = RefT(qt(INT)), qual("r")
     body = qt(ref, qual("a", "b"))
     assert checker._unbind("b", r, body) is qt(ref, qual("a", "r"))
