@@ -20,7 +20,9 @@ top-level call computes it, so the table keeps what such a search
 proves, the fresh bindings it meets and its top-level refutations, and
 not a refutation made by cutting a cycle deeper down. The atoms of p are
 still tried in their own order, so a query that reaches an unbound atom
-still raises.
+still raises. `forget(env)` drops the table if it is env's, for a
+caller that must see every entry of Γ a query under env reads
+(`typecheck.Retyper`).
 """
 
 from __future__ import annotations
@@ -117,6 +119,14 @@ def self_closure(env: TypeEnv, q: Qualifier) -> frozenset:
 # qual_sub's table: the (environment, store typing) pair it is for, and
 # its rows, q.atoms -> (atoms proven below q, atoms refuted)
 _table: tuple = (None, None, {})
+
+
+def forget(env: TypeEnv):
+    """Drop qual_sub's table if it is env's: its rows answer without
+    reading Γ, so the next query under env chases what it needs again."""
+    global _table
+    if _table[0] is env:
+        _table = (None, None, {})
 
 
 def _covered(env: TypeEnv, store: StoreTyping, proven: set, refuted: set,

@@ -452,7 +452,7 @@ class TypeEnv:
             if old._depth >= new._depth:
                 # undo old's entry: give back what it hid
                 e = old._entry
-                if type(e) is TermBind:
+                if type(e) is not TypeBind:
                     _restore(names, e.name, old._saved)
                 else:
                     _restore(names, e.qvar, old._saved[1])
@@ -463,7 +463,7 @@ class TypeEnv:
                 new = new._parent
         for env in reversed(down):
             e = env._entry
-            if type(e) is TermBind:
+            if type(e) is not TypeBind:
                 env._saved = names.get(e.name)
                 names[e.name] = e
             else:
@@ -483,7 +483,11 @@ class TypeEnv:
 
     def lookup_term(self, name: str) -> Optional[QualifiedType]:
         e = self.binder(name)
-        return e.qtype if type(e) is TermBind else None
+        if type(e) is TermBind:
+            return e.qtype
+        # a subclass (typecheck's `_Read`) is tested after the class, which
+        # so pays for no more tests than it did
+        return None if e is None or type(e) is TypeBind else e.qtype
 
     def lookup_tvar(self, name: str) -> Optional[QualifiedType]:
         e = self.binder(name)
@@ -494,12 +498,12 @@ class TypeEnv:
         e = self.binder(atom.name)
         if type(e) is TermBind:
             return e.qtype.q
-        if type(e) is TypeBind and e.qvar == atom.name:
-            return e.bound.q
-        return None
+        if type(e) is TypeBind:
+            return e.bound.q if e.qvar == atom.name else None
+        return None if e is None else e.qtype.q     # a subclass, as above
 
     def dom(self) -> frozenset:
-        return frozenset(VarAtom(e.name if type(e) is TermBind else e.qvar)
+        return frozenset(VarAtom(e.name if type(e) is not TypeBind else e.qvar)
                          for e in self.entries)
 
 

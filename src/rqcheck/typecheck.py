@@ -10,20 +10,20 @@ T-TApp. T-Let grows Γ and φ by one binder: Γ by `TypeEnv.extended`, φ
 in place, in a copy made once per let spine. Running out of subtyping
 fuel is never a rejection: `FuelExhausted` reaches the caller as it
 is. `Retyper` types each configuration of a machine run as
-`check_program` types the term it plugs to, keeping a typing record per
-frame and per binding of the root let spine, so a step costs the typing
-of what it changed; it also looks the substitutions of T-App, T-TApp and
-T-Let up by their interned inputs before it builds one (`_substituted`).
+`check_program` types the term it plugs to: one record per let spine at
+any depth notes the Γ entries each binding read, so a step types again
+only what read a changed entry, and a change stops where a conclusion
+comes back the same (early cutoff).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import AbstractSet, List
+from typing import AbstractSet, List, Optional
 
 from .errors import CheckError, InternalError
-from .qualifiers import overlap, qual_sub
+from .qualifiers import forget as forget_qual_table, overlap, qual_sub
 from .subtyping import DEFAULT_FUEL, type_sub
 from .surface import pretty as _pretty
 from .syntax import (
@@ -401,131 +401,125 @@ _HOLE = Var("")
 
 class Retyper(_Checker):
     """`check_program(TypeEnv(), store, c.plug()).qtype` for the
-    configurations c of one run, which the machine steps in place between
-    calls, without plugging them: each part keeps a typing record, and a
-    call types again what the step made stale.
+    configurations c of one run, stepped in place between calls, without
+    plugging them: each level of c, a frame or the focus, keeps a
+    `_Spine` record, and a call types again what the step changed.
 
-    Frames and the focus sit at evaluation positions, under no binder,
-    so each is typed closed, under Γ = ∅ and φ = dom(Σ). A frame above
-    the root spine keeps a `_Frame`. A call types the focus, then each
-    frame above it, innermost first, until one met as the same frame
-    with as many values finds its hole's conclusion equal to the last:
-    it and all below keep theirs. That is exact: a rule reads the hole
-    only through `synth`, which gives the hole's conclusion; the other
-    parts are the same closed terms; and Σ only grew (a changed entry
-    drops every record), which changes no closed typing, as it reads Σ
-    and φ at the locations the term holds or reaches, never a new one.
+    Levels sit under no binder, so each is typed under Γ = ∅ and φ =
+    dom(Σ), around the level below as its hole. A call types the focus's
+    level, then each frame's, until one kept from the last call finds its
+    hole's conclusion the same object as before: it and all above keep
+    theirs, as a rule reads the hole only through its conclusion, and Σ
+    only grew (a changed entry drops every record), which changes no
+    closed typing.
 
-    The root let spine keeps a `_Root`. Its binding p, x_p = rhs_p (the
-    body is position n), is typed as rhs_p under the pending
-    substitution, Γ = x_j..x_{p-1} and φ = dom(Σ) ∪ {x_j..x_{p-1}}, a
-    let-β having taken x_0..x_{j-1} out. The checker reads Γ, φ and Σ at
-    named atoms only (a name's innermost binder, membership, `get`), and
-    forms every type or qualifier from the term, from the entries of
-    atoms it holds, or from names the term or a type binds. So binding p
-    reads the entries of D_p, its rhs's free atoms (annotations
-    included) closed through their entries, and its record holds while
-    none of those changed. A let-β changes x_j's entry, and a conclusion
-    unequal to the last x_p's. The positions whose D holds a changed x
-    are those whose rhs names x (`readers`) or whose type mentions x
-    (`mentions`), and, through their names, the positions they reach.
-    They are typed again in order, as `_let` types them, so the first
-    rejection is `check_program`'s; T-Let's conclusion, a fold of
-    `_unbind` from the body down, is redone from each change while it
-    changes. Γ and φ keep x_0..x_{j-1}, which no D reaches once each
-    position that read one is typed again. A spine that binds a name
-    twice, or one the substitution binds, is typed whole.
+    In a level's let spine x_0 = rhs_0; ...; body (position n), position
+    p is sub(rhs_p), sub the pending substitution, typed under Γ =
+    x_0..x_{p-1} and φ = dom(Σ) ∪ {x_0..x_{p-1}}; in a frame, x_j's entry
+    is the hole's conclusion. The checker reads Γ at names and builds
+    types from the term, the entries it reads and names it binds, and
+    which names Γ binds never changes; so p's conclusion is a function
+    of its term, Σ and the entries it read. Γ is built once, of `_Read`
+    entries: x_k's gives x_k's conclusion as it is now and notes the
+    position being typed as its reader, in T-Var and in the chases of
+    `qual_sub`, `saturate` and `overlap`. None is hidden: `qual_sub`'s
+    table, whose rows answer without reading (from entries as they
+    were), is dropped before a position it could answer, and a λ or Λ
+    the memo gives is closed. p is typed again, in order, so that the
+    first rejection is `check_program`'s, when its term changed (a let-β
+    of x_j, for the terms naming x_j) or an entry it read at some typing
+    did. A conclusion that comes back as the same object (types are
+    interned) goes no further: early cutoff, as in self-adjusting
+    computation (Acar 2005; Hammer et al., "Adapton", 2014). T-Let's
+    conclusion, a fold of `_unbind` from the body down, is redone from
+    each change while it changes. Γ keeps x_0..x_{j-1}, which a let-β
+    took out: an entry mentions x_i only if its typing named x_i or read
+    an entry that does, so once the terms naming x_i are typed again no
+    typing reads it, and a name Γ still binds only renames what S-Fun
+    and S-All compare. A spine that binds a name twice, or one sub
+    binds, is typed whole.
 
-    Terms are interned, so a term met again is the same node, and a
-    memo keyed by the node (`_closed`) holds conclusions of closed terms
-    under the store typing Σ they were typed under. A term typed at the
-    top of `_levels`, the focus or a frame's plugged term, is typed under
-    Γ = ∅ and φ = dom(Σ), the same for every such term: typed, it is
-    closed (T-Var and the scope checks reject a free name under Γ = ∅),
-    so its conclusion is a function of the node and Σ, and is given again
-    while Σ is the same object. A λ or Λ typed anywhere else is kept only
-    when closed (no free variable atom, annotations included), and is
-    given again, under the same Σ, where its qualifier, the capture, is
-    in φ: a lookup stops at a name's innermost binder (`TypeEnv.binder`),
-    so a closed value types the same anywhere, and φ enters only where
-    its capture must be observable, as it does at the top, where φ holds
-    every location a typed term can name. The memo holds the terms met in
-    the last two calls: a call starts a new one and keeps the last call's
-    as `_last`, whose hits it copies in, each with the entries of the
-    memo's terms met while typing it (`_keep`), which a later step may
-    meet without it, as β takes a value out of the λ that holds it.
-
-    The table of T-App's, T-TApp's and T-Let's substitutions
-    (`_substituted`) lives as long, `_subs` beside `_subs_before`. The
-    inputs are interned, so equal inputs are one key, and a substitution
-    is a function of them. So a step that types the same annotations
-    again reuses their substitutions, the memory held is that of two
-    calls, and no result passes from one run to another."""
+    A memo keyed by the interned node (`_closed`) holds the conclusions
+    of closed terms under the Σ they were typed under. A level with no
+    spine is closed once typed. If its node was met before (a frame's
+    with as many values, `_met`), `_top` looks it up first by the node,
+    a frame's values and hole, and what sub puts in for the node's free
+    names, so as to skip the substitution walk: when sub binds no other
+    name no binder stops it, and machine payloads are closed, so nothing
+    is renamed apart. A λ or Λ typed elsewhere is kept when closed, and
+    given again where its capture is in φ, as a lookup stops at a name's
+    innermost binder. The memo, like the table of the rules'
+    substitutions (`_substituted`), holds what the last two calls met
+    (`_last`), each entry with those met while typing it (`_keep`), as
+    β takes a value out of the λ that holds it."""
 
     def __init__(self):
         super().__init__(StoreTyping())
         self._seen, self._last, self._inner = {}, {}, []    # the node memo
         self._subs, self._subs_before = {}, {}
-        self._frames, self._root = [], None
-        self._hole = self._hole_q = None
+        self._levels, self._hole, self._met = [], None, set()
 
     def __call__(self, store: StoreTyping, c) -> QualifiedType:
         old = self.store.mapping
         if store is not self.store:
             if any(store.mapping.get(loc) is not e for loc, e in old.items()):
-                self._root, self._frames = None, []
-            elif self._root is not None:
-                self._root.phi.update(LocAtom(loc) for loc in store.mapping
-                                      if loc not in old)
+                self._levels = []
+            for rec in self._levels:
+                if rec.phi is not None:
+                    rec.phi.update(LocAtom(l) for l in store.mapping if l not in old)
             self.store = store
-        self.trace = []
+        self.trace, self._hole = [], None
         self._last, self._seen, self._inner = self._seen, {}, []
         self._subs_before, self._subs = self._subs, {}
         try:
             qty = self._configuration(c)
         except BaseException:
             # a record may be half updated: start again from the term
-            self._root, self._frames = None, []
+            self._levels = []
             raise
-        finally:
-            self._hole = None
         if not qty.q.atoms <= store.dom():
             raise InternalError("synthesized an unobservable qualifier")
         return qty
 
     def _configuration(self, c) -> QualifiedType:
-        frames = c.frames
-        root, sub = (frames[0][0], frames[0][1]) if frames else (c.focus, c.sub)
-        if type(root) is Let:
-            spine = self._root
-            if spine is None or not spine.follow(root, sub):
-                spine = self._root = _Root(root, sub, self.store)
-            if spine.unique:
-                return spine.retype(self, self._levels(c, 1) if frames else None)
-        return self._levels(c, 0)
-
-    def _levels(self, c, start: int) -> QualifiedType:
-        """The conclusion of frames[start:] plugged around the focus: the
-        focus typed again, then the frames while a hole's conclusion changed."""
-        frames, recs = c.frames, self._frames
-        keep = 0
-        while (keep < len(recs) and start + keep < len(frames)
-               and recs[keep].frame is frames[start + keep]
-               and len(recs[keep].vals) == len(frames[start + keep][2])):
-            keep += 1
-        del recs[keep:]
-        recs.extend(_Frame(f) for f in frames[start + keep:])
-        phi, term = self.store.dom(), c.sub.term(c.focus)
-        q = self._closed(term, EMPTY_ENV, phi)
-        for k in range(len(recs) - 1, -1, -1):
-            rec = recs[k]
-            if k < keep and q is rec.hole_q:
-                q = recs[0].qtype
+        """Each level's record followed or made, outermost first, then
+        the levels typed from the focus up while a conclusion changed. A
+        focus that is no let keeps no record."""
+        frames, recs, store = c.frames, self._levels, self.store
+        depth = len(frames) + (type(c.focus) is Let)
+        kept = k = 0
+        while k < len(recs) and k < depth:
+            f, rec = frames[k] if k < len(frames) else None, recs[k]
+            if f is not None and f is rec.frame:     # the same frame
+                moved = False if len(f[2]) == rec.nvals else None
+            else:
+                moved = (rec.follow(c.focus, c.sub, None) if f is None
+                         else rec.follow(f[0], f[1], f))
+            if moved is None:
                 break
-            self._hole, self._hole_q = term, q
-            term = rec.plugged(term)
-            rec.hole_q = q
-            rec.qtype = q = self._closed(term, EMPTY_ENV, phi)
+            k += 1
+            if moved:
+                break
+            kept = k
+        del recs[k:]
+        recs += [_Spine(f[0], f[1], f, store) for f in frames[k:]]
+        q = term = None
+        if len(recs) < depth:
+            recs.append(_Spine(c.focus, c.sub, None, store))
+        elif depth == len(frames):
+            q, term = self._top(c.focus, c.sub)
+        for i in range(len(recs) - 1, -1, -1):
+            rec = recs[i]
+            before = rec.qtype
+            if rec.lets:
+                q, term = rec.conclude(self, q), None
+            else:
+                if before is None or q is not rec.hole_q:
+                    rec.hole_q, (rec.qtype, rec.term) = q, self._top(
+                        rec.body, rec.sub, rec.frame and rec, q, term)
+                q, term = rec.qtype, rec.term
+            if q is before and i <= kept:
+                return recs[0].qtype
         return q
 
     def synth(self, env: TypeEnv, phi: AbstractSet, t: Term) -> QualifiedType:
@@ -535,10 +529,48 @@ class Retyper(_Checker):
             return _Checker.synth(self, env, phi, t)
         return self._closed(t, env, phi)
 
+    def _top(self, node: Term, sub, rec=None, hole_q=None, hole=None):
+        """The conclusion of the focus node under sub, or of the frame of
+        record rec around a hole of conclusion hole_q and term hole (None
+        if unknown), looked up first (see above); and its term if known."""
+        phi = self.store.dom()
+        if rec is None and not sub.names:
+            return self._closed(node, EMPTY_ENV, phi), node
+        key, met = None, node if rec is None else (node, rec.nvals)
+        if met in self._met:    # what sub puts in for node's free names
+            pay = [sub.values.get(a.name) or sub.types.get(a.name) or sub.quals.get(a.name)
+                   for a in free_term_atoms(node, annotations=True) if type(a) is VarAtom]
+            if len(pay) - pay.count(None) == len(sub.names):    # and no other
+                key = (node, *pay) if rec is None else (node, *pay, hole_q, *rec.frame[2])
+        self._met.add(met)
+        if key is not None:
+            known = self._seen.get(key) or self._last.get(key)
+            if known is not None and known[0] is self.store:
+                self._keep(key, known)
+                return known[1], None
+            outer, self._inner = self._inner, []
+        if rec is None:
+            term = sub.term(node)
+            qty = self._closed(term, EMPTY_ENV, phi)
+        else:
+            vals = rec.frame[2]
+            if rec.template is None:
+                rec.template = sub.term(filled(node, vals + [_HOLE]))
+            self._hole, self._hole_q = _HOLE if hole is None else hole, hole_q
+            term = filled(rec.template, vals + [self._hole])
+            if hole is None:
+                qty, term = _Checker.synth(self, EMPTY_ENV, phi, term), None
+            else:
+                qty = self._closed(term, EMPTY_ENV, phi)
+            self._hole = None
+        if key is not None:
+            inner, self._inner = self._inner, outer
+            self._seen[key] = (self.store, qty, tuple(inner))
+        return qty, term
+
     def _closed(self, t: Term, env: TypeEnv, phi: AbstractSet) -> QualifiedType:
-        """t's conclusion, from the memo if it holds t under this Σ with
-        a qualifier in φ; else t typed, and kept if closed, with the
-        memo's terms met directly within it."""
+        """t's conclusion from the memo, if it holds t under this Σ with a
+        qualifier in φ; else t typed, kept if closed."""
         known = self._seen.get(t) or self._last.get(t)
         if known is not None and known[0] is self.store and known[1].q.atoms <= phi:
             self._keep(t, known)
@@ -550,19 +582,14 @@ class Retyper(_Checker):
                                             free_term_atoms(t, annotations=True)):
                 return qty
             known = self._seen[t] = (self.store, qty, tuple(inner))
-        self._inner.append(t)
+        self._inner.append((t, known))
         return known[1]
 
-    def _keep(self, t: Term, known: tuple):
-        """Put t's entry in this call's memo, with those of the terms met
-        within it that the last call's holds."""
-        work = [(t, known)]
-        while work:
-            t, known = work.pop()
-            self._seen[t] = known
-            for u in known[2]:
-                if u not in self._seen and u in self._last:
-                    work.append((u, self._last[u]))
+    def _keep(self, t, known: tuple):
+        """Put t's entry, and those met while typing it, in this call's memo."""
+        self._seen[t] = known
+        for u, entry in known[2]:
+            self._seen.setdefault(u, entry)
 
     def _substituted(self, key: tuple, make) -> QualifiedType:
         out = self._subs.get(key) or self._subs_before.get(key) or make()
@@ -570,137 +597,124 @@ class Retyper(_Checker):
         return out
 
 
-class _Frame:
-    """A frame's record: its values, its node under its substitution with
-    `_HOLE` where it is evaluated, the hole's last conclusion and its own."""
+class _Read(TermBind):
+    """x_k's entry in a spine's Γ: x_k's conclusion as it is now; reading
+    it adds the position being typed, `at[0]`, to x_k's readers."""
 
-    __slots__ = ("frame", "vals", "template", "hole_q", "qtype")
+    def __init__(self, name: str, k: int, types: list, readers: set, at: list):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_read", (k, types, readers, at))
 
-    def __init__(self, frame):
-        node, sub, vals, _ = frame
-        self.frame, self.vals = frame, list(vals)
-        self.template = sub.term(filled(node, self.vals + [_HOLE]))
-        self.hole_q = self.qtype = None
-
-    def plugged(self, term: Term) -> Term:
-        return filled(self.template, self.vals + [term])
+    @property
+    def qtype(self) -> QualifiedType:
+        k, types, readers, at = self._read
+        readers.add(at[0])
+        return types[k]
 
 
-class _Root:
-    """The records of the root let spine (see `Retyper`): per position
-    its conclusion (`types`) and T-Let's from there on (`folds`); the
-    positions that name each name (`readers`) or whose type mentions it
-    (`mentions`); the environments and φ, and the positions to type
-    again (`queue`, a heap)."""
+class _Spine:
+    """A level's record (see `Retyper`): its let spine `lets` around
+    `body` under `sub`, from x_j on; per position its conclusion and
+    T-Let's (`folds`); the positions that read each entry (`readers`) or
+    whose term names each name (`named`), and what to retype (`queue`)."""
 
-    __slots__ = ("lets", "body", "names", "vars", "j", "sub", "unique",
-                 "readers", "types", "atoms", "mentions", "folds", "envs",
-                 "phi", "h", "queue", "touched")
+    __slots__ = ("frame", "nvals", "lets", "names", "body", "template", "term",
+                 "sub", "j", "named", "types", "folds", "readers", "envs",
+                 "phi", "h", "vars", "at", "queue", "hole_q", "qtype")
 
-    def __init__(self, root: Let, sub, store: StoreTyping):
-        lets, t = [], root
+    def __init__(self, node: Term, sub, frame, store: StoreTyping):
+        self.frame, self.nvals = frame, 0 if frame is None else len(frame[2])
+        self.lets, self.body, self.sub, self.j = (), node, sub, 0
+        self.template = self.term = self.hole_q = self.qtype = self.phi = None
+        if type(node) is not Let:
+            return
+        lets, t = [], node
         while type(t) is Let:
             lets.append(t)
             t = t.body
-        n = len(lets)
-        self.lets, self.body, self.j, self.sub = lets, t, 0, sub
-        self.names = [let.name for let in lets]
-        self.unique = (len(set(self.names)) == n
-                       and sub.names.isdisjoint(self.names))
-        self.readers, self.mentions, self.touched = {}, {}, set()
-        for p in range(n + 1):
-            for a in free_term_atoms(lets[p].rhs if p < n else t,
-                                     annotations=True):
-                if type(a) is VarAtom:
-                    self.readers.setdefault(a.name, []).append(p)
-        self.queue = list(range(n + 1))
-        self.vars = [VarAtom(x) for x in self.names]
-        self.types, self.folds = [None] * (n + 1), [None] * (n + 1)
-        self.atoms, self.envs = [frozenset()] * n, [EMPTY_ENV]
-        self.phi, self.h = set(store.dom()), 0
+        n, names = len(lets), [let.name for let in lets]
+        if n and len(set(names)) == n and sub.names.isdisjoint(names):
+            self.lets, self.names, self.body, self.named = lets, names, t, {}
+            for p, term in enumerate([let.rhs for let in lets] + [t]):
+                for a in free_term_atoms(term, annotations=True):
+                    if type(a) is VarAtom:
+                        self.named.setdefault(a.name, []).append(p)
+            self.types, self.folds = [None] * (n + 1), [None] * (n + 1)
+            self.readers, self.at, self.envs = [], [0], [EMPTY_ENV]
+            self.queue = list(range(n + 1))
+            self.phi, self.h = set(store.dom()), 0
+            self.vars = [VarAtom(x) for x in names]
 
-    def follow(self, root: Let, sub) -> bool:
-        """Whether root is the spine's binding x_j, or x_{j+1} after a
-        let-β (x_j's readers are then queued). Its lets are distinct
-        nodes, each holding the next, and a spine met again from its
-        start (the body of a λ applied again) has a new substitution."""
-        j = self.j
-        if root is self.lets[j]:
-            return sub is self.sub
-        if (j + 1 < len(self.lets) and root is self.lets[j + 1]
-                and self.names[j] in sub.names):
+    def follow(self, node: Term, sub, frame) -> Optional[bool]:
+        """None if this is not the spine record of the level holding node
+        under sub in frame (None for the focus), False if it is as it was,
+        True if it moved on: to x_{j+1} after a let-β, or from focus to
+        frame. A λ applied again meets its spine under a new sub."""
+        lets, j = self.lets, self.j
+        if lets and node is lets[j] and sub is self.sub:
+            if frame is None and self.frame is None:
+                return False
+            if frame is None:
+                heappush(self.queue, j)     # a hole no more
+        elif (lets and j + 1 < len(lets) and node is lets[j + 1]
+              and self.names[j] in sub.names):
             self.j, self.sub = j + 1, sub
-            if self.unique:
-                self._touch(self.names[j], j)
-            return True
-        return False
+            for p in self.named.get(self.names[j], ()):
+                heappush(self.queue, p)
+        else:
+            return None
+        self.frame, self.nvals = frame, 0
+        return True
 
-    def _touch(self, name: str, after: int):
-        """Queue each position after `after` whose typing can read name's
-        entry (see `Retyper`). A name touched before in this call, at a
-        position not above this one, has its readers queued already."""
-        work, queue, touched = [name], self.queue, self.touched
-        while work:
-            x = work.pop()
-            if x in touched:
-                continue
-            touched.add(x)
-            for p in self.readers.get(x, ()):
-                if p > after:
-                    heappush(queue, p)
-            for p in self.mentions.get(x, ()):
-                if p > after:
-                    heappush(queue, p)
-                    work.append(self.names[p])
-
-    def retype(self, checker: Retyper, hole_q) -> QualifiedType:
-        """T-Let's conclusion from x_j on, typing the queued positions
-        again in order; x_j's conclusion is hole_q while its rhs is
-        being evaluated."""
-        j, n, types, queue = self.j, len(self.lets), self.types, self.queue
-        changed = []
-        if hole_q is not None and hole_q is not types[j]:
-            self._set(j, hole_q)
-            changed.append(j)
-        last = -1
+    def conclude(self, checker: Retyper, hole_q) -> QualifiedType:
+        """The spine's conclusion around a hole of conclusion hole_q: the
+        queued positions typed again in order, then T-Let's conclusion
+        from the highest change down, while it changes."""
+        j, lets, types, queue = self.j, self.lets, self.types, self.queue
+        if self.frame is not None and hole_q is not types[j]:
+            heappush(queue, j)
+        if not queue:
+            self.qtype = self.folds[j]
+            return self.qtype
+        n, readers, at = len(lets), self.readers, self.at
+        marks, last = set(), -1
         while queue:
             p = heappop(queue)
-            if p == last or p < j or (p == j and hole_q is not None):
+            if p == last or p < j:
                 continue
             last = p
-            env, phi = self._scope(p)
-            term = self.lets[p].rhs if p < n else self.body
-            q = checker.synth(env, phi, self.sub.term(term))
-            if q is not types[p]:
-                self._set(p, q)
-                changed.append(p)
-        self.touched.clear()
-        if changed:
-            self._fold(checker, set(changed))
-        return self.folds[j]
-
-    def _set(self, p: int, q: QualifiedType):
-        """A new conclusion at p, which changes the entry of x_p."""
-        first = self.types[p] is None
-        self.types[p] = q
-        del self.envs[p + 1:]
-        if p == len(self.lets):
-            return
-        atoms = {a.name for a in free_atoms_qtype(q) if type(a) is VarAtom}
-        for x in self.atoms[p] - atoms:
-            self.mentions[x].discard(p)
-        for x in atoms - self.atoms[p]:
-            self.mentions.setdefault(x, set()).add(p)
-        self.atoms[p] = atoms
-        if not first:
-            self._touch(self.names[p], p)
+            if p == j and self.frame is not None:
+                q = hole_q
+            else:
+                env, phi = self._scope(p)
+                at[0] = p
+                forget_qual_table(env)
+                term = lets[p].rhs if p < n else self.body
+                q = checker.synth(env, phi, self.sub.term(term))
+            if q is not types[p]:       # x_p's entry changed: queue who read it
+                types[p] = q
+                marks.add(p)
+                if p < len(readers):
+                    for r in readers[p]:
+                        heappush(queue, r)
+        folds, carry = self.folds, False
+        for p in range(max(marks, default=j - 1), j - 1, -1):
+            if carry or p in marks:
+                new = (types[n] if p == n else
+                       checker._unbind(self.names[p], types[p].q, folds[p + 1]))
+                carry = new is not folds[p]
+                if carry:
+                    folds[p] = new
+        self.qtype = folds[j]
+        return self.qtype
 
     def _scope(self, p: int):
         """Γ and φ for position p: x_0 ... x_{p-1}."""
-        envs, names, types = self.envs, self.names, self.types
+        envs, names, types, readers = self.envs, self.names, self.types, self.readers
         while len(envs) <= p:
             k = len(envs) - 1
-            envs.append(envs[k].extended(TermBind(names[k], types[k])))
+            readers.append(set())
+            envs.append(envs[k].extended(_Read(names[k], k, types, readers[k], self.at)))
         phi, h, atoms = self.phi, self.h, self.vars
         while h < p:
             phi.add(atoms[h])
@@ -710,17 +724,3 @@ class _Root:
             phi.discard(atoms[h])
         self.h = h
         return envs[p], phi
-
-    def _fold(self, checker: Retyper, marks: set):
-        """T-Let's conclusion at each position from the highest whose
-        type changed (`marks`) down to the root, while it changes."""
-        n, names, types, folds = len(self.lets), self.names, self.types, self.folds
-        carry = False
-        for p in range(max(marks), self.j - 1, -1):
-            if not (carry or p in marks):
-                continue
-            new = (types[n] if p == n
-                   else checker._unbind(names[p], types[p].q, folds[p + 1]))
-            carry = new is not folds[p]
-            if carry:
-                folds[p] = new

@@ -13,7 +13,7 @@ import pytest
 import rqcheck
 from rqcheck.cli import check_source, load_corpus, main, run_corpus_entry
 from rqcheck.surface import pretty
-from rqcheck.syntax import TypeEnv
+from rqcheck.syntax import RefAlloc, TypeEnv
 
 CORPUS = resources.files("rqcheck") / "corpus"
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -136,6 +136,36 @@ def test_eval_verify_preservation_reports_a_rejected_re_typing(capsys, tmp_path)
         "step 3 [beta] growth witness {}: {} -> ill-typed VIOLATION: "
         "re-typing rejected [Unobservable]: location @1: @0 not observable")
     assert "PreservationViolation" in err
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["eval", "--verify-preservation"], "val r = ref 0; !r\n"),
+    (["sep"], "val r = ref 0; !r\n;;\nval s = ref 1; !s\n"),
+], ids=["verify", "sep"])
+def test_a_harness_types_each_program_once_before_its_first_step(
+        capsys, tmp_path, monkeypatch, argv, text):
+    # the harness's first re-typing is the check: checking the program
+    # before it as well typed it twice
+    from rqcheck import machine, typecheck
+    allocations, before = [], []
+    rule, step = typecheck._SYNTH[RefAlloc], machine.step
+
+    def counted(checker, env, phi, t):
+        allocations.append(t)
+        return rule(checker, env, phi, t)
+
+    def first_step(c, store):
+        if not before:
+            before.append(len(allocations))
+        return step(c, store)
+
+    monkeypatch.setitem(typecheck._SYNTH, RefAlloc, counted)
+    monkeypatch.setattr(machine, "step", first_step)
+    src = tmp_path / "program.rq"
+    src.write_text(text, encoding="utf-8")
+    code, _, _ = run(capsys, *argv, str(src))
+    assert code == 0
+    assert before == [text.count("ref")]
 
 
 def test_eval_rejects_ill_typed_input(capsys):

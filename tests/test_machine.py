@@ -616,10 +616,29 @@ KEPT_FRAMES = ("val a = ref 0; val b = ref 1; "
                "val id = fn id(x: Ref[Int]^{a, b}) { x }; "
                "val y = (val k = id(g(h(0))); k); y")
 
+
+def _alias_chain(n: int) -> str:
+    return ("val a0 = ref 0; "
+            + "".join(f"val a{i} = a{i - 1}; " for i in range(1, n)) + f"!a{n - 1}")
+
+
 # every step changes the entry at the chain's root, which every later
 # binding reaches through the entry before it
-ALIAS_CHAIN = ("val a0 = ref 0; "
-               + "".join(f"val a{i} = a{i - 1}; " for i in range(1, 100)) + "!a99")
+ALIAS_CHAIN = _alias_chain(100)
+
+# b reads r's entry only through c's and a's, whose types do not change
+# when r's does: a two-step chase of the ascription's qualifier
+CHASE_AT_REF = "val r = ref 0; val a = r; val c = a; val b = (c : Ref[Int]^{r}); !b"
+
+
+def _under_a_frame(spine: str) -> str:
+    """The spine as the right-hand side of a binding: a spine in focus
+    below a frame, not at the root."""
+    return f"val y = ({spine}); y"
+
+
+def _inner_spine(m: int) -> str:
+    return "".join(f"val v_{i} = {i}; " for i in range(m)) + "v_0"
 
 
 def _differential_programs():
@@ -642,6 +661,11 @@ def _differential_programs():
     yield "loc-in-lambda-let-body", parse_term(LOC_IN_LAMBDA_LET_BODY)
     yield "alias-chain", parse_term(ALIAS_CHAIN)
     yield "kept-frames", parse_term(KEPT_FRAMES)
+    yield "chase-at-ref", parse_term(CHASE_AT_REF)
+    yield "inner-spine-under-a-frame", parse_term(_under_a_frame(_inner_spine(30)))
+    yield "alias-chain-under-a-frame", parse_term(_under_a_frame(_alias_chain(30)))
+    tower = bench_families().closure_tower(10).text.strip()
+    yield "closure-tower-under-a-frame", parse_term(_under_a_frame(tower))
 
 
 DIFFERENTIAL = list(_differential_programs())
@@ -808,6 +832,65 @@ def test_the_retyper_follows_the_entries_a_binding_reaches():
         outcomes.append(_outcome(retype, sigma, c))
         assert outcomes[-1] == _outcome(_FullRecheck(), sigma, c)
     assert outcomes[1][0] == "CheckError" and outcomes[0] == outcomes[2]
+
+
+def test_the_retyper_records_the_entries_a_chase_reads_behind_the_table():
+    # b's ascription reads r's entry only through a two-step chase, c's
+    # then a's, neither of which changes when r's rhs becomes a fresh
+    # reference. b names x, so x's let-β types b again under the same Γ
+    # before that; a `qual_sub` table kept from b's first typing would
+    # answer the chase without reading, and b would keep a stale verdict
+    sigma = EMPTY_SIGMA.extended(0, qt(INT))
+    ascribed = Ascribe(Let("u", Var("x"), Var("c")),
+                       qt(RefT(qt(INT)), qual(locs=[0])))
+    spine = Let("r", LocTerm(0), Let("a", Var("r"), Let("c", Var("a"), Let(
+        "b", ascribed, Var("b")))))
+    whole = Let("x", Const(1), spine)
+    after_x = syntax.EMPTY_SUBSTITUTION.extended("x", Const(1))
+    configurations = [_evaluating_first_rhs(whole, Const(1))]
+    for r in (LocTerm(0), RefAlloc(Const(0))):
+        c = Configuration(r)
+        c.frames.append((spine, after_x, [], False))
+        configurations.append(c)
+    retype = typecheck.Retyper()
+    # the Retyper's calls first, so no other query replaces the table
+    outcomes = [_outcome(retype, sigma, c) for c in configurations]
+    assert outcomes == [_outcome(_FullRecheck(), sigma, c) for c in configurations]
+    assert outcomes[1] == outcomes[0] and outcomes[2][0] == "CheckError"
+
+
+def _synthesized(monkeypatch):
+    """A counter of every rule the checker applies, by `_SYNTH`."""
+    calls = [0]
+    for cls, rule in list(typecheck._SYNTH.items()):
+        def counted(checker, env, phi, t, rule=rule):
+            calls[0] += 1
+            return rule(checker, env, phi, t)
+        monkeypatch.setitem(typecheck._SYNTH, cls, counted)
+    return calls
+
+
+@pytest.mark.parametrize("program,n", [
+    (lambda n: bench_families().closure_tower(n).text, 100),
+    (_alias_chain, 1000),
+    (lambda m: _under_a_frame(_inner_spine(m)), 1000),
+], ids=["closure-tower", "alias-chain", "inner-spine"])
+def test_verifying_twice_the_program_applies_about_twice_the_rules(
+        monkeypatch, program, n):
+    # a step types again only the bindings whose term or read entries it
+    # changed, and a change stops where a conclusion does not change:
+    # re-queueing by static reach made these quadratic (closure_tower
+    # 21,411 -> 82,811 rules at 100 -> 200, the alias chain 5,357 ->
+    # 20,707 at 100 -> 200, the inner spine 31,877 -> 126,252 at 250 -> 500)
+    calls = _synthesized(monkeypatch)
+    counts = []
+    for size in (n, 2 * n):
+        term = parse_term(program(size))
+        calls[0] = 0
+        report = check_preservation(term, EMPTY_SIGMA)
+        assert report.ok and report.status == "value"
+        counts.append(calls[0])
+    assert 0 < counts[1] <= 2.2 * counts[0]
 
 
 def test_a_binding_the_step_left_alone_is_not_synthesized_again(monkeypatch):
