@@ -485,8 +485,8 @@ class TypeEnv:
         e = self.binder(name)
         if type(e) is TermBind:
             return e.qtype
-        # a subclass (typecheck's `_Read`) is tested after the class, which
-        # so pays for no more tests than it did
+        # a subclass (typecheck's `_Read`) is tested after the exact class,
+        # so looking up a plain TermBind costs one test
         return None if e is None or type(e) is TypeBind else e.qtype
 
     def lookup_tvar(self, name: str) -> Optional[QualifiedType]:
