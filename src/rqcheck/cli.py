@@ -62,24 +62,22 @@ def check_source(text: str, fuel: int = DEFAULT_FUEL) -> TypingResult:
     return synthesize(env, store, phi, prog.main, fuel)
 
 
-def load(path, kind: str, fuel: int = DEFAULT_FUEL, checked: bool = True):
-    """Read, parse, elaborate and check the program file a command runs.
+def load(path, kind: str, fuel: int = DEFAULT_FUEL):
+    """Read, parse and elaborate the program file a command runs.
 
     kind "check" gives the TypingResult of `check_source`; "eval" gives
-    a one-element list holding the closed, checked term; "sep" gives the
-    two checked terms of a file holding two programs split by ';;'.
-    Unless `checked`, the terms are not checked: a harness that types
-    each term before its first step raises the same rejection.
+    a one-element list holding the closed term; "sep" gives the two
+    terms of a file holding two programs split by ';;'. Those terms are
+    not checked here: `rq eval` checks its term before running it, and a
+    harness that re-types after every step types each term before its
+    first step, which raises the same rejection.
     """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     if kind == "check":
         return check_source(text, fuel)
     programs = parse_pair(text) if kind == "sep" else (parse(text),)
-    terms = [elaborate(p) for p in programs]
-    for term in terms if checked else ():
-        check_program(EMPTY_ENV, StoreTyping(), term, fuel)
-    return terms
+    return [elaborate(p) for p in programs]
 
 
 STATUS = {EXIT_REJECTED: "rejected", EXIT_ERROR: "error", EXIT_FUEL: "fuel"}
@@ -126,7 +124,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    (term,) = load(args.path, "eval", checked=not args.verify_preservation)
+    (term,) = load(args.path, "eval")
     if args.verify_preservation:
         report = check_preservation(term, StoreTyping(), fuel=args.fuel)
         for s in report.steps:
@@ -152,6 +150,7 @@ def cmd_eval(args) -> int:
               f"value {value}; all steps verified")
         return EXIT_OK
 
+    check_program(EMPTY_ENV, StoreTyping(), term)
     result = eval_term(term, fuel=args.fuel)
     if args.trace:
         for e in result.events:
@@ -171,7 +170,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sep(args) -> int:
-    t1, t2 = load(args.path, "sep", checked=False)
+    t1, t2 = load(args.path, "sep")
     report = separation_experiment(t1, t2, StoreTyping(), fuel=args.fuel)
     if not report.premise_ok:
         raise Rejection("OverlapViolation", report.detail)
@@ -235,6 +234,7 @@ def run_corpus_entry(entry: CorpusEntry, fuel: int = DEFAULT_EVAL_FUEL) -> Optio
         return None
     if entry.kind == "eval":
         (term,) = load(path, "eval")
+        check_program(EMPTY_ENV, StoreTyping(), term)
         result = eval_term(term, fuel=entry.expect.get("fuel", fuel))
         if result.status != "value":
             if entry.expect.get("status") == result.status:
@@ -248,7 +248,7 @@ def run_corpus_entry(entry: CorpusEntry, fuel: int = DEFAULT_EVAL_FUEL) -> Optio
                     f"got {len(result.store)}")
         return None
     if entry.kind == "sep":
-        t1, t2 = load(path, "sep", checked=False)
+        t1, t2 = load(path, "sep")
         report = separation_experiment(t1, t2, StoreTyping(), fuel=fuel)
         want = entry.expect.get("verdict", "SEPARATE")
         if report.ok and not report.finished:

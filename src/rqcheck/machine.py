@@ -32,13 +32,13 @@ experiment, write one store; no step copies it.
 
 `eval_term` and both harnesses step one configuration each. The
 harnesses re-type it after every step with one `typecheck.Retyper` per
-side, which keeps one typing record per frame and for the focus, with,
-where that is a let spine at any depth, each binding's conclusion and
-the entries its typing read. It types again only the focus, the frames
-above it whose hole's conclusion changed, and the bindings whose term
-or read entries changed, and stops where a conclusion comes back the
-same (its docstring says why that is exact). Nothing plugs the term but
-a final report.
+side, which keeps one typing record per frame, and for a focus that is
+a let spine; a spine of two or more bindings, at any depth, keeps each
+binding's conclusion and the entries its typing read. It types again
+only the focus, the frames above it whose hole's conclusion changed,
+and the bindings whose term or read entries changed, and stops where a
+conclusion comes back the same (its docstring says why that is exact).
+Nothing plugs the term but a final report.
 """
 
 from __future__ import annotations

@@ -404,6 +404,10 @@ class TypeEnv:
 
     `entries` is built on demand from the chain, in O(n); `dom`, `==`,
     `hash` and `repr` read it, so they mean what they did for a tuple.
+    An entry is a `TypeBind` or else a term binding: a `TermBind`, or
+    any object with a `name` and a `qtype` (`typecheck._Read`, whose
+    type is found when it is read). The lookups test `TermBind` first,
+    so a plain term binding costs them one test.
     """
 
     __slots__ = ("_parent", "_entry", "_depth", "_saved")
@@ -485,8 +489,6 @@ class TypeEnv:
         e = self.binder(name)
         if type(e) is TermBind:
             return e.qtype
-        # a subclass (typecheck's `_Read`) is tested after the exact class,
-        # so looking up a plain TermBind costs one test
         return None if e is None or type(e) is TypeBind else e.qtype
 
     def lookup_tvar(self, name: str) -> Optional[QualifiedType]:
@@ -500,7 +502,7 @@ class TypeEnv:
             return e.qtype.q
         if type(e) is TypeBind:
             return e.bound.q if e.qvar == atom.name else None
-        return None if e is None else e.qtype.q     # a subclass, as above
+        return None if e is None else e.qtype.q     # another term binding
 
     def dom(self) -> frozenset:
         return frozenset(VarAtom(e.name if type(e) is not TypeBind else e.qvar)

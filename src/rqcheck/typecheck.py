@@ -417,47 +417,46 @@ class Retyper(_Checker):
     p is sub(rhs_p), sub the pending substitution, typed under Γ =
     x_0..x_{p-1} and φ = dom(Σ) ∪ {x_0..x_{p-1}}; in a frame, x_j's entry
     is the hole's conclusion. The checker reads Γ at names and builds
-    types from the term, the entries it reads and names it binds, and
-    which names Γ binds never changes; so p's conclusion is a function
-    of its term, Σ and the entries it read. Γ is built once, of `_Read`
-    entries: x_k's gives x_k's conclusion as it is now and notes the
-    position being typed as its reader, in T-Var and in the chases of
-    `qual_sub`, `saturate` and `overlap`. None is hidden: `qual_sub`'s
-    table, whose rows answer without reading (from entries as they
-    were), is dropped before a position it could answer, and a λ or Λ
-    the memo gives is closed. p is typed again, in order, so that the
-    first rejection is `check_program`'s, when its term changed (a let-β
-    of x_j, for the terms naming x_j) or an entry it read at some typing
-    did. A conclusion that comes back as the same object (types are
-    interned) goes no further: early cutoff, as in self-adjusting
-    computation (Acar 2005; Hammer et al., "Adapton", 2014). T-Let's
-    conclusion, a fold of `_unbind` from the body down, is redone from
-    each change while it changes. Γ keeps x_0..x_{j-1}, which a let-β
-    took out: an entry mentions x_i only if its typing named x_i or read
-    an entry that does, so once the terms naming x_i are typed again no
-    typing reads it, and a name Γ still binds only renames what S-Fun
-    and S-All compare. A spine that binds a name twice, or one sub
-    binds, is typed whole.
+    types from the term, the entries it reads and names it binds, so p's
+    conclusion is a function of its term, Σ and the entries it read. Γ
+    is built once, of `_Read` entries: x_k's gives x_k's conclusion as
+    it is now and notes the position being typed as its reader, in T-Var
+    and in the chases of `qual_sub`, `saturate` and `overlap`. None is
+    hidden: a λ or Λ the memo gives is closed, and a row of `qual_sub`'s
+    table answers only under the Γ it was found under, so one under p's
+    was found, its reads noted, while typing p; as it may hold an
+    entry's old conclusion, the table is dropped before p is typed
+    again. p is typed again, in order, so that the first rejection is
+    `check_program`'s, when its term changed (a let-β of x_j, for the
+    terms naming x_j) or an entry it read at some typing did. A
+    conclusion that comes back as the same object (types are interned)
+    goes no further: early cutoff, as in self-adjusting computation
+    (Acar 2005; Hammer et al., "Adapton", 2014). T-Let's conclusion, a
+    fold of `_unbind` from the body down, is redone from each change
+    while it changes. Γ keeps x_0..x_{j-1}, which a let-β took out: an
+    entry mentions x_i only if its typing named x_i or read an entry
+    that does, so once the terms naming x_i are typed again no typing
+    reads it, and a name Γ still binds only renames what S-Fun and S-All
+    compare. A spine that binds a name twice, or one sub binds, is typed
+    whole, as is one binding, whose record would spare next to nothing.
 
     A memo keyed by the interned node (`_closed`) holds the conclusions
-    of closed terms under the Σ they were typed under. A level with no
-    spine is closed once typed. If its node was met before (a frame's
-    with as many values, `_met`), `_top` looks it up first by the node,
-    a frame's values and hole, and what sub puts in for the node's free
-    names, so as to skip the substitution walk: when sub binds no other
-    name no binder stops it, and machine payloads are closed, so nothing
-    is renamed apart. A λ or Λ typed elsewhere is kept when closed, and
-    given again where its capture is in φ, as a lookup stops at a name's
-    innermost binder. The memo, like the table of the rules'
+    of closed terms under the Σ they were typed under; a level with no
+    spine is closed once typed. A focus that was the last call's too (a
+    loop's) is looked up first by its node and what sub puts in for its
+    free names (`_top`), sparing the substitution walk: when sub binds
+    no other name no binder stops it, and machine payloads are closed,
+    so nothing is renamed apart. A λ or Λ typed elsewhere is kept when
+    closed, and given again where its capture is in φ, as a lookup stops
+    at a name's innermost binder. The memo, like the table of the rules'
     substitutions (`_substituted`), holds what the last two calls met
-    (`_last`), each entry with those met while typing it (`_keep`), as
-    β takes a value out of the λ that holds it."""
+    (`_last`), each entry with those met while typing it (`_keep`)."""
 
     def __init__(self):
         super().__init__(StoreTyping())
         self._seen, self._last, self._inner = {}, {}, []    # the node memo
         self._subs, self._subs_before = {}, {}
-        self._levels, self._hole, self._met = [], None, set()
+        self._levels, self._hole, self._focus = [], None, None
 
     def __call__(self, store: StoreTyping, c) -> QualifiedType:
         old = self.store.mapping
@@ -482,19 +481,20 @@ class Retyper(_Checker):
         return qty
 
     def _configuration(self, c) -> QualifiedType:
-        """Each level's record followed or made, outermost first, then
-        the levels typed from the focus up while a conclusion changed. A
-        focus that is no let keeps no record."""
+        """Follow or make each level's record, outermost first; then type
+        the levels from the focus up while a conclusion changes."""
         frames, recs, store = c.frames, self._levels, self.store
-        depth = len(frames) + (type(c.focus) is Let)
+        nf = len(frames)
+        depth = nf + (type(c.focus) is Let)
         kept = k = 0
         while k < len(recs) and k < depth:
-            f, rec = frames[k] if k < len(frames) else None, recs[k]
-            if f is not None and f is rec.frame:     # the same frame
-                moved = False if len(f[2]) == rec.nvals else None
+            rec = recs[k]
+            if k == nf:
+                moved = rec.follow(c.focus, c.sub, None)
+            elif frames[k] is rec.frame:      # the same frame
+                moved = False if len(frames[k][2]) == rec.nvals else None
             else:
-                moved = (rec.follow(c.focus, c.sub, None) if f is None
-                         else rec.follow(f[0], f[1], f))
+                moved = rec.follow(frames[k][0], frames[k][1], frames[k])
             if moved is None:
                 break
             k += 1
@@ -502,11 +502,12 @@ class Retyper(_Checker):
                 break
             kept = k
         del recs[k:]
-        recs += [_Spine(f[0], f[1], f, store) for f in frames[k:]]
+        for f in frames[k:]:
+            recs.append(_Spine(f[0], f[1], f, store))
         q = term = None
-        if len(recs) < depth:
+        if len(recs) < depth and type(c.focus.body) is Let:
             recs.append(_Spine(c.focus, c.sub, None, store))
-        elif depth == len(frames):
+        elif len(recs) == nf:
             q, term = self._top(c.focus, c.sub)
         for i in range(len(recs) - 1, -1, -1):
             rec = recs[i]
@@ -530,39 +531,36 @@ class Retyper(_Checker):
         return self._closed(t, env, phi)
 
     def _top(self, node: Term, sub, rec=None, hole_q=None, hole=None):
-        """The conclusion of the focus node under sub, or of the frame of
-        record rec around a hole of conclusion hole_q and term hole (None
-        if unknown), looked up first (see above); and its term if known."""
+        """The conclusion of the focus node under sub, looked up first if
+        it was the last call's focus too, or of the frame of record rec
+        around a hole of conclusion hole_q and term hole (None if
+        unknown); and its term if known."""
         phi = self.store.dom()
-        if rec is None and not sub.names:
-            return self._closed(node, EMPTY_ENV, phi), node
-        key, met = None, node if rec is None else (node, rec.nvals)
-        if met in self._met:    # what sub puts in for node's free names
-            pay = [sub.values.get(a.name) or sub.types.get(a.name) or sub.quals.get(a.name)
-                   for a in free_term_atoms(node, annotations=True) if type(a) is VarAtom]
-            if len(pay) - pay.count(None) == len(sub.names):    # and no other
-                key = (node, *pay) if rec is None else (node, *pay, hole_q, *rec.frame[2])
-        self._met.add(met)
-        if key is not None:
-            known = self._seen.get(key) or self._last.get(key)
-            if known is not None and known[0] is self.store:
-                self._keep(key, known)
-                return known[1], None
-            outer, self._inner = self._inner, []
-        if rec is None:
-            term = sub.term(node)
-            qty = self._closed(term, EMPTY_ENV, phi)
-        else:
+        if rec is not None:
             vals = rec.frame[2]
             if rec.template is None:
                 rec.template = sub.term(filled(node, vals + [_HOLE]))
             self._hole, self._hole_q = _HOLE if hole is None else hole, hole_q
             term = filled(rec.template, vals + [self._hole])
-            if hole is None:
-                qty, term = _Checker.synth(self, EMPTY_ENV, phi, term), None
-            else:
-                qty = self._closed(term, EMPTY_ENV, phi)
+            qty = (_Checker.synth(self, EMPTY_ENV, phi, term) if hole is None
+                   else self._closed(term, EMPTY_ENV, phi))
             self._hole = None
+            return qty, None if hole is None else term
+        if not sub.names:
+            return self._closed(node, EMPTY_ENV, phi), node
+        key, again, self._focus = None, node is self._focus, node
+        if again:               # what sub puts in for node's free names
+            pay = [sub.values.get(a.name) or sub.types.get(a.name) or sub.quals.get(a.name)
+                   for a in free_term_atoms(node, annotations=True) if type(a) is VarAtom]
+            if len(pay) - pay.count(None) == len(sub.names):    # and no other
+                key = (node, *pay)
+                known = self._seen.get(key) or self._last.get(key)
+                if known is not None and known[0] is self.store:
+                    self._keep(key, known)
+                    return known[1], None
+                outer, self._inner = self._inner, []
+        term = sub.term(node)
+        qty = self._closed(term, EMPTY_ENV, phi)
         if key is not None:
             inner, self._inner = self._inner, outer
             self._seen[key] = (self.store, qty, tuple(inner))
@@ -597,13 +595,16 @@ class Retyper(_Checker):
         return out
 
 
-class _Read(TermBind):
+class _Read:
     """x_k's entry in a spine's Γ: x_k's conclusion as it is now; reading
-    it adds the position being typed, `at[0]`, to x_k's readers."""
+    it adds the position being typed, `at[0]`, to x_k's readers. Its
+    ==, hash and repr are object's, so comparing, hashing or printing Γ
+    notes no reader."""
+
+    __slots__ = ("name", "_read")
 
     def __init__(self, name: str, k: int, types: list, readers: set, at: list):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_read", (k, types, readers, at))
+        self.name, self._read = name, (k, types, readers, at)
 
     @property
     def qtype(self) -> QualifiedType:
@@ -626,23 +627,22 @@ class _Spine:
         self.frame, self.nvals = frame, 0 if frame is None else len(frame[2])
         self.lets, self.body, self.sub, self.j = (), node, sub, 0
         self.template = self.term = self.hole_q = self.qtype = self.phi = None
-        if type(node) is not Let:
-            return
+        if type(node) is not Let or type(node.body) is not Let:
+            return      # no spine, or one binding: typed whole
         lets, t = [], node
         while type(t) is Let:
             lets.append(t)
             t = t.body
         n, names = len(lets), [let.name for let in lets]
-        if n and len(set(names)) == n and sub.names.isdisjoint(names):
+        if len(set(names)) == n and sub.names.isdisjoint(names):
             self.lets, self.names, self.body, self.named = lets, names, t, {}
             for p, term in enumerate([let.rhs for let in lets] + [t]):
                 for a in free_term_atoms(term, annotations=True):
                     if type(a) is VarAtom:
                         self.named.setdefault(a.name, []).append(p)
             self.types, self.folds = [None] * (n + 1), [None] * (n + 1)
-            self.readers, self.at, self.envs = [], [0], [EMPTY_ENV]
-            self.queue = list(range(n + 1))
-            self.phi, self.h = set(store.dom()), 0
+            self.readers, self.at, self.envs, self.h = [], [0], [EMPTY_ENV], 0
+            self.queue, self.phi = list(range(n + 1)), set(store.dom())
             self.vars = [VarAtom(x) for x in names]
 
     def follow(self, node: Term, sub, frame) -> Optional[bool]:
@@ -676,8 +676,7 @@ class _Spine:
         if not queue:
             self.qtype = self.folds[j]
             return self.qtype
-        n, readers, at = len(lets), self.readers, self.at
-        marks, last = set(), -1
+        n, readers, at, marks, last = len(lets), self.readers, self.at, set(), -1
         while queue:
             p = heappop(queue)
             if p == last or p < j:
@@ -688,7 +687,8 @@ class _Spine:
             else:
                 env, phi = self._scope(p)
                 at[0] = p
-                forget_qual_table(env)
+                if types[p] is not None:    # see `Retyper`
+                    forget_qual_table(env)
                 term = lets[p].rhs if p < n else self.body
                 q = checker.synth(env, phi, self.sub.term(term))
             if q is not types[p]:       # x_p's entry changed: queue who read it
