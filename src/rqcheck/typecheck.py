@@ -406,12 +406,12 @@ class Retyper(_Checker):
     `_Spine` record, and a call types again what the step changed.
 
     Levels sit under no binder, so each is typed under Γ = ∅ and φ =
-    dom(Σ), around the level below as its hole. A call types the focus's
-    level, then each frame's, until one kept from the last call finds its
-    hole's conclusion the same object as before: it and all above keep
-    theirs, as a rule reads the hole only through its conclusion, and Σ
-    only grew (a changed entry drops every record), which changes no
-    closed typing.
+    dom(Σ), around the level below as its hole (`_HOLE` in a frame). A
+    call types the focus's level, then each frame's, until one kept from
+    the last call finds its hole's conclusion the same object as before:
+    it and all above keep theirs, as a rule reads the hole only through
+    its conclusion, and Σ only grew (a changed entry drops every record),
+    which changes no closed typing.
 
     In a level's let spine x_0 = rhs_0; ...; body (position n), position
     p is sub(rhs_p), sub the pending substitution, typed under Γ =
@@ -440,36 +440,33 @@ class Retyper(_Checker):
     compare. A spine that binds a name twice, or one sub binds, is typed
     whole, as is one binding, whose record would spare next to nothing.
 
-    A memo keyed by the interned node (`_closed`) holds the conclusions
-    of closed terms under the Σ they were typed under; a level with no
-    spine is closed once typed. A focus that was the last call's too (a
-    loop's) is looked up first by its node and what sub puts in for its
-    free names (`_top`), sparing the substitution walk: when sub binds
-    no other name no binder stops it, and machine payloads are closed,
-    so nothing is renamed apart. A λ or Λ typed elsewhere is kept when
-    closed, and given again where its capture is in φ, as a lookup stops
-    at a name's innermost binder. The memo, like the table of the rules'
-    substitutions (`_substituted`), holds what the last two calls met
-    (`_last`), each entry with those met while typing it (`_keep`)."""
+    One memo, keyed by the interned node (`_closed`), holds the
+    conclusion of each closed term typed under the current Σ: the focus
+    (a loop's comes back as a node met before) and each λ or Λ with no
+    free name. Closed, its typing reads no Γ entry, so its conclusion is
+    a function of the term, Σ and φ, and of φ only through the test
+    `q.atoms <= φ`, which each hit redoes. A new Σ object drops the
+    memo: one `is` test needs no argument about what a grown Σ keeps,
+    and keeping entries while Σ grew saved no time. It holds one entry
+    per node met, which its intern table keeps anyway, so it adds dict
+    slots, not objects. The table of the rules' substitutions
+    (`_substituted`) is keyed by syntax alone, and kept for good."""
 
     def __init__(self):
         super().__init__(StoreTyping())
-        self._seen, self._last, self._inner = {}, {}, []    # the node memo
-        self._subs, self._subs_before = {}, {}
-        self._levels, self._hole, self._focus = [], None, None
+        self._memo, self._subs = {}, {}     # node -> conclusion; substitutions
+        self._levels, self._hole_q = [], None
 
     def __call__(self, store: StoreTyping, c) -> QualifiedType:
-        old = self.store.mapping
         if store is not self.store:
+            old = self.store.mapping
             if any(store.mapping.get(loc) is not e for loc, e in old.items()):
                 self._levels = []
             for rec in self._levels:
                 if rec.phi is not None:
                     rec.phi.update(LocAtom(l) for l in store.mapping if l not in old)
-            self.store = store
-        self.trace, self._hole = [], None
-        self._last, self._seen, self._inner = self._seen, {}, []
-        self._subs_before, self._subs = self._subs, {}
+            self.store, self._memo = store, {}
+        self.trace = []
         try:
             qty = self._configuration(c)
         except BaseException:
@@ -504,94 +501,48 @@ class Retyper(_Checker):
         del recs[k:]
         for f in frames[k:]:
             recs.append(_Spine(f[0], f[1], f, store))
-        q = term = None
+        phi, q = store.dom(), None
         if len(recs) < depth and type(c.focus.body) is Let:
             recs.append(_Spine(c.focus, c.sub, None, store))
         elif len(recs) == nf:
-            q, term = self._top(c.focus, c.sub)
+            q = self._closed(c.sub.term(c.focus), EMPTY_ENV, phi)
         for i in range(len(recs) - 1, -1, -1):
             rec = recs[i]
             before = rec.qtype
             if rec.lets:
-                q, term = rec.conclude(self, q), None
+                q = rec.conclude(self, q)
+            elif before is None or q is not rec.hole_q:
+                rec.hole_q = self._hole_q = q
+                q = rec.qtype = _Checker.synth(self, EMPTY_ENV, phi, rec.template)
             else:
-                if before is None or q is not rec.hole_q:
-                    rec.hole_q, (rec.qtype, rec.term) = q, self._top(
-                        rec.body, rec.sub, rec.frame and rec, q, term)
-                q, term = rec.qtype, rec.term
+                q = before
             if q is before and i <= kept:
                 return recs[0].qtype
         return q
 
     def synth(self, env: TypeEnv, phi: AbstractSet, t: Term) -> QualifiedType:
-        if t is self._hole and env is EMPTY_ENV:
+        if t is _HOLE:
             return self._hole_q
         if type(t) is not Abs and type(t) is not TAbs:
             return _Checker.synth(self, env, phi, t)
         return self._closed(t, env, phi)
 
-    def _top(self, node: Term, sub, rec=None, hole_q=None, hole=None):
-        """The conclusion of the focus node under sub, looked up first if
-        it was the last call's focus too, or of the frame of record rec
-        around a hole of conclusion hole_q and term hole (None if
-        unknown); and its term if known."""
-        phi = self.store.dom()
-        if rec is not None:
-            vals = rec.frame[2]
-            if rec.template is None:
-                rec.template = sub.term(filled(node, vals + [_HOLE]))
-            self._hole, self._hole_q = _HOLE if hole is None else hole, hole_q
-            term = filled(rec.template, vals + [self._hole])
-            qty = (_Checker.synth(self, EMPTY_ENV, phi, term) if hole is None
-                   else self._closed(term, EMPTY_ENV, phi))
-            self._hole = None
-            return qty, None if hole is None else term
-        if not sub.names:
-            return self._closed(node, EMPTY_ENV, phi), node
-        key, again, self._focus = None, node is self._focus, node
-        if again:               # what sub puts in for node's free names
-            pay = [sub.values.get(a.name) or sub.types.get(a.name) or sub.quals.get(a.name)
-                   for a in free_term_atoms(node, annotations=True) if type(a) is VarAtom]
-            if len(pay) - pay.count(None) == len(sub.names):    # and no other
-                key = (node, *pay)
-                known = self._seen.get(key) or self._last.get(key)
-                if known is not None and known[0] is self.store:
-                    self._keep(key, known)
-                    return known[1], None
-                outer, self._inner = self._inner, []
-        term = sub.term(node)
-        qty = self._closed(term, EMPTY_ENV, phi)
-        if key is not None:
-            inner, self._inner = self._inner, outer
-            self._seen[key] = (self.store, qty, tuple(inner))
-        return qty, term
-
     def _closed(self, t: Term, env: TypeEnv, phi: AbstractSet) -> QualifiedType:
-        """t's conclusion from the memo, if it holds t under this Σ with a
-        qualifier in φ; else t typed, kept if closed."""
-        known = self._seen.get(t) or self._last.get(t)
-        if known is not None and known[0] is self.store and known[1].q.atoms <= phi:
-            self._keep(t, known)
-        else:
-            outer, self._inner = self._inner, []
-            qty = _Checker.synth(self, env, phi, t)
-            inner, self._inner = self._inner, outer
-            if env is not EMPTY_ENV and any(type(a) is VarAtom for a in
-                                            free_term_atoms(t, annotations=True)):
-                return qty
-            known = self._seen[t] = (self.store, qty, tuple(inner))
-        self._inner.append((t, known))
-        return known[1]
-
-    def _keep(self, t, known: tuple):
-        """Put t's entry, and those met while typing it, in this call's memo."""
-        self._seen[t] = known
-        for u, entry in known[2]:
-            self._seen.setdefault(u, entry)
+        """t's conclusion from the memo, if it holds t with a qualifier in
+        φ; else t typed, kept if closed."""
+        qty = self._memo.get(t)
+        if qty is not None and qty.q.atoms <= phi:
+            return qty
+        qty = _Checker.synth(self, env, phi, t)
+        if env is EMPTY_ENV or not any(type(a) is VarAtom for a in
+                                       free_term_atoms(t, annotations=True)):
+            self._memo[t] = qty
+        return qty
 
     def _substituted(self, key: tuple, make) -> QualifiedType:
-        out = self._subs.get(key) or self._subs_before.get(key) or make()
-        self._subs[key] = out
+        out = self._subs.get(key)
+        if out is None:
+            out = self._subs[key] = make()
         return out
 
 
@@ -619,31 +570,32 @@ class _Spine:
     T-Let's (`folds`); the positions that read each entry (`readers`) or
     whose term names each name (`named`), and what to retype (`queue`)."""
 
-    __slots__ = ("frame", "nvals", "lets", "names", "body", "template", "term",
-                 "sub", "j", "named", "types", "folds", "readers", "envs",
-                 "phi", "h", "vars", "at", "queue", "hole_q", "qtype")
+    __slots__ = ("frame", "nvals", "lets", "names", "body", "template", "sub",
+                 "j", "named", "types", "folds", "readers", "envs", "phi", "h",
+                 "vars", "at", "queue", "hole_q", "qtype")
 
     def __init__(self, node: Term, sub, frame, store: StoreTyping):
         self.frame, self.nvals = frame, 0 if frame is None else len(frame[2])
         self.lets, self.body, self.sub, self.j = (), node, sub, 0
-        self.template = self.term = self.hole_q = self.qtype = self.phi = None
-        if type(node) is not Let or type(node.body) is not Let:
-            return      # no spine, or one binding: typed whole
+        self.template = self.hole_q = self.qtype = self.phi = None
         lets, t = [], node
         while type(t) is Let:
             lets.append(t)
             t = t.body
         n, names = len(lets), [let.name for let in lets]
-        if len(set(names)) == n and sub.names.isdisjoint(names):
-            self.lets, self.names, self.body, self.named = lets, names, t, {}
-            for p, term in enumerate([let.rhs for let in lets] + [t]):
-                for a in free_term_atoms(term, annotations=True):
-                    if type(a) is VarAtom:
-                        self.named.setdefault(a.name, []).append(p)
-            self.types, self.folds = [None] * (n + 1), [None] * (n + 1)
-            self.readers, self.at, self.envs, self.h = [], [0], [EMPTY_ENV], 0
-            self.queue, self.phi = list(range(n + 1)), set(store.dom())
-            self.vars = [VarAtom(x) for x in names]
+        if n < 2 or len(set(names)) < n or not sub.names.isdisjoint(names):
+            # typed whole, a frame around the hole
+            self.template = sub.term(filled(node, frame[2] + [_HOLE]) if frame else node)
+            return
+        self.lets, self.names, self.body, self.named = lets, names, t, {}
+        for p, term in enumerate([let.rhs for let in lets] + [t]):
+            for a in free_term_atoms(term, annotations=True):
+                if type(a) is VarAtom:
+                    self.named.setdefault(a.name, []).append(p)
+        self.types, self.folds = [None] * (n + 1), [None] * (n + 1)
+        self.readers, self.at, self.envs, self.h = [], [0], [EMPTY_ENV], 0
+        self.queue, self.phi = list(range(n + 1)), set(store.dom())
+        self.vars = [VarAtom(x) for x in names]
 
     def follow(self, node: Term, sub, frame) -> Optional[bool]:
         """None if this is not the spine record of the level holding node

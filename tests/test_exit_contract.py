@@ -2,14 +2,17 @@
 mutations of corpus files, fed through `main()` for check, eval and sep
 at fuel 0..3 (so the fuel paths run), always exit 0-3 and never raise."""
 
+import ast
 import contextlib
 import io
 import os
 import re
 import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import rqcheck
 from rqcheck.cli import corpus_path, load_corpus, main
 
 COMMANDS = ("check", "eval", "sep")
@@ -61,3 +64,13 @@ def test_every_input_exits_zero_to_three_without_raising(
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 1, 2, 3)
+
+
+def test_no_invariant_is_an_assert_statement():
+    # `python -O` strips `assert` statements, so an invariant the exit
+    # contract relies on must be a check that raises (`InternalError`)
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(rqcheck.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -738,6 +738,23 @@ def test_a_memo_hit_keeps_the_closed_terms_typed_within_it(monkeypatch):
     assert typed == [2, 0, 0]
 
 
+def test_a_closed_term_is_typed_once_under_one_store_typing(monkeypatch):
+    # the memo keeps every closed term met while Σ is the same object:
+    # f, typed inside w, is given again three calls later, after two
+    # calls that meet neither
+    outer = parse_term("fn w(z: Unit^{}) { fn f(u: Unit^{}) { 0 } }")
+    terms = (outer, Const(1), Const(2), outer.body)
+    want = [check_program(TypeEnv(), EMPTY_SIGMA, t).qtype for t in terms]
+    calls = _counting(monkeypatch, Abs)
+    retype = typecheck.Retyper()
+    typed = []
+    for t, qty in zip(terms, want):
+        calls.clear()
+        assert retype(EMPTY_SIGMA, Configuration(t)) == qty
+        typed.append(len(calls))
+    assert typed == [2, 0, 0, 0]
+
+
 def test_a_value_carried_from_step_to_step_is_typed_once(monkeypatch):
     # each of the divergent program's steps re-types the loop closure;
     # the memo types it once, and once per side when two copies of the
@@ -917,9 +934,9 @@ def test_a_binding_the_step_left_alone_is_not_synthesized_again(monkeypatch):
              if s.rule in ("deref", "assign") and isinstance(t, Let)]
     assert len(quiet) == 2 * 8
     for t, again in quiet:
-        # the harness holds no plugged term, so a node is matched by
-        # equality; the ring's assignments are pairwise unequal
-        assert len(again) <= 1 and all(node == t.rhs for node in again)
+        # a frame is typed around a hole, not as the plugged node, so an
+        # assignment is matched by its target; the ring's are distinct
+        assert len(again) <= 1 and all(node.lhs == t.rhs.lhs for node in again)
     # over the run, each of the 8 assignments is typed a few times, not
     # once per step as a full recheck types it
     assert sum(len(a) for _, a in typed) <= 8 * 8
@@ -1031,9 +1048,10 @@ def test_a_beta_and_a_let_beta_intern_nothing():
 
 
 def test_a_longer_verify_run_keeps_no_more_types(monkeypatch):
-    # the Retyper keeps its node memo and its substitution table for its
-    # last two calls only, and the divergent program's steps make no new
-    # term or type, so verifying it ten times longer holds as many entries
+    # the Retyper's node memo holds one entry per node met under the
+    # current store typing, and its substitution table one per input met,
+    # and the divergent program's steps make no new term or type, so
+    # verifying it ten times longer holds as many entries
     retypers = []
 
     class Kept(typecheck.Retyper):
@@ -1047,9 +1065,7 @@ def test_a_longer_verify_run_keeps_no_more_types(monkeypatch):
         report = check_preservation(_diverge(), EMPTY_SIGMA, fuel=fuel)
         assert (report.ok, report.status, len(report.steps)) == (True, "fuel", fuel)
         kept = retypers[-1]
-        sizes.append((len(kept._seen) + len(kept._last),
-                      len(kept._subs) + len(kept._subs_before),
-                      _interned_entries()))
+        sizes.append((len(kept._memo), len(kept._subs), _interned_entries()))
     assert sizes[0] == sizes[1] and sizes[0][0] > 0
 
 
