@@ -441,9 +441,9 @@ class Retyper(_Checker):
     whole, as is one binding, whose record would spare next to nothing.
 
     One memo, keyed by the interned node (`_closed`), holds the
-    conclusion of each closed term typed under the current Σ: the focus
-    (a loop's comes back as a node met before) and each λ or Λ with no
-    free name. Closed, its typing reads no Γ entry, so its conclusion is
+    conclusion of each closed term typed under the current Σ: a focus
+    with no record (a loop's comes back as a node met before) and each λ
+    or Λ with no free name. Closed, its typing reads no Γ entry, so its conclusion is
     a function of the term, Σ and φ, and of φ only through the test
     `q.atoms <= φ`, which each hit redoes. A new Σ object drops the
     memo: one `is` test needs no argument about what a grown Σ keeps,

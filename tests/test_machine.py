@@ -727,15 +727,7 @@ def test_a_memo_hit_keeps_the_closed_terms_typed_within_it(monkeypatch):
     # two calls before, is not typed again
     outer = parse_term("fn w(z: Unit^{}) { fn f(u: Unit^{}) { 0 } }")
     terms = (outer, App(outer, UnitLit()), outer.body)
-    want = [check_program(TypeEnv(), EMPTY_SIGMA, t).qtype for t in terms]
-    calls = _counting(monkeypatch, Abs)
-    retype = typecheck.Retyper()
-    typed = []
-    for t, qty in zip(terms, want):
-        calls.clear()
-        assert retype(EMPTY_SIGMA, Configuration(t)) == qty
-        typed.append(len(calls))
-    assert typed == [2, 0, 0]
+    assert _lambdas_typed_per_call(monkeypatch, terms) == [2, 0, 0]
 
 
 def test_a_closed_term_is_typed_once_under_one_store_typing(monkeypatch):
@@ -744,6 +736,13 @@ def test_a_closed_term_is_typed_once_under_one_store_typing(monkeypatch):
     # calls that meet neither
     outer = parse_term("fn w(z: Unit^{}) { fn f(u: Unit^{}) { 0 } }")
     terms = (outer, Const(1), Const(2), outer.body)
+    assert _lambdas_typed_per_call(monkeypatch, terms) == [2, 0, 0, 0]
+
+
+def _lambdas_typed_per_call(monkeypatch, terms) -> list:
+    """How many λs one Retyper synthesizes in each of its calls on terms
+    in turn, under the empty store typing; each conclusion is
+    `check_program`'s."""
     want = [check_program(TypeEnv(), EMPTY_SIGMA, t).qtype for t in terms]
     calls = _counting(monkeypatch, Abs)
     retype = typecheck.Retyper()
@@ -752,7 +751,7 @@ def test_a_closed_term_is_typed_once_under_one_store_typing(monkeypatch):
         calls.clear()
         assert retype(EMPTY_SIGMA, Configuration(t)) == qty
         typed.append(len(calls))
-    assert typed == [2, 0, 0, 0]
+    return typed
 
 
 def test_a_value_carried_from_step_to_step_is_typed_once(monkeypatch):
