@@ -247,7 +247,9 @@ class EvalResult:
 
 
 def eval_term(t: Term, fuel: int = DEFAULT_EVAL_FUEL) -> EvalResult:
-    """Run t from an empty store; the result holds the store it wrote."""
+    """Run t from an empty store for at most `fuel` steps, so a run of
+    exactly `fuel` steps ends in its value; the result holds the store
+    it wrote."""
     store: dict = {}
     events: List[Event] = []
     config = Configuration(t)
@@ -258,6 +260,8 @@ def eval_term(t: Term, fuel: int = DEFAULT_EVAL_FUEL) -> EvalResult:
         if isinstance(out, Stuck):
             return EvalResult("stuck", config.plug(), store, i, out.reason, events)
         events.append(out.event)
+    if config.done():     # the fuel's last step made the value
+        return EvalResult("value", config.plug(), store, fuel, events=events)
     return EvalResult("fuel", config.plug(), store, fuel, "fuel exhausted", events)
 
 
@@ -352,7 +356,10 @@ def check_preservation(t: Term, sigma0: StoreTyping,
         if not ok:
             report.ok = False
         qty = qty2
-    report.status = "fuel"
+    if c.done():          # the fuel's last step made the value
+        report.final_term = c.plug()
+    else:
+        report.status = "fuel"
     return report
 
 

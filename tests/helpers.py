@@ -12,7 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
-from rqcheck.cli import CorpusEntry, check_source, corpus_text, load_corpus
+from rqcheck.cli import CorpusEntry, check_source, corpus_path, load_corpus
 from rqcheck.qualifiers import qual_sub, saturate
 from rqcheck.surface import elaborate, parse, parse_pair
 from rqcheck.syntax import (
@@ -26,6 +26,10 @@ FUN = Fun("f", "a", qt(INT), qt(INT))
 
 # ---------------------------------------------------------------------------
 # Corpus access
+
+
+def corpus_text(entry: CorpusEntry) -> str:
+    return corpus_path(entry).read_text(encoding="utf-8")
 
 
 def corpus_entries(kind: Optional[str] = None) -> List[CorpusEntry]:

@@ -9,9 +9,8 @@ from collections import Counter
 
 import pytest
 
-from helpers import corpus_entries
+from helpers import corpus_entries, corpus_text
 from rqcheck import syntax
-from rqcheck.cli import corpus_text
 from rqcheck.machine import check_preservation, eval_term
 from rqcheck.qualifiers import q_subst
 from rqcheck.surface import elaborate, parse

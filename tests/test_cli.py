@@ -265,6 +265,36 @@ def test_invalid_fuel_is_rejected_with_exit_two(capsys, command, fuel):
     assert "fuel must be a non-negative integer" in capsys.readouterr().err
 
 
+def test_trace_and_verify_preservation_exclude_each_other(capsys):
+    # the preservation harness reports its steps, not the reduction events,
+    # so `--trace` beside it would print nothing
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--trace", "--verify-preservation",
+              corpus_path("assign_read.rq")])
+    assert info.value.code == 2
+    assert "not allowed with argument --trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,program,steps", [
+    (["eval"], "assign_read.rq", 5),
+    (["eval", "--verify-preservation"], "assign_read.rq", 5),
+    (["sep"], "sep_alloc_assign.rq", 10),
+], ids=["eval", "verify", "sep"])
+def test_fuel_n_lets_a_run_of_exactly_n_steps_finish(capsys, argv, program, steps):
+    path = corpus_path(program)
+    assert run(capsys, *argv, "--fuel", str(steps), path)[0] == 0
+    assert run(capsys, *argv, "--fuel", str(steps - 1), path)[0] == 3
+
+
+def test_a_value_needs_no_fuel(capsys, tmp_path):
+    src = tmp_path / "five.rq"
+    src.write_text("5\n", encoding="utf-8")
+    assert run(capsys, "eval", "--fuel", "0", str(src)) == (
+        0, "value 5 (store size 0, 0 steps)\n", "")
+    assert run(capsys, "eval", "--verify-preservation", "--fuel", "0", str(src)) == (
+        0, "value 5; all steps verified\n", "")
+
+
 def _deep_nesting(tmp_path):
     src = tmp_path / "deep.rq"
     src.write_text("(" * 3000 + "1" + ")" * 3000 + "\n", encoding="utf-8")
@@ -400,6 +430,41 @@ def test_the_corpus_runner_does_not_count_a_cut_off_run_as_separate():
     (entry,) = [e for e in load_corpus() if e.file == "sep_alloc_assign.rq"]
     assert run_corpus_entry(entry, fuel=10) is None
     assert run_corpus_entry(entry, fuel=9) == "expected SEPARATE, got fuel exhausted"
+
+
+def test_an_internal_fault_in_the_corpus_is_exit_two(capsys, monkeypatch):
+    # each check entry's run faults: its FAIL line says so, the entries
+    # after it still run, and the corpus exits 2, not 1 ("rejected")
+    from rqcheck import cli
+    from rqcheck.errors import InternalError
+
+    def broken(text, fuel):
+        raise InternalError("invariant failed")
+
+    monkeypatch.setattr(cli, "check_source", broken)
+    code, out, err = run(capsys, "corpus", "--filter", "id")
+    assert code == 2
+    checks = [e.name for e in load_corpus()
+              if e.kind == "check" and ("id" in e.name or "id" in e.tags)]
+    assert [l for l in out.splitlines() if "FAIL" in l] == [
+        f"  FAIL {name}: internal error [InternalError]: invariant failed"
+        for name in checks]
+    assert "  ok   eval-poly-id-int" in out
+    assert err == (f"internal error [InternalError]: {len(checks)} entries could "
+                   f"not run; 2 passed, {len(checks)} failed, {len(checks) + 2} total\n")
+
+
+def test_a_corpus_mismatch_is_exit_one(capsys, monkeypatch):
+    from rqcheck import cli
+    (entry,) = [e for e in load_corpus() if e.name == "check-id"]
+    wrong = cli.CorpusEntry(entry.name, entry.file, entry.kind,
+                            {"status": "accepted", "type": "Int^{}"})
+    monkeypatch.setattr(cli, "load_corpus", lambda: [wrong])
+    code, out, err = run(capsys, "corpus")
+    assert code == 1
+    assert out == ("  FAIL check-id: expected ('accepted', 'Int^{}'), got "
+                   "('accepted', '(id(x: Ref[Int]^{*}) => Ref[Int]^{x})^{}')\n")
+    assert err == "rejected [CorpusMismatch]: 0 passed, 1 failed, 1 total\n"
 
 
 def test_corpus_filter_by_tag(capsys):

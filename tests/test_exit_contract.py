@@ -1,6 +1,7 @@
 """The exit-code contract under arbitrary input: byte- and token-level
-mutations of corpus files, fed through `main()` for check, eval and sep
-at fuel 0..3 (so the fuel paths run), always exit 0-3 and never raise."""
+mutations of corpus files, fed through `main()` for check, eval (plain,
+`--trace` or `--verify-preservation`) and sep at fuel 0..3 (so the fuel
+paths run), always exit 0-3 and never raise."""
 
 import ast
 import contextlib
@@ -20,6 +21,7 @@ SOURCES = {kind: sorted({corpus_path(e).read_bytes()
                          for e in load_corpus() if e.kind == kind})
            for kind in COMMANDS}
 TOKEN = re.compile(rb"//[^\n]*|-?\d+|[A-Za-z_][A-Za-z0-9_']*|:=|<:|=>|;;|\S|\s+")
+EVAL_MODES = ([], ["--trace"], ["--verify-preservation"])
 VOCABULARY = sorted({t for kind in COMMANDS for s in SOURCES[kind]
                      for t in TOKEN.findall(s) if t.strip()})
 
@@ -55,11 +57,14 @@ def mutants(draw, kind: str) -> bytes:
 def test_every_input_exits_zero_to_three_without_raising(
         data, command, fuel, as_json):
     program = data.draw(mutants(command))
+    # the two eval modes exclude each other, so draw none or one
+    mode = data.draw(st.sampled_from(EVAL_MODES)) if command == "eval" else []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mutant.rq")
         with open(path, "wb") as handle:
             handle.write(program)
-        argv = [command, path, "--fuel", str(fuel)] + (["--json"] if as_json else [])
+        argv = ([command, path, "--fuel", str(fuel)] + mode
+                + (["--json"] if as_json else []))
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)

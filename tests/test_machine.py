@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import bench_families, runnable_programs, sep_pairs
+from helpers import bench_families, corpus_text, runnable_programs, sep_pairs
 from rqcheck import machine, subtyping, syntax, typecheck
-from rqcheck.cli import corpus_text, load_corpus
+from rqcheck.cli import load_corpus
 from rqcheck.machine import (
     DEFAULT_EVAL_FUEL, Configuration, Event, Stepped, Stuck, Value,
     check_preservation, erase_ascriptions, eval_term, separation_experiment,
@@ -233,6 +233,8 @@ def _one_term_at_a_time(t: Term, fuel: int):
             return "stuck", t, store, i, out.reason, events
         events.append(out.event)
         t = out.term
+    if Configuration(t).done():
+        return "value", t, store, fuel, "", events
     return "fuel", t, store, fuel, "fuel exhausted", events
 
 

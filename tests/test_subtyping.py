@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from rqcheck import machine, subtyping, typecheck
-from rqcheck.cli import check_source, corpus_text
+from rqcheck.cli import check_source
 from rqcheck.errors import FuelExhausted, RqError
 from rqcheck.machine import check_preservation
 from rqcheck.qualifiers import qual_sub
@@ -19,7 +19,7 @@ from rqcheck.syntax import (
 )
 from rqcheck.typecheck import synthesize
 
-from helpers import bench_families, corpus_entries, runnable_programs
+from helpers import bench_families, corpus_entries, corpus_text, runnable_programs
 
 EMPTY_ENV = TypeEnv()
 EMPTY_STORE = StoreTyping()

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqcheck import surface
-from rqcheck.cli import corpus_text
 from rqcheck.surface import (
     Parser, ParseError, ScopeError, elaborate, parse, parse_pair,
     parse_qtype, parse_term, pretty, resolve_term, tokenize,
@@ -16,7 +15,7 @@ from rqcheck.syntax import (
     qt, qual,
 )
 
-from helpers import corpus_entries
+from helpers import corpus_entries, corpus_text
 
 
 # ---------------------------------------------------------------------------

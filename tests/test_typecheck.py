@@ -7,8 +7,7 @@ from rqcheck.surface import parse_term, pretty
 from rqcheck.syntax import StoreTyping, TermBind, TypeEnv, alpha_eq, qt, qual, INT
 from rqcheck.typecheck import CheckError, check_program, synthesize
 
-from helpers import corpus_entries
-from rqcheck.cli import corpus_text
+from helpers import corpus_entries, corpus_text
 from rqcheck.surface import parse
 
 EMPTY_ENV = TypeEnv()
