@@ -38,8 +38,10 @@ EXIT_ERROR = 2
 EXIT_FUEL = 3
 
 
-def _style(text: str, code: str) -> str:
-    if sys.stdout.isatty() and os.environ.get("RQ_COLOR", "1") != "0":
+def _style(text: str, code: str, stream=None) -> str:
+    """text in colour `code` if the stream it is written to (stdout when
+    None) is a terminal, unless RQ_COLOR is 0."""
+    if (stream or sys.stdout).isatty() and os.environ.get("RQ_COLOR", "1") != "0":
         return f"\x1b[{code}m{text}\x1b[0m"
     return text
 
@@ -296,7 +298,7 @@ def main(argv=None) -> int:
     if args.json or code == EXIT_OK:
         print(json.dumps(record) if args.json else text)
     else:
-        print(_style(text, "31"), file=sys.stderr)
+        print(_style(text, "31", sys.stderr), file=sys.stderr)
     return code
 
 

@@ -1,7 +1,8 @@
 """Abstract syntax shared by every other module.
 
 Values here are immutable. Atoms, qualifiers, types, qualified types
-and terms are interned (hash-consed, `_Interned`), so equal ones are one
+and terms are interned (hash-consed) by one constructor, which
+`_Interned` writes for each class from its fields, so equal ones are one
 object and compare and hash by identity, in C, and a type or a term
 keeps its free atoms once they are computed. Environment entries are
 frozen dataclasses.
@@ -54,35 +55,61 @@ class _Interned:
     Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).
 
     Atoms, qualifiers, the six type constructors, `QualifiedType` and the
-    13 term constructors are interned. Each class's `__new__` takes its
-    fields by position or by keyword, looks their key up in the class's
-    table, and makes the object only when the key is new, through
-    `dict.setdefault`, so two threads that make the same value get one
-    object. A type's or a term's key is the tuple of its fields, which are
-    strings, numbers, None and interned objects, so it hashes and
-    compares without a walk. Equal values are therefore identical: `==`
-    and `hash` are `object`'s, and a set or dict of them hashes and
-    compares in C. The tables are state of the process and keep every
-    value made for as long as the process lives, as `TypeEnv`'s index
-    does.
+    13 term constructors are interned, each by the one `__new__` that
+    `__init_subclass__` writes from the class's fields, as a dataclass
+    gets its `__init__`. The fields are the `__slots__` not named with an
+    underscore (`_fields`, in order). `__new__` takes them by position or
+    by keyword, the last ones defaulting to the class's `defaults`, runs
+    the class's `normalise` statements on them, and looks their key up in
+    the class's `_table`: the field itself for a class of one field, the
+    tuple of the fields otherwise. It makes the object only when the key
+    is new, through `dict.setdefault`, so two threads that make the same
+    value get one object. A key is made of strings, numbers, None,
+    frozensets and interned objects, so it hashes and compares without a
+    walk. Equal values are therefore identical: `==` and `hash` are
+    `object`'s, and a set or dict of them hashes and compares in C. The
+    tables are state of the process and keep every value made for as
+    long as the process lives, as `TypeEnv`'s index does.
 
-    The fields are the `__slots__` not named with an underscore
-    (`_fields`, in order); a type also has the slot `_free`, its free
-    atoms, computed when first asked (`free_atoms_type`), and a term
-    `_free` and `_free_ann`, its free atoms without and with its
-    annotations, kept once asked for it or for a term that holds it as a
-    λ or Λ (`free_term_atoms`). Fields are set once, in
-    `__new__`; assigning or deleting one raises `FrozenInstanceError`, as
-    on a frozen dataclass, and `repr` reads as a dataclass's. `copy`,
-    `deepcopy` and `pickle` make the value again through the constructor,
-    so they give back the interned object.
+    The slots named with an underscore are caches, None when an object is
+    made: a type's `_free`, its free atoms, computed when first asked
+    (`free_atoms_type`), and a term's `_free` and `_free_ann`, its free
+    atoms without and with its annotations, kept once asked for it or for
+    a term that holds it as a λ or Λ (`free_term_atoms`). Fields are set
+    once, in `__new__`; assigning or deleting one raises
+    `FrozenInstanceError`, as on a frozen dataclass, and `repr` reads as
+    a dataclass's. `copy`, `deepcopy` and `pickle` make the value again
+    through the constructor, so they give back the interned object.
     """
 
     __slots__ = ()
     _fields: tuple = ()
 
-    def __init_subclass__(cls):
-        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+    def __init_subclass__(cls, defaults: tuple = (), normalise: tuple = ()):
+        cls._fields = fields = tuple(s for s in cls.__slots__ if s[0] != "_")
+        caches = tuple(s for c in cls.__mro__ for s in vars(c).get("__slots__", ())
+                       if s[0] == "_")
+        cls._table = table = {}
+        # written out per class, so that a hit is one call and a miss sets
+        # each slot through its descriptor, with no loop
+        n = len(fields) - len(defaults)
+        params = [f if i < n else f"{f}=_defaults[{i - n}]"
+                  for i, f in enumerate(fields)]
+        key = fields[0] if len(fields) == 1 else f"({''.join(f + ', ' for f in fields)})"
+        scope = {"_get": table.get, "_keep": table.setdefault,
+                 "_new": object.__new__, "_defaults": defaults}
+        scope.update((f"_set_{s}", getattr(cls, s).__set__) for s in fields + caches)
+        exec(f"def __new__({', '.join(('_cls', *params))}):\n"
+             + "".join(f"    {line}\n" for line in normalise)
+             + f"    _key = {key}\n"
+             f"    _obj = _get(_key)\n"
+             f"    if _obj is None:\n"
+             f"        _obj = _new(_cls)\n"
+             + "".join(f"        _set_{s}(_obj, {s})\n" for s in fields)
+             + "".join(f"        _set_{s}(_obj, None)\n" for s in caches)
+             + f"        _obj = _keep(_key, _obj)\n"
+             f"    return _obj\n", scope)
+        cls.__new__ = staticmethod(scope["__new__"])
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -99,38 +126,18 @@ class _Interned:
 
 
 class VarAtom(_Interned):
-    """A term variable or type-qualifier variable occurring in a qualifier;
-    interned by name, so equal atoms are one object."""
+    """A term variable or type-qualifier variable occurring in a qualifier."""
 
     __slots__ = ("name",)
-    _table: dict = {}
-
-    def __new__(cls, name: str):
-        atom = VarAtom._table.get(name)
-        if atom is None:
-            atom = object.__new__(cls)
-            object.__setattr__(atom, "name", name)
-            atom = VarAtom._table.setdefault(name, atom)
-        return atom
 
     def render(self) -> str:
         return self.name
 
 
 class LocAtom(_Interned):
-    """A store location occurring in a qualifier; interned by number, so
-    equal atoms are one object."""
+    """A store location occurring in a qualifier."""
 
     __slots__ = ("loc",)
-    _table: dict = {}
-
-    def __new__(cls, loc: int):
-        atom = LocAtom._table.get(loc)
-        if atom is None:
-            atom = object.__new__(cls)
-            object.__setattr__(atom, "loc", loc)
-            atom = LocAtom._table.setdefault(loc, atom)
-        return atom
 
     def render(self) -> str:
         return f"@{self.loc}"
@@ -139,31 +146,18 @@ class LocAtom(_Interned):
 Atom = Union[VarAtom, LocAtom]
 
 
-class Qualifier(_Interned):
+class Qualifier(_Interned, defaults=(False, frozenset()), normalise=(
+        "fresh = True if fresh else False",
+        "if type(atoms) is not frozenset: atoms = frozenset(atoms)")):
     """A finite set of atoms plus the freshness marker.
 
-    The marker is stored in `fresh`, never as an atom. Interned by
-    `(fresh, atoms)`, so equal qualifiers are one object: `fresh` is
-    made a bool and `atoms`, any iterable of atoms, a frozenset.
-    `Qualifier()` is `EMPTY` and `Qualifier(fresh=True)` is `FRESH`.
+    The marker is stored in `fresh`, never as an atom. Before the lookup
+    `fresh` is made a bool and `atoms`, any iterable of atoms, a
+    frozenset, so equal qualifiers are one object. `Qualifier()` is
+    `EMPTY` and `Qualifier(fresh=True)` is `FRESH`.
     """
 
     __slots__ = ("fresh", "atoms")
-    # one table per value of fresh, keyed by the atoms
-    _tables: tuple = ({}, {})
-
-    def __new__(cls, fresh: bool = False, atoms: Iterable[Atom] = frozenset()):
-        fresh = True if fresh else False
-        if type(atoms) is not frozenset:
-            atoms = frozenset(atoms)
-        table = Qualifier._tables[fresh]
-        q = table.get(atoms)
-        if q is None:
-            q = object.__new__(cls)
-            object.__setattr__(q, "fresh", fresh)
-            object.__setattr__(q, "atoms", atoms)
-            q = table.setdefault(atoms, q)
-        return q
 
     def union(self, other: "Qualifier") -> "Qualifier":
         return Qualifier(self.fresh or other.fresh, self.atoms | other.atoms)
@@ -190,38 +184,11 @@ def qual(*names: str, fresh: bool = False, locs: Iterable[int] = ()) -> Qualifie
 # Types
 
 
-def _made(cls, table: dict, key: tuple):
-    """The new object of an interned type or term for key, made unless
-    another thread made it first; its free atoms are not computed yet."""
-    obj = object.__new__(cls)
-    for f, v in zip(cls._fields, key):
-        object.__setattr__(obj, f, v)
-    for f in cls._caches:
-        object.__setattr__(obj, f, None)
-    return table.setdefault(key, obj)
-
-
 class _Keyed(_Interned):
-    """An interned type or term, keyed by the tuple of its fields, with
-    its free atoms in `_free` once asked. Each class gets its table and a
-    `__new__` made from its fields, as a dataclass gets its `__init__`:
-    it takes them by position or by keyword, the last ones defaulting to
-    the class's `defaults`, and looks their tuple up."""
+    """An interned type or term, with its free atoms in `_free` once
+    asked."""
 
     __slots__ = ("_free",)
-    _caches = __slots__    # the slots `_made` leaves None
-
-    def __init_subclass__(cls, defaults: tuple = ()):
-        super().__init_subclass__()
-        cls._table = {}
-        fields, n = cls._fields, len(cls._fields) - len(defaults)
-        params = [f if i < n else f"{f}={defaults[i - n]!r}"
-                  for i, f in enumerate(fields)]
-        scope = {"table": cls._table, "made": _made}
-        exec(f"def __new__(cls, {', '.join(params)}):\n"
-             f"    key = ({''.join(f + ', ' for f in fields)})\n"
-             f"    return table.get(key) or made(cls, table, key)\n", scope)
-        cls.__new__ = staticmethod(scope["__new__"])
 
 
 class Base(_Keyed):
@@ -275,7 +242,6 @@ class _Term(_Keyed):
     annotations (`free_term_atoms`)."""
 
     __slots__ = ("_free_ann",)
-    _caches = ("_free", "_free_ann")
 
 
 class Const(_Term):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import AbstractSet, List, Optional
+from typing import AbstractSet, List
 
 from .errors import CheckError, InternalError
 from .qualifiers import forget as forget_qual_table, overlap, qual_sub
@@ -486,18 +486,15 @@ class Retyper(_Checker):
         kept = k = 0
         while k < len(recs) and k < depth:
             rec = recs[k]
-            if k == nf:
-                moved = rec.follow(c.focus, c.sub, None)
-            elif frames[k] is rec.frame:      # the same frame
-                moved = False if len(frames[k][2]) == rec.nvals else None
-            else:
-                moved = rec.follow(frames[k][0], frames[k][1], frames[k])
-            if moved is None:
-                break
-            k += 1
-            if moved:
-                break
-            kept = k
+            if k < nf and frames[k] is rec.frame:      # the same frame
+                if len(frames[k][2]) != rec.nvals:
+                    break
+                k = kept = k + 1
+                continue
+            if (rec.follow(c.focus, c.sub, None) if k == nf else
+                    rec.follow(frames[k][0], frames[k][1], frames[k])):
+                k += 1
+            break
         del recs[k:]
         for f in frames[k:]:
             recs.append(_Spine(f[0], f[1], f, store))
@@ -597,24 +594,18 @@ class _Spine:
         self.queue, self.phi = list(range(n + 1)), set(store.dom())
         self.vars = [VarAtom(x) for x in names]
 
-    def follow(self, node: Term, sub, frame) -> Optional[bool]:
-        """None if this is not the spine record of the level holding node
-        under sub in frame (None for the focus), False if it is as it was,
-        True if it moved on: to x_{j+1} after a let-β, or from focus to
-        frame. A λ applied again meets its spine under a new sub."""
+    def follow(self, node: Term, sub, frame) -> bool:
+        """Whether this is the spine record of the level now holding node
+        under sub in frame (None for the focus), moved on with it: to
+        x_{j+1} after a let-β, or from focus to frame. A λ applied again
+        meets its spine under a new sub."""
         lets, j = self.lets, self.j
-        if lets and node is lets[j] and sub is self.sub:
-            if frame is None and self.frame is None:
-                return False
-            if frame is None:
-                heappush(self.queue, j)     # a hole no more
-        elif (lets and j + 1 < len(lets) and node is lets[j + 1]
-              and self.names[j] in sub.names):
+        if j + 1 < len(lets) and node is lets[j + 1] and self.names[j] in sub.names:
             self.j, self.sub = j + 1, sub
             for p in self.named.get(self.names[j], ()):
                 heappush(self.queue, p)
-        else:
-            return None
+        elif not lets or frame is None or node is not lets[j] or sub is not self.sub:
+            return False
         self.frame, self.nvals = frame, 0
         return True
 

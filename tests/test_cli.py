@@ -494,6 +494,22 @@ def test_color_disabled_by_environment(monkeypatch):
     assert cli._style("boom", "31") == "\x1b[31mboom\x1b[0m"
 
 
+@pytest.mark.parametrize("out_tty, err_tty", [(False, True), (True, False)])
+def test_a_rejection_is_coloured_only_when_stderr_is_a_terminal(
+        capsys, monkeypatch, tmp_path, out_tty, err_tty):
+    # the message goes to stderr, so stdout's being a terminal says
+    # nothing about it: `rq check bad.rq 2>err.txt` writes plain text
+    monkeypatch.setenv("RQ_COLOR", "1")
+    monkeypatch.setattr("sys.stdout.isatty", lambda: out_tty)
+    monkeypatch.setattr("sys.stderr.isatty", lambda: err_tty)
+    path = tmp_path / "bad.rq"
+    path.write_text("!1", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert "TypeMismatch" in err
+    assert ("\x1b[" in err) == err_tty
+
+
 def check_corpus_lines(capsys) -> str:
     """One JSON line per corpus check entry: its exit code and the full
     `rq check --json` output at the default fuel."""

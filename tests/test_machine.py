@@ -1022,7 +1022,6 @@ def _interned_entries() -> dict:
     """How many objects each interned class's table holds."""
     sizes = {cls.__name__: len(getattr(cls, "_table", ()))
              for cls in _interned_classes()}
-    sizes["Qualifier"] = sum(len(t) for t in syntax.Qualifier._tables)
     return sizes
 
 

@@ -7,11 +7,11 @@ import pytest
 
 from rqcheck import machine, subtyping, typecheck
 from rqcheck.cli import check_source
-from rqcheck.errors import FuelExhausted, RqError
+from rqcheck.errors import CheckError, FuelExhausted, RqError
 from rqcheck.machine import check_preservation
 from rqcheck.qualifiers import qual_sub
 from rqcheck.subtyping import qtype_sub, type_sub
-from rqcheck.surface import elaborate, parse
+from rqcheck.surface import elaborate, parse, pretty
 from rqcheck.syntax import (
     SHAPES, All, Fun, INT, QualifiedType, Qualifier, RefT, StoreTyping,
     TermBind, Top, TVar, TypeBind, TypeEnv, UNIT, VarAtom, free_atoms_type, qt,
@@ -197,6 +197,52 @@ def test_universal_unfolding_costs_fuel():
     assert type_sub(EMPTY_ENV, EMPTY_STORE, forall, forall)
     with pytest.raises(FuelExhausted):
         type_sub(EMPTY_ENV, EMPTY_STORE, forall, forall, fuel=0)
+
+
+# ---------------------------------------------------------------------------
+# S-TVar, and the premises of S-Fun and S-All that fail
+
+
+def test_a_type_variable_is_a_subtype_of_what_its_bound_is():
+    # S-TVar unfolds X to its bound: below Int when bounded by Int, and
+    # not when bounded by Top
+    body = "{ fn g(y: X^{}) : Int^{} { y } }"
+    accepted = check_source(f"tfn f[X^x <: Int^{{}}] {body}")
+    assert pretty(accepted.qtype) == "(forall f[X^x <: Int^{}]. (X => Int)^{})^{}"
+    with pytest.raises(CheckError) as exc:
+        check_source(f"tfn f[X^x <: Top^{{}}] {body}")
+    assert exc.value.code == "TypeMismatch"
+
+
+def test_an_unbound_type_variable_is_below_nothing_but_itself_and_top():
+    assert not type_sub(EMPTY_ENV, EMPTY_STORE, TVar("X"), INT)
+    assert type_sub(EMPTY_ENV, EMPTY_STORE, TVar("X"), TVar("X"))
+    assert type_sub(EMPTY_ENV, EMPTY_STORE, TVar("X"), Top())
+
+
+def test_a_bound_chain_longer_than_the_fuel_exhausts_it():
+    # X0 <: Int, X1 <: X0, ..., X9 <: X8: unfolding X9 to Int takes ten
+    # steps, each spending fuel
+    env = env_of(TypeBind("X0", "x0", qt(INT)), *(
+        TypeBind(f"X{i}", f"x{i}", qt(TVar(f"X{i - 1}"))) for i in range(1, 10)))
+    assert type_sub(env, EMPTY_STORE, TVar("X9"), INT, fuel=10)
+    with pytest.raises(FuelExhausted):
+        type_sub(env, EMPTY_STORE, TVar("X9"), INT, fuel=9)
+
+
+def test_a_function_type_with_a_narrower_domain_is_not_below():
+    # S-Fun is contravariant in the domain: Int => Int is not below
+    # Top => Int, as Top is not below Int
+    narrow, wide = (Fun("f", "x", qt(dom), qt(INT)) for dom in (INT, Top()))
+    assert type_sub(EMPTY_ENV, EMPTY_STORE, wide, narrow)
+    assert not type_sub(EMPTY_ENV, EMPTY_STORE, narrow, wide)
+
+
+def test_a_universal_with_a_narrower_bound_is_not_below():
+    # S-All is contravariant in the bound
+    narrow, wide = (All("f", "X", "x", qt(bound), qt(INT)) for bound in (INT, Top()))
+    assert type_sub(EMPTY_ENV, EMPTY_STORE, wide, narrow)
+    assert not type_sub(EMPTY_ENV, EMPTY_STORE, narrow, wide)
 
 
 # ---------------------------------------------------------------------------

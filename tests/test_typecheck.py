@@ -189,6 +189,32 @@ def test_each_rejection_branch_of_the_binding_rules(rule, text, code, fragment):
     assert fragment in exc.value.detail, exc.value
 
 
+# Rejections of the other rules, one program each, with the whole message
+
+OTHER_REJECTIONS = [
+    ("fn f(x: Ref[Int]^{@5}) { x }", "ScopeError",
+     "parameter annotation mentions names not in scope: Ref[Int]^{@5}"),
+    ("@0", "UnboundVar", "location @0 is not typed"),
+    ("!1", "TypeMismatch", "dereferenced a non-reference of type Int"),
+    ("1 := 2", "TypeMismatch", "assigned to a non-reference of type Int"),
+    ("fn f(r: Ref[Int^{*}]^{}) { !r }", "FreshnessViolation",
+     "dereferenced content with a fresh qualifier"),
+    ("fn f(r: Ref[Int^{*}]^{}) { r := 1 }", "FreshnessViolation",
+     "assigned through a fresh content qualifier"),
+    ("val c = ref 0; val d = ref c; d := ref 0", "QualifierMismatch",
+     "assigned value qualifier {*} is not below content qualifier {c}"),
+    ("(val c = ref 0; fn f(u: Unit^{}) : Ref[Int]^{c} { c })", "DependencyViolation",
+     "result type depends on c whose binding is fresh"),
+]
+
+
+@pytest.mark.parametrize("text,code,detail", OTHER_REJECTIONS)
+def test_each_rejection_of_the_other_rules_has_its_code_and_message(text, code, detail):
+    with pytest.raises(CheckError) as exc:
+        check_source(text)
+    assert (exc.value.code, exc.value.detail) == (code, detail)
+
+
 # ---------------------------------------------------------------------------
 # The self binder's name does not change a verdict
 #
