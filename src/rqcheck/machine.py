@@ -13,7 +13,10 @@ and appends a value to the top frame's values, which the node's rule
 reads. No rule rewrites the rest of the program: `Let x = v in b` goes
 on with b under the substitution extended by x ↦ v, in place when
 nothing else reads it (see `Configuration`), β with the body under
-{self ↦ fn, param ↦ arg} alone, and β_t under {self ↦ fn, X^x ↦ T^q}.
+{self ↦ fn, param ↦ arg} alone, made as one object, and β_t under
+{self ↦ fn, X^x ↦ T^q}. A step's `Event` is frozen; the events with no
+location (`beta`, `beta_t`, `ascribe`) are shared constants, so such a
+step allocates none.
 
 The pending substitution is applied to a value in focus, once; to a
 redex's annotations (the type argument of β_t); and by
@@ -34,10 +37,11 @@ experiment, write one store; no step copies it.
 harnesses re-type it after every step with one `typecheck.Retyper` per
 side, which keeps one typing record per frame, and for a focus that is
 a let spine; a spine of two or more bindings, at any depth, keeps each
-binding's conclusion and the entries its typing read. It types again
-only the focus, the frames above it whose hole's conclusion changed,
-and the bindings whose term or read entries changed, and stops where a
-conclusion comes back the same (its docstring says why that is exact).
+binding's conclusion and the entry parts, type or qualifier, its typing
+read. It types again only the focus, the frames above it whose hole's
+conclusion changed, and the bindings whose term or read parts changed,
+and stops where a conclusion comes back the same (its docstring says
+why that is exact).
 Nothing plugs the term but a final report.
 """
 
@@ -52,7 +56,7 @@ from .syntax import (
     EMPTY_ENV, EMPTY_SUBSTITUTION, SHAPES, Abs, App, Ascribe, Assign, Deref,
     Let, LocAtom, LocTerm, QualifiedType, Qualifier, RefAlloc, StoreTyping,
     TAbs, TApp, Term, UnitLit, Var, alpha_eq, filled, free_atoms_qtype,
-    free_term_atoms, is_value, map_parts,
+    free_term_atoms, is_value, map_parts, values_substitution,
 )
 from .subtyping import type_sub
 from .typecheck import Retyper, check_program
@@ -60,10 +64,14 @@ from .typecheck import Retyper, check_program
 DEFAULT_EVAL_FUEL = 100_000
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Event:
-    rule: str                    # beta, beta_t, ref, deref, assign
+    rule: str                    # beta, beta_t, ref, deref, assign, ascribe
     loc: Optional[int] = None
+
+
+# the events with no location, shared by every step that makes one
+_BETA, _BETA_T, _ASCRIBE = Event("beta"), Event("beta_t"), Event("ascribe")
 
 
 class Configuration:
@@ -138,8 +146,7 @@ def _beta(t: App, vals, sub, owned, store: dict):
     if not isinstance(fn, Abs):
         return Stuck("applied a non-function value")
     # one new substitution; the parameter wins a name it shares with self
-    body_sub = EMPTY_SUBSTITUTION.extended(fn.self_name, fn)
-    return fn.body, body_sub.extended(fn.param, arg, True), Event("beta")
+    return fn.body, values_substitution({fn.self_name: fn, fn.param: arg}), _BETA
 
 
 def _beta_t(t: TApp, vals, sub, owned, store: dict):
@@ -148,7 +155,7 @@ def _beta_t(t: TApp, vals, sub, owned, store: dict):
         return Stuck("type-applied a non-type-abstraction value")
     body_sub = EMPTY_SUBSTITUTION.extended(fn.self_name, fn)
     body_sub = body_sub.with_type(fn.tvar, fn.qvar, sub(t.arg))
-    return fn.body, body_sub, Event("beta_t")
+    return fn.body, body_sub, _BETA_T
 
 
 def _ref(t: RefAlloc, vals, sub, owned, store: dict):
@@ -173,13 +180,13 @@ def _assign(t: Assign, vals, sub, owned, store: dict):
 
 
 def _let(t: Let, vals, sub, owned, store: dict):
-    return t.body, sub.extended(t.name, vals[0], owned), Event("beta")
+    return t.body, sub.extended(t.name, vals[0], owned), _BETA
 
 
 def _ascribe(t: Ascribe, vals, sub, owned, store: dict):
     # ascriptions evaluate their subject, then vanish; keeping them
     # until that point lets every intermediate term re-typecheck
-    return vals[0], EMPTY_SUBSTITUTION, Event("ascribe")
+    return vals[0], EMPTY_SUBSTITUTION, _ASCRIBE
 
 
 _RULES = {App: _beta, TApp: _beta_t, RefAlloc: _ref, Deref: _deref,

@@ -99,6 +99,7 @@ def self_closure(env: TypeEnv, q: Qualifier) -> frozenset:
 
     A function- or universal-typed term variable in q stands for the
     closure itself, so its non-fresh capture qualifier sits below it.
+    A binding's qualifier is read only when its type is a `Fun` or `All`.
     """
     atoms = set(q.atoms)
     changed = True
@@ -107,11 +108,12 @@ def self_closure(env: TypeEnv, q: Qualifier) -> frozenset:
         for a in list(atoms):
             if not isinstance(a, VarAtom):
                 continue
-            b = env.lookup_term(a.name)
-            if b is None or not isinstance(b.ty, (Fun, All)) or b.q.fresh:
+            ty = env.lookup_type(a.name)
+            if not isinstance(ty, (Fun, All)):
                 continue
-            if not b.q.atoms <= atoms:
-                atoms |= b.q.atoms
+            b = env.binding_qualifier(a)
+            if not b.fresh and not b.atoms <= atoms:
+                atoms |= b.atoms
                 changed = True
     return frozenset(atoms)
 

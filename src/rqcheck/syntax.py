@@ -57,7 +57,9 @@ class _Interned:
     Atoms, qualifiers, the six type constructors, `QualifiedType` and the
     13 term constructors are interned, each by the one `__new__` that
     `__init_subclass__` writes from the class's fields, as a dataclass
-    gets its `__init__`. The fields are the `__slots__` not named with an
+    gets its `__init__`. A base declared `abstract` (`_Keyed`, `_Term`)
+    gets no table and no constructor: calling it, or `_Interned`, raises
+    `TypeError`. The fields are the `__slots__` not named with an
     underscore (`_fields`, in order). `__new__` takes them by position or
     by keyword, the last ones defaulting to the class's `defaults`, runs
     the class's `normalise` statements on them, and looks their key up in
@@ -85,7 +87,13 @@ class _Interned:
     __slots__ = ()
     _fields: tuple = ()
 
-    def __init_subclass__(cls, defaults: tuple = (), normalise: tuple = ()):
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(f"{cls.__name__} is an abstract base: it interns nothing")
+
+    def __init_subclass__(cls, defaults: tuple = (), normalise: tuple = (),
+                          abstract: bool = False):
+        if abstract:    # a base of interned classes, with no table of its own
+            return
         cls._fields = fields = tuple(s for s in cls.__slots__ if s[0] != "_")
         caches = tuple(s for c in cls.__mro__ for s in vars(c).get("__slots__", ())
                        if s[0] == "_")
@@ -184,7 +192,7 @@ def qual(*names: str, fresh: bool = False, locs: Iterable[int] = ()) -> Qualifie
 # Types
 
 
-class _Keyed(_Interned):
+class _Keyed(_Interned, abstract=True):
     """An interned type or term, with its free atoms in `_free` once
     asked."""
 
@@ -237,7 +245,7 @@ def qt(ty: Type, q: Qualifier = EMPTY) -> QualifiedType:
 # Terms
 
 
-class _Term(_Keyed):
+class _Term(_Keyed, abstract=True):
     """A term constructor; `_free_ann` holds the free atoms with the
     annotations (`free_term_atoms`)."""
 
@@ -371,9 +379,10 @@ class TypeEnv:
     `entries` is built on demand from the chain, in O(n); `dom`, `==`,
     `hash` and `repr` read it, so they mean what they did for a tuple.
     An entry is a `TypeBind` or else a term binding: a `TermBind`, or
-    any object with a `name` and a `qtype` (`typecheck._Read`, whose
-    type is found when it is read). The lookups test `TermBind` first,
-    so a plain term binding costs them one test.
+    any object with a `name`, a type part `ty` and a qualifier part `q`
+    (`typecheck._Read`, whose parts are found when they are read). The
+    lookups test `TermBind` first, so a plain term binding costs them one
+    test, and each reads only the part it returns.
     """
 
     __slots__ = ("_parent", "_entry", "_depth", "_saved")
@@ -451,11 +460,13 @@ class TypeEnv:
             self._move_index()
         return _INDEX.names.get(name)
 
-    def lookup_term(self, name: str) -> Optional[QualifiedType]:
+    def lookup_type(self, name: str) -> Optional[Type]:
+        """The type part of name's term binding; its qualifier part is
+        `binding_qualifier`'s."""
         e = self.binder(name)
         if type(e) is TermBind:
-            return e.qtype
-        return None if e is None or type(e) is TypeBind else e.qtype
+            return e.qtype.ty
+        return None if e is None or type(e) is TypeBind else e.ty
 
     def lookup_tvar(self, name: str) -> Optional[QualifiedType]:
         e = self.binder(name)
@@ -468,7 +479,7 @@ class TypeEnv:
             return e.qtype.q
         if type(e) is TypeBind:
             return e.bound.q if e.qvar == atom.name else None
-        return None if e is None else e.qtype.q     # another term binding
+        return None if e is None else e.q     # another term binding
 
     def dom(self) -> frozenset:
         return frozenset(VarAtom(e.name if type(e) is not TypeBind else e.qvar)
@@ -750,6 +761,14 @@ class _Substitution:
     named like one would capture it, so it is renamed apart before the
     substitution goes under it. Only closed payloads enter a term.
 
+    A λ or Λ (`term`) and a qualified type (calling it) none of whose
+    free atoms names a substituted name are returned as they are, in
+    O(1) once their free atoms are kept (`_free_ann`, `_free`): nothing
+    under them is substituted. There a walk would still rename a binder
+    apart from `free`; the part returned instead is alpha-equivalent to
+    what that walk gives. Other nodes are walked, so no node keeps more
+    than its free atoms.
+
     A grown substitution has its own `values`, `quals` and `names`, so `extended(..., in_place=True)` may write them, in O(1),
     when its caller holds the only reference to it. The machine does
     this for a let-β (`machine.Configuration` says when it holds the
@@ -814,7 +833,17 @@ class _Substitution:
             fresh, atoms = fresh or payload.fresh, atoms | payload.atoms
         return Qualifier(fresh, atoms)
 
+    def _misses(self, free: frozenset) -> bool:
+        """Whether no atom of free names a substituted name."""
+        names = self.names
+        for a in free:
+            if type(a) is VarAtom and a.name in names:
+                return False
+        return True
+
     def __call__(self, qty: QualifiedType) -> QualifiedType:
+        if self._misses(free_atoms_qtype(qty)):
+            return qty
         ty = qty.ty
         if type(ty) is TVar:
             ty = self.types.get(ty.name, ty)
@@ -871,6 +900,9 @@ class _Substitution:
             t = t.body
         if type(t) is Var:
             out = self.values.get(t.name, t)
+        elif (type(t) is Abs or type(t) is TAbs) and self._misses(
+                free_term_atoms(t, annotations=True)):
+            out = t
         else:
             out = map_parts(t, self._term, self, self.qual, self.names)
         for let, rhs in reversed(spine):
@@ -881,6 +913,12 @@ class _Substitution:
 
 
 EMPTY_SUBSTITUTION = _Substitution()
+
+
+def values_substitution(values: dict) -> _Substitution:
+    """The substitution of each closed value of `values` (a dict it keeps)
+    for its name, made as one object: β's, of self and parameter."""
+    return EMPTY_SUBSTITUTION._grown(values, EMPTY_SUBSTITUTION.types, {}, values)
 
 
 def subst_term(t: Term, name: str, v: Term) -> Term:

@@ -11,9 +11,9 @@ in place, in a copy made once per let spine. Running out of subtyping
 fuel is never a rejection: `FuelExhausted` reaches the caller as it
 is. `Retyper` types each configuration of a machine run as
 `check_program` types the term it plugs to: one record per let spine at
-any depth notes the Γ entries each binding read, so a step types again
-only what read a changed entry, and a change stops where a conclusion
-comes back the same (early cutoff).
+any depth notes the parts of Γ entries each binding read, type or
+qualifier, so a step types again only what read a changed part, and a
+change stops where a conclusion comes back the same (early cutoff).
 """
 
 from __future__ import annotations
@@ -189,14 +189,14 @@ class _Checker:
         return _INT if type(t) is Const else _UNIT
 
     def _var(self, env: TypeEnv, phi: AbstractSet, t: Var) -> QualifiedType:
-        bound = env.lookup_term(t.name)
-        if bound is None:
+        ty = env.lookup_type(t.name)
+        if ty is None:
             raise CheckError(UNBOUND_VAR, f"variable {t.name} is not bound")
         if VarAtom(t.name) not in phi:
             raise CheckError(UNOBSERVABLE,
                              f"variable {t.name} is not observable here")
         self.trace.append(f"t-var {t.name}")
-        return QualifiedType(bound.ty, Qualifier(False, free_term_atoms(t)))
+        return QualifiedType(ty, Qualifier(False, free_term_atoms(t)))
 
     def _loc(self, env: TypeEnv, phi: AbstractSet, t: LocTerm) -> QualifiedType:
         entry = self.store.get(t.loc)
@@ -344,9 +344,9 @@ class _Checker:
                 body_q: QualifiedType) -> QualifiedType:
         """T-Let's conclusion for one binding of name, at qualifier q,
         around a body of type body_q: no fresh binding in the result
-        type, and the name replaced by q. The replacement is skipped
-        where it returns body_q itself: the name is not free in it, and q
-        has no variable, so no binder of body_q is renamed apart."""
+        type, and the name replaced by q. Where the name is not free in
+        body_q the substitution would give body_q itself, so it is not
+        looked up."""
         x = VarAtom(name)
         in_type = x in free_atoms_type(body_q.ty)
         if q.fresh and in_type:
@@ -354,8 +354,7 @@ class _Checker:
                 DEPENDENCY_VIOLATION,
                 f"result type depends on {name} whose binding is fresh")
         self.trace.append(f"t-let {name}")
-        if in_type or x in body_q.q.atoms or any(type(a) is VarAtom
-                                                 for a in q.atoms):
+        if in_type or x in body_q.q.atoms:
             # q may mention earlier names: one substitution each
             return self._substituted(
                 (name, q, body_q),
@@ -416,22 +415,31 @@ class Retyper(_Checker):
     In a level's let spine x_0 = rhs_0; ...; body (position n), position
     p is sub(rhs_p), sub the pending substitution, typed under Γ =
     x_0..x_{p-1} and φ = dom(Σ) ∪ {x_0..x_{p-1}}; in a frame, x_j's entry
-    is the hole's conclusion. The checker reads Γ at names and builds
-    types from the term, the entries it reads and names it binds, so p's
-    conclusion is a function of its term, Σ and the entries it read. Γ
-    is built once, of `_Read` entries: x_k's gives x_k's conclusion as
-    it is now and notes the position being typed as its reader, in T-Var
-    and in the chases of `qual_sub`, `saturate` and `overlap`. None is
-    hidden: a λ or Λ the memo gives is closed, and a row of `qual_sub`'s
-    table answers only under the Γ it was found under, so one under p's
-    was found, its reads noted, while typing p; as it may hold an
-    entry's old conclusion, the table is dropped before p is typed
-    again. p is typed again, in order, so that the first rejection is
-    `check_program`'s, when its term changed (a let-β of x_j, for the
-    terms naming x_j) or an entry it read at some typing did. A
-    conclusion that comes back as the same object (types are interned)
-    goes no further: early cutoff, as in self-adjusting computation
-    (Acar 2005; Hammer et al., "Adapton", 2014). T-Let's conclusion, a
+    is the hole's conclusion. The checker reads Γ at names, an entry's
+    type part or its qualifier part at a time, and builds types from the
+    term, the parts it reads and names it binds, so p's conclusion is a
+    function of its term, Σ and the entry parts it read. Γ is built
+    once, of `_Read` entries: x_k's gives a part of x_k's conclusion as
+    it is now and notes the position being typed as a reader of that
+    part. T-Var reads the type part only (its qualifier {x_k} comes from
+    the term); `self_closure` reads the type part, and the qualifier
+    part only of a `Fun` or `All`; `one_step`, in the chases of
+    `qual_sub`, `saturate` and `overlap`, and S-Ref's scope test read
+    the qualifier part. None is hidden: a λ or Λ the memo gives is
+    closed, and a row of `qual_sub`'s table answers only under the Γ it
+    was found under, so one under p's was found, its reads noted, while
+    typing p; as it may hold an entry's old part, the table is dropped
+    before p is typed again. p is typed again, in order, so that the
+    first rejection is `check_program`'s, when its term changed (a let-β
+    of x_j, for the terms naming x_j) or a part it read at some typing
+    did. A position not typed again read nothing that changed: each
+    part it read is the same object as when it read it. A `ref` step
+    changes only its binding's qualifier part (`Ref[T]^{*}` becomes
+    `Ref[T]^{@ℓ}`, the type part one interned object), so what used the
+    cell at its type alone keeps its conclusion. A conclusion that comes
+    back as the same object (types are interned) goes no further: early
+    cutoff, as in self-adjusting computation (Acar 2005; Hammer et al.,
+    "Adapton", 2014). T-Let's conclusion, a
     fold of `_unbind` from the body down, is redone from each change
     while it changes. Γ keeps x_0..x_{j-1}, which a let-β took out: an
     entry mentions x_i only if its typing named x_i or read an entry
@@ -544,28 +552,37 @@ class Retyper(_Checker):
 
 
 class _Read:
-    """x_k's entry in a spine's Γ: x_k's conclusion as it is now; reading
-    it adds the position being typed, `at[0]`, to x_k's readers. Its
-    ==, hash and repr are object's, so comparing, hashing or printing Γ
-    notes no reader."""
+    """x_k's entry in a spine's Γ: x_k's conclusion as it is now, read by
+    component. Reading its type part `ty` adds the position being typed,
+    `at[0]`, to the readers of x_k's type part; reading `q` adds it to
+    the readers of its qualifier part. Its ==, hash and repr are
+    object's, so comparing, hashing or printing Γ notes no reader."""
 
     __slots__ = ("name", "_read")
 
-    def __init__(self, name: str, k: int, types: list, readers: set, at: list):
-        self.name, self._read = name, (k, types, readers, at)
+    def __init__(self, name: str, k: int, types: list, by_ty: set, by_q: set,
+                 at: list):
+        self.name, self._read = name, (k, types, by_ty, by_q, at)
 
     @property
-    def qtype(self) -> QualifiedType:
-        k, types, readers, at = self._read
-        readers.add(at[0])
-        return types[k]
+    def ty(self):
+        k, types, by_ty, _, at = self._read
+        by_ty.add(at[0])
+        return types[k].ty
+
+    @property
+    def q(self) -> Qualifier:
+        k, types, _, by_q, at = self._read
+        by_q.add(at[0])
+        return types[k].q
 
 
 class _Spine:
     """A level's record (see `Retyper`): its let spine `lets` around
     `body` under `sub`, from x_j on; per position its conclusion and
-    T-Let's (`folds`); the positions that read each entry (`readers`) or
-    whose term names each name (`named`), and what to retype (`queue`)."""
+    T-Let's (`folds`); the positions that read each entry's type part and
+    its qualifier part (`readers`, a pair of sets per entry) or whose term
+    names each name (`named`), and what to retype (`queue`)."""
 
     __slots__ = ("frame", "nvals", "lets", "names", "body", "template", "sub",
                  "j", "named", "types", "folds", "readers", "envs", "phi", "h",
@@ -634,11 +651,15 @@ class _Spine:
                     forget_qual_table(env)
                 term = lets[p].rhs if p < n else self.body
                 q = checker.synth(env, phi, self.sub.term(term))
-            if q is not types[p]:       # x_p's entry changed: queue who read it
+            old = types[p]
+            if q is not old:    # x_p's entry changed: queue who read the part that did
                 types[p] = q
                 marks.add(p)
-                if p < len(readers):
-                    for r in readers[p]:
+                if p < len(readers):    # read, so typed, before
+                    by_ty, by_q = readers[p]
+                    for r in (by_ty if q.ty is not old.ty else ()):
+                        heappush(queue, r)
+                    for r in (by_q if q.q is not old.q else ()):
                         heappush(queue, r)
         folds, carry = self.folds, False
         for p in range(max(marks, default=j - 1), j - 1, -1):
@@ -656,8 +677,8 @@ class _Spine:
         envs, names, types, readers = self.envs, self.names, self.types, self.readers
         while len(envs) <= p:
             k = len(envs) - 1
-            readers.append(set())
-            envs.append(envs[k].extended(_Read(names[k], k, types, readers[k], self.at)))
+            readers.append((set(), set()))
+            envs.append(envs[k].extended(_Read(names[k], k, types, *readers[k], self.at)))
         phi, h, atoms = self.phi, self.h, self.vars
         while h < p:
             phi.add(atoms[h])

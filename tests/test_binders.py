@@ -9,9 +9,11 @@ from collections import Counter
 
 import pytest
 
-from helpers import corpus_entries, corpus_text
+from helpers import bench_families, corpus_entries, corpus_text, sep_pairs
+from rqcheck.cli import check_source
+from rqcheck.errors import RqError
 from rqcheck import syntax
-from rqcheck.machine import check_preservation, eval_term
+from rqcheck.machine import check_preservation, eval_term, separation_experiment
 from rqcheck.qualifiers import q_subst
 from rqcheck.surface import elaborate, parse
 from rqcheck.syntax import (
@@ -284,6 +286,91 @@ def test_the_differential_run_reaches_both_substitutions_and_both_outcomes(
         seen += _differential_run(monkeypatch, elaborate(parse(text)), 300)
     assert seen["values", True] and seen["values", False]
     assert seen["types", False]
+
+
+# ---------------------------------------------------------------------------
+# A λ, a Λ or a qualified type no substituted name is free in is skipped
+
+
+def _key(sub, x) -> tuple:
+    """sub's state and the input, hashable: the same key, the same walk."""
+    return (x, frozenset(sub.values.items()), frozenset(sub.types.items()),
+            frozenset(sub.quals.items()), frozenset(sub.names), sub.free)
+
+
+def _replayed(key):
+    """The substitution a key was taken from, as a new object."""
+    x, values, types, quals, names, free = key
+    sub = object.__new__(syntax._Substitution)
+    sub.values, sub.types, sub.quals = dict(values), dict(types), dict(quals)
+    sub.names, sub.free = set(names), free
+    return sub, x
+
+
+def _skippable_walks(monkeypatch) -> dict:
+    """Every substitution of a λ or Λ (`_term`) and of a qualified type
+    (`__call__`) that checking, running and verifying the corpus and the
+    four families at n = 1..5 make, keyed by `_key`, with its result."""
+    walks = {}
+    term_of, qtype_of = syntax._Substitution._term, syntax._Substitution.__call__
+
+    def walk_term(sub, t):
+        key = _key(sub, t) if type(t) in (Abs, TAbs) else None
+        out = term_of(sub, t)
+        if key is not None:
+            walks[key] = out
+        return out
+
+    def walk_qtype(sub, qty):
+        key = _key(sub, qty)
+        out = walks[key] = qtype_of(sub, qty)
+        return out
+
+    families = bench_families()
+    programs = [corpus_text(e) for e in corpus_entries() if e.kind != "sep"] + [
+        families.FAMILIES[f](n).text for f in sorted(families.FAMILIES)
+        for n in range(1, 6)]
+    with monkeypatch.context() as m:
+        m.setattr(syntax._Substitution, "_term", walk_term)
+        m.setattr(syntax._Substitution, "__call__", walk_qtype)
+        for text in programs:
+            try:
+                check_source(text)
+                term = elaborate(parse(text))
+            except RqError:
+                continue        # the corpus's rejected programs
+            eval_term(term, fuel=300)
+            check_preservation(term, StoreTyping(), fuel=300)
+        for entry, t1, t2 in sep_pairs():
+            separation_experiment(t1, t2, StoreTyping())
+    return walks
+
+
+def test_a_skipped_part_is_what_a_full_walk_returns(monkeypatch):
+    walks = _skippable_walks(monkeypatch)
+    skipped = {key: out for key, out in walks.items() if out is key[0]}
+    monkeypatch.setattr(syntax._Substitution, "_misses", lambda sub, free: False)
+    differ = [key for key, out in walks.items()
+              if (syntax._Substitution._term if type(key[0]) in (Abs, TAbs)
+                  else syntax._Substitution.__call__)(*_replayed(key)) is not out]
+    assert not differ
+    # the runs reach all three kinds, skipped and not
+    kinds = Counter((type(key[0]).__name__, key in skipped) for key in walks)
+    assert all(kinds[kind, hit] for kind in ("Abs", "TAbs", "QualifiedType")
+               for hit in (True, False)), kinds
+
+
+def test_a_skipped_type_keeps_the_binder_a_full_walk_renames_apart(monkeypatch):
+    # the payload {f} names f, which fn's binder also names, but nothing
+    # is put in under it: x is not free in fn. The full walk renames the
+    # binder to f' anyway; the skip returns fn itself, alpha-equivalent
+    fn = qt(Fun("f", "y", qt(INT), qt(INT, qual("f"))))
+    sub = syntax.EMPTY_SUBSTITUTION.with_qual("x", qual("f"))
+    assert sub(fn) is fn
+    monkeypatch.setattr(syntax._Substitution, "_misses", lambda sub, free: False)
+    walked = sub(fn)
+    assert walked == qt(Fun("f'", "y", qt(INT), qt(INT, qual("f'"))))
+    assert alpha_eq(walked, fn)
 
 
 # ---------------------------------------------------------------------------

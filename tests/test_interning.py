@@ -10,6 +10,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rqcheck import syntax
 from rqcheck.syntax import (
     EMPTY, FRESH, INT, SHAPES, Abs, All, App, Ascribe, Assign, Base, Const,
     Deref, Fun, Let, LocAtom, LocTerm, QualifiedType, Qualifier, RefAlloc, RefT,
@@ -237,6 +238,25 @@ def test_term_repr_and_fields_are_the_dataclass_forms():
         "TApp": ("fn", "arg"), "Ascribe": ("term", "qtype"),
         "Let": ("name", "rhs", "body"),
     }
+
+
+def test_every_concrete_class_interns_and_no_base_builds_an_object():
+    # each of the 23 concrete classes keeps its own table and interns what
+    # it makes; the abstract bases have neither a table nor a constructor
+    atoms = [VarAtom("x"), LocAtom(3), qual("x")]
+    values = atoms + _types()[0] + _terms()[0]
+    assert len({type(v) for v in values}) == len(values) == 23
+    for v in values:
+        cls = type(v)
+        fields = tuple(getattr(v, f) for f in cls._fields)
+        size = len(cls._table)
+        assert cls(*fields) is v and len(cls._table) == size
+        assert "_table" in vars(cls) and "__new__" in vars(cls)
+        assert cls._table[fields[0] if len(fields) == 1 else fields] is v
+    for base in (syntax._Interned, syntax._Keyed, syntax._Term):
+        assert "_table" not in vars(base)
+        with pytest.raises(TypeError, match="abstract base"):
+            base()
 
 
 def test_deep_terms_compare_hash_and_give_free_atoms_without_recursion():

@@ -450,6 +450,24 @@ def test_a_rejected_re_typing_ends_a_separation_experiment():
                              "[Unobservable]: location @1: @0 not observable")
 
 
+def test_a_re_typing_whose_type_part_grew_is_a_failed_step(monkeypatch):
+    # a broken checker: the term's type part turns from Int into Unit
+    # after its one step, while its qualifier stays {}
+    class Broken:
+        def __init__(self):
+            self.answers = iter((qt(INT), qt(syntax.UNIT)))
+
+        def __call__(self, store, c):
+            return next(self.answers)
+
+    monkeypatch.setattr(machine, "Retyper", Broken)
+    report = check_preservation(parse_term("(fn f(x: Int^{}) { x })(3)"),
+                                EMPTY_SIGMA)
+    assert (report.ok, report.status) == (False, "value")
+    assert [(s.rule, s.ok, s.detail) for s in report.steps] == [
+        ("beta", False, "type part not below the previous one")]
+
+
 # ---------------------------------------------------------------------------
 # Separation harness
 
@@ -831,6 +849,72 @@ def test_the_retyper_reuses_a_binding_only_while_its_entries_are_unchanged(
         calls.clear()
         assert retype(store, c) == check_program(TypeEnv(), store, c.plug()).qtype
         assert calls.count(read) == typed + 1   # check_program's own
+
+
+def _typed_per_call(monkeypatch, cls, spine, sigma, rhss) -> list:
+    """How many nodes of class cls one Retyper synthesizes per call on
+    spine evaluating its first right-hand side, which is each of rhss in
+    turn; each conclusion is `check_program`'s."""
+    calls = _counting(monkeypatch, cls)
+    retype = typecheck.Retyper()
+    typed = []
+    for rhs in rhss:
+        c = _evaluating_first_rhs(spine, rhs)
+        calls.clear()
+        qty = retype(sigma, c)
+        typed.append(len(calls))
+        assert qty == check_program(TypeEnv(), sigma, c.plug()).qtype
+    return typed
+
+
+# two cells of one type: a's entry is Ref[Int]^{@0}, then Ref[Int]^{@1},
+# whose type part is the same object
+TWO_INT_CELLS = EMPTY_SIGMA.extended(0, qt(INT)).extended(1, qt(INT))
+
+
+def test_a_position_that_read_only_an_entrys_type_is_kept_when_its_qualifier_changes(
+        monkeypatch):
+    # T-Deref reads a at its type only: the content comes from the type,
+    # and T-Var's qualifier {a} from the term
+    spine = Let("a", LocTerm(0), Let("b", Deref(Var("a")), Var("b")))
+    typed = _typed_per_call(monkeypatch, Deref, spine, TWO_INT_CELLS,
+                            (LocTerm(0), LocTerm(1), LocTerm(0)))
+    assert typed == [1, 0, 0]
+
+
+def test_a_position_that_read_an_entrys_qualifier_is_typed_again_when_it_changes(
+        monkeypatch):
+    # the ascription's qual_sub chases a to its binding qualifier
+    spine = Let("a", LocTerm(0), Let("b", Ascribe(
+        Var("a"), qt(RefT(qt(INT)), qual(locs=[0, 1]))), Var("b")))
+    typed = _typed_per_call(monkeypatch, Ascribe, spine, TWO_INT_CELLS,
+                            (LocTerm(0), LocTerm(1), LocTerm(0)))
+    assert typed == [1, 1, 1]
+
+
+def test_the_calls_after_a_ref_step_do_not_type_the_pair_again(monkeypatch):
+    # pair_fst.rq: `ref 0` and `ref 1` change u's and v's qualifier part
+    # only, from {*} to {@0} and {@1}, and the Λ mkp reads both at their
+    # type alone; each let-β puts the location into mkp's term, so the
+    # call after it types mkp again
+    entry = next(e for e in load_corpus() if e.name == "eval-pair-fst")
+    term = elaborate(parse(corpus_text(entry)))
+    tabs = _counting(monkeypatch, syntax.TAbs)
+    typed = []
+
+    class Recording(typecheck.Retyper):
+        def __call__(self, store, c):
+            tabs.clear()
+            qty = super().__call__(store, c)
+            typed.append([t.self_name for t in tabs])
+            return qty
+
+    monkeypatch.setattr(machine, "Retyper", Recording)
+    report = check_preservation(term, EMPTY_SIGMA)
+    assert report.ok and report.status == "value"
+    rules = [s.rule for s in report.steps]
+    assert rules[:4] == ["ref", "beta", "ref", "beta"]
+    assert typed[:5] == [["pr"], [], ["pr"], [], ["pr"]]
 
 
 def test_the_retyper_follows_the_entries_a_binding_reaches():

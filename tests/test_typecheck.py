@@ -203,6 +203,8 @@ OTHER_REJECTIONS = [
      "assigned through a fresh content qualifier"),
     ("val c = ref 0; val d = ref c; d := ref 0", "QualifierMismatch",
      "assigned value qualifier {*} is not below content qualifier {c}"),
+    ("val r = ref 0; r := unit", "TypeMismatch",
+     "assigned value type Unit is not below content type Int"),
     ("(val c = ref 0; fn f(u: Unit^{}) : Ref[Int]^{c} { c })", "DependencyViolation",
      "result type depends on c whose binding is fresh"),
 ]
@@ -213,6 +215,15 @@ def test_each_rejection_of_the_other_rules_has_its_code_and_message(text, code, 
     with pytest.raises(CheckError) as exc:
         check_source(text)
     assert (exc.value.code, exc.value.detail) == (code, detail)
+
+
+def test_a_location_whose_store_entry_is_not_closed_is_rejected():
+    # T-Loc types @0 from its Σ entry, which mentions @1, outside Σ
+    sigma = EMPTY_STORE.extended(0, qt(INT, qual(locs=[1])))
+    with pytest.raises(CheckError) as exc:
+        check_program(EMPTY_ENV, sigma, parse_term("@0"))
+    assert (exc.value.code, exc.value.detail) == (
+        "ScopeError", "store entry for @0 is not closed")
 
 
 # ---------------------------------------------------------------------------
