@@ -7,8 +7,8 @@ tests compare the two. Atoms and qualifiers are interned (see
 `syntax._Interned`), so the sets, dicts and table rows below hash and
 compare their members by identity, without a call into Python.
 
-Every function but `qual_sub` is pure. `qual_sub` keeps one table for the
-last (environment, store typing) pair it was asked about, held by
+Every function but `qual_sub` is pure. Past plain inclusion, `qual_sub`
+keeps one table for the last (environment, store typing) pair, held by
 identity: `TypeEnv` is frozen and a `StoreTyping` is never changed after
 it is built. A call on any other pair replaces the table. For each
 `q.atoms` asked about, the table holds the atoms proven below q, starting
@@ -99,19 +99,19 @@ def self_closure(env: TypeEnv, q: Qualifier) -> frozenset:
 
     A function- or universal-typed term variable in q stands for the
     closure itself, so its non-fresh capture qualifier sits below it.
-    A binding's qualifier is read only when its type is a `Fun` or `All`.
+    One lookup per binding; its qualifier is read only for a `Fun` or `All`.
     """
     atoms = set(q.atoms)
     changed = True
     while changed:
         changed = False
         for a in list(atoms):
-            if not isinstance(a, VarAtom):
+            if type(a) is not VarAtom:
                 continue
-            ty = env.lookup_type(a.name)
-            if not isinstance(ty, (Fun, All)):
+            e = env.term_entry(a.name)
+            if e is None or not isinstance(e.ty, (Fun, All)):
                 continue
-            b = env.binding_qualifier(a)
+            b = e.q
             if not b.fresh and not b.atoms <= atoms:
                 atoms |= b.atoms
                 changed = True
@@ -160,10 +160,14 @@ def qual_sub(env: TypeEnv, store: StoreTyping, p: Qualifier,
     self-reference absorption, upcast of a variable to its binding
     qualifier, the analogous chase of a location through the store
     typing, and transitivity); may reject exotic transitive chains.
+    Plain inclusion is True at once: the search finds p in self_closure(q)
+    ⊇ q.atoms, which raises on no atom, so Γ need not be read.
     """
     global _table
     if p.fresh and not q.fresh:
         return False
+    if p.atoms <= q.atoms:    # plain inclusion: no table, no Γ read
+        return True
     last_env, last_store, rows = _table
     if env is not last_env or store is not last_store:
         rows = {}

@@ -3,7 +3,10 @@
 Universal types use the full (contravariant-bound) rule, which is
 undecidable in general, so every unfolding of a type variable or a
 universal spends fuel; running out raises FuelExhausted rather than
-returning a verdict.
+returning a verdict: one unit per `All` compared or type variable unfolded.
+A type compared with itself (`s is t`; types are interned) is not walked
+when its `Ref` content atoms are bound: the walk would return True, or
+raise short of the fuel `_reflexive` counts, which is spent instead.
 
 S-Fun and S-All compare the codomains (bodies) of two binders under one
 set of names, bound in Γ for the comparison. They are the left type's
@@ -34,17 +37,55 @@ class _Ctx:
     fuel: int
     counter: int = 0
 
-    def spend(self):
-        if self.fuel <= 0:
+    def spend(self, n: int = 1):     # as n calls spending one each
+        if n and n > self.fuel:
             raise FuelExhausted("subtyping fuel exhausted")
-        self.fuel -= 1
+        self.fuel -= n
 
     def fresh(self, base: str) -> str:
         self.counter += 1
         return f"{base}%{self.counter}"
 
 
+_COMPOUND, _LEAF = (RefT, Fun, All), (0, frozenset())
+
+
+def _reflexive(ty: Type) -> tuple:
+    """(fuel, atoms): what comparing ty with itself spends, and its `Ref`
+    content atoms free in ty; kept on ty. The atoms are None (walk it) if
+    one names an enclosing `All`'s type variable, which S-All binds with
+    no qualifier only under the `All`'s own names, as `_names` decides."""
+    if type(ty) not in _COMPOUND:
+        return _LEAF
+    r = ty._refl
+    if r is None:
+        if type(ty) is RefT:    # S-Ref compares the contents both ways
+            n, atoms = _reflexive(ty.content.ty)
+            r = (2 * n, None if atoms is None else atoms | ty.content.q.atoms)
+        else:
+            fun = type(ty) is Fun
+            (n, outer), (m, inner) = (_reflexive(u.ty) for u in (
+                (ty.dom, ty.cod) if fun else (ty.bound, ty.body)))
+            own = {VarAtom(ty.self_name), VarAtom(ty.param if fun else ty.qvar)}
+            r = (n + m + (not fun), None if outer is None or inner is None
+                 or not fun and VarAtom(ty.tvar) in inner else outer | (inner - own))
+        object.__setattr__(ty, "_refl", r)
+    return r
+
+
+def _bound(env: TypeEnv, store: StoreTyping, atoms) -> bool:
+    """S-Ref's scope test: each atom bound, a variable as a term binder or
+    a qualifier variable (its innermost binder), a location in Σ."""
+    return all((env.binding_qualifier(a) if type(a) is VarAtom
+                else store.get(a.loc)) is not None for a in atoms)
+
+
 def _type_sub(env: TypeEnv, store: StoreTyping, s: Type, t: Type, ctx: _Ctx) -> bool:
+    if s is t and type(s) in _COMPOUND:     # reflexivity (module docstring)
+        n, atoms = _reflexive(s)
+        if atoms is not None and _bound(env, store, atoms):
+            ctx.spend(n)
+            return True
     if isinstance(s, TVar) and isinstance(t, TVar) and s.name == t.name:
         return True
     if isinstance(t, Top):
@@ -61,12 +102,8 @@ def _type_sub(env: TypeEnv, store: StoreTyping, s: Type, t: Type, ctx: _Ctx) -> 
         # the rule annotates one shared content qualifier on both sides
         if s.content.q != t.content.q:
             return False
-        # each atom bound: a variable as a term binder or a qualifier
-        # variable (its innermost binder), a location in Σ
-        for a in s.content.q.atoms:
-            if (env.binding_qualifier(a) if type(a) is VarAtom
-                    else store.get(a.loc)) is None:
-                return False
+        if not _bound(env, store, s.content.q.atoms):
+            return False
         return (_type_sub(env, store, s.content.ty, t.content.ty, ctx)
                 and _type_sub(env, store, t.content.ty, s.content.ty, ctx))
     if isinstance(s, Fun) and isinstance(t, Fun):

@@ -75,9 +75,10 @@ class _Interned:
 
     The slots named with an underscore are caches, None when an object is
     made: a type's `_free`, its free atoms, computed when first asked
-    (`free_atoms_type`), and a term's `_free` and `_free_ann`, its free
-    atoms without and with its annotations, kept once asked for it or for
-    a term that holds it as a λ or Λ (`free_term_atoms`). Fields are set
+    (`free_atoms_type`), and a `RefT`'s, `Fun`'s or `All`'s `_refl`
+    (`subtyping._reflexive`); a term's `_free` and `_free_ann`, its free
+    atoms without and with its annotations, kept once asked for it or
+    for a term that holds it as a λ or Λ (`free_term_atoms`). Fields are set
     once, in `__new__`; assigning or deleting one raises
     `FrozenInstanceError`, as on a frozen dataclass, and `repr` reads as
     a dataclass's. `copy`, `deepcopy` and `pickle` make the value again
@@ -212,19 +213,19 @@ class TVar(_Keyed):
 
 
 class RefT(_Keyed):
-    __slots__ = ("content",)
+    __slots__ = ("content", "_refl")
 
 
 class Fun(_Keyed):
     """Dependent function type; cod may mention self_name and param."""
 
-    __slots__ = ("self_name", "param", "dom", "cod")
+    __slots__ = ("self_name", "param", "dom", "cod", "_refl")
 
 
 class All(_Keyed):
     """Bounded universal; body may mention self_name, tvar, and qvar."""
 
-    __slots__ = ("self_name", "tvar", "qvar", "bound", "body")
+    __slots__ = ("self_name", "tvar", "qvar", "bound", "body", "_refl")
 
 
 Type = Union[Base, Top, TVar, RefT, Fun, All]
@@ -460,13 +461,13 @@ class TypeEnv:
             self._move_index()
         return _INDEX.names.get(name)
 
-    def lookup_type(self, name: str) -> Optional[Type]:
-        """The type part of name's term binding; its qualifier part is
-        `binding_qualifier`'s."""
+    def term_entry(self, name: str):
+        """name's term binding as one object with a type part `ty` and a
+        qualifier part `q` (a `TermBind`'s qualified type), or None."""
         e = self.binder(name)
         if type(e) is TermBind:
-            return e.qtype.ty
-        return None if e is None or type(e) is TypeBind else e.ty
+            return e.qtype
+        return None if type(e) is TypeBind else e
 
     def lookup_tvar(self, name: str) -> Optional[QualifiedType]:
         e = self.binder(name)

@@ -34,7 +34,7 @@ def _agrees(env: TypeEnv):
     for name in NAMES:
         e = _scan(entries, name)
         assert env.binder(name) is e
-        assert env.lookup_type(name) == (e.qtype.ty if type(e) is TermBind else None)
+        assert env.term_entry(name) is (e.qtype if type(e) is TermBind else None)
         assert env.lookup_tvar(name) == (
             e.bound if type(e) is TypeBind and e.tvar == name else None)
         want = None
@@ -92,12 +92,12 @@ def test_an_inner_binder_of_either_kind_hides_an_outer_one():
     base = TypeEnv((outer,))
     env = base.extended(TypeBind("X", "x", int_q))
     sibling = base.extended(TermBind("y", int_q))
-    assert env.lookup_type("x") is None and env.binder("X") is env.binder("x")
-    assert sibling.lookup_type("x") is INT
-    assert env.lookup_type("x") is None
+    assert env.term_entry("x") is None and env.binder("X") is env.binder("x")
+    assert sibling.term_entry("x").ty is INT
+    assert env.term_entry("x") is None
     assert env.extended(TermBind("X", int_q)).lookup_tvar("X") is None
     assert env.lookup_tvar("X") is int_q
-    assert base.lookup_type("x") is INT
+    assert base.term_entry("x").ty is INT
     assert repr(base) == f"TypeEnv(entries=({outer!r},))"
 
 

@@ -1171,6 +1171,56 @@ def test_verifying_the_divergent_program_types_an_application_a_few_times(
     assert calls[0] <= 10
 
 
+def test_a_loop_lap_is_looked_up_by_its_closure_without_a_substitution(
+        monkeypatch):
+    # the divergent program's focus after a β is `loop(x)` under
+    # {loop ↦ fn, x ↦ unit}, met before under the same store typing: the
+    # Retyper finds it by the node and those two values, and substitutes
+    # nothing on any lap after the first
+    per_call, inside = [], [False]
+    term_of = syntax._Substitution._term
+
+    def counted(sub, t):
+        if inside[0]:
+            per_call[-1] += 1
+        return term_of(sub, t)
+
+    class Counted(typecheck.Retyper):
+        def __call__(self, store, c):
+            per_call.append(0)
+            inside[0] = True
+            try:
+                return super().__call__(store, c)
+            finally:
+                inside[0] = False
+
+    monkeypatch.setattr(syntax._Substitution, "_term", counted)
+    monkeypatch.setattr(machine, "Retyper", Counted)
+    report = check_preservation(_diverge(), EMPTY_SIGMA, fuel=2000)
+    assert (report.ok, report.status, len(report.steps)) == (True, "fuel", 2000)
+    # the start, the let-β and the first β substitute; no later lap does
+    assert len(per_call) == 2001 and sum(per_call[:3]) > 0
+    assert not any(per_call[3:])
+
+
+def test_an_unchanged_conclusion_is_reported_without_a_growth_test(monkeypatch):
+    # every step of the divergent program comes back to the conclusion
+    # it had and allocates nothing: each is reported, none is queried
+    queries = [0]
+    qual_sub = machine.qual_sub
+
+    def counted(*args):
+        queries[0] += 1
+        return qual_sub(*args)
+
+    monkeypatch.setattr(machine, "qual_sub", counted)
+    report = check_preservation(_diverge(), EMPTY_SIGMA, fuel=2000)
+    assert (report.ok, report.status, len(report.steps)) == (True, "fuel", 2000)
+    assert all(s.ok and s.q_before is s.q_after and s.detail == ""
+               for s in report.steps)
+    assert queries[0] == 0
+
+
 def test_a_verify_round_reuses_the_typing_rules_substitutions(monkeypatch):
     # T-App's, T-TApp's and T-Let's substitutions are looked up by their
     # interned inputs, and S-Fun and S-All compare binders under their

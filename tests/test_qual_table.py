@@ -20,7 +20,9 @@ from rqcheck.errors import ScopeError
 from rqcheck.machine import check_preservation, separation_experiment
 from rqcheck.qualifiers import one_step, qual_sub, self_closure
 from rqcheck.surface import elaborate, parse
-from rqcheck.syntax import LocAtom, StoreTyping, VarAtom
+from rqcheck.syntax import (
+    Fun, INT, LocAtom, StoreTyping, TypeEnv, VarAtom, qt, qual,
+)
 
 EMPTY_STORE = StoreTyping()
 GHOST = VarAtom("ghost")  # bound nowhere: a query that reaches it raises
@@ -179,6 +181,23 @@ def test_harness_queries_match_the_reference(monkeypatch):
     for t1, t2 in pairs:
         separation_experiment(t1, t2, EMPTY_STORE, fuel=HARNESS_FUEL)
     assert queries > 2000
+
+
+def test_an_inclusion_reads_no_entry_of_its_environment():
+    # p ⊆ q is answered before the table and Γ: under Γ made of the
+    # Retyper's entries, which note each part read, it notes no reader;
+    # a query the search answers notes what its closure reads
+    types = [qt(INT), qt(Fun("f", "a", qt(INT), qt(INT)), qual("y"))]
+    readers, at, env = [(set(), set()), (set(), set())], [2], TypeEnv()
+    for k, name in enumerate(("y", "x")):
+        env = env.extended(typecheck._Read(name, k, types, *readers[k], at))
+    qualifiers.forget(env)
+    assert qual_sub(env, EMPTY_STORE, qual("x"), qual("x", "y"))
+    assert qual_sub(env, EMPTY_STORE, qual(fresh=True), qual("x", fresh=True))
+    assert readers == [(set(), set()), (set(), set())]
+    # x is a function captured at {y}: {y} is below {x} by absorption
+    assert qual_sub(env, EMPTY_STORE, qual("y"), qual("x"))
+    assert readers == [({2}, set()), ({2}, {2})]
 
 
 # ---------------------------------------------------------------------------

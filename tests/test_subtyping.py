@@ -13,7 +13,7 @@ from rqcheck.qualifiers import qual_sub
 from rqcheck.subtyping import qtype_sub, type_sub
 from rqcheck.surface import elaborate, parse, pretty
 from rqcheck.syntax import (
-    SHAPES, All, Fun, INT, QualifiedType, Qualifier, RefT, StoreTyping,
+    SHAPES, All, Base, Fun, INT, QualifiedType, Qualifier, RefT, StoreTyping,
     TermBind, Top, TVar, TypeBind, TypeEnv, UNIT, VarAtom, free_atoms_type, qt,
     qual,
 )
@@ -280,6 +280,80 @@ def _recorded_queries(monkeypatch) -> list:
         check_preservation(term, StoreTyping())
     monkeypatch.undo()
     return list(queries.values())
+
+
+# ---------------------------------------------------------------------------
+# A type compared with itself
+
+
+def _outcomes(env, store, s, fuels) -> list:
+    return [_verdict(env, store, s, s, fuel) for fuel in fuels]
+
+
+def _reflexive_differences(monkeypatch, queries) -> list:
+    """The (Γ, Σ, s) of queries where type_sub(s, s) differs from the
+    walk with the shortcut off, at fuels 0, 1, f−1, f, f+1 and the
+    default, f being what the walk spends (or, where the walk raises at
+    the default, that and 0..2)."""
+    with monkeypatch.context() as m:
+        m.setattr(subtyping, "_reflexive", lambda ty: (0, None))
+        walked = []
+        for env, store, s in queries:
+            ctx = subtyping._Ctx(subtyping.DEFAULT_FUEL)
+            try:
+                subtyping._type_sub(env, store, s, s, ctx)
+                f = subtyping.DEFAULT_FUEL - ctx.fuel
+            except FuelExhausted:
+                f = 1
+            fuels = sorted({0, 1, f - 1, f, f + 1, subtyping.DEFAULT_FUEL})
+            walked.append((fuels, _outcomes(env, store, s, fuels)))
+    return [(env, store, s) for (env, store, s), (fuels, want)
+            in zip(queries, walked) if _outcomes(env, store, s, fuels) != want]
+
+
+def test_a_type_compared_with_itself_answers_as_the_walk(monkeypatch):
+    queries = {(id(env), id(store), s): (env, store, s)
+               for env, store, s, t, _ in _recorded_queries(monkeypatch) if s is t}
+    queries = list(queries.values())
+    assert len(queries) > 400 and {type(s) for _, _, s in queries} == {
+        Base, RefT, TVar, Fun, All}
+    assert not _reflexive_differences(monkeypatch, queries)
+
+
+_FORALL = All("f", "X", "x", qt(Top(), qual(fresh=True)), qt(TVar("X"), qual("x")))
+
+
+@pytest.mark.parametrize("ty, fuel", [
+    (_FORALL, 1),
+    (RefT(qt(_FORALL)), 2),                      # S-Ref compares both ways
+    (RefT(qt(RefT(qt(_FORALL)))), 4),
+    (Fun("g", "y", qt(RefT(qt(_FORALL))), qt(_FORALL)), 3),
+    (All("h", "Y", "y", qt(_FORALL), qt(RefT(qt(INT, qual("y", "h"))))), 2),
+])
+def test_comparing_a_type_with_itself_spends_what_the_walk_does(
+        monkeypatch, ty, fuel):
+    assert type_sub(EMPTY_ENV, EMPTY_STORE, ty, ty, fuel=fuel)
+    with pytest.raises(FuelExhausted):
+        type_sub(EMPTY_ENV, EMPTY_STORE, ty, ty, fuel=fuel - 1)
+    assert not _reflexive_differences(monkeypatch, [(EMPTY_ENV, EMPTY_STORE, ty)])
+
+
+@pytest.mark.parametrize("ty, verdicts", [
+    (RefT(qt(INT, qual("z"))), [False, False]),              # z bound nowhere
+    (RefT(qt(INT, qual(locs=[0]))), [False, False]),         # @0 not in Σ
+    (RefT(qt(RefT(qt(_FORALL)), qual("z"))), [False, False]),
+    # the atom X in the body of X^x: under the Fun's binder X unless a
+    # binding of g in Γ makes S-Fun rename X apart, which stops at X^x;
+    # then S-All binds X as a type variable and S-Ref finds no qualifier
+    (Fun("g", "X", qt(INT), qt(All("h", "X", "x", qt(Top()),
+                                   qt(RefT(qt(INT, qual("X"))))))),
+     [True, False]),
+])
+def test_a_ref_content_atom_unbound_is_walked(monkeypatch, ty, verdicts):
+    envs = (EMPTY_ENV, env_of(TermBind("g", qt(INT))))
+    assert [type_sub(env, EMPTY_STORE, ty, ty) for env in envs] == verdicts
+    assert not _reflexive_differences(
+        monkeypatch, [(env, EMPTY_STORE, ty) for env in envs])
 
 
 def _binder_names(ty, acc: set) -> set:
