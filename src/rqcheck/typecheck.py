@@ -412,41 +412,41 @@ class Retyper(_Checker):
     its conclusion, and Σ only grew (a changed entry drops every record),
     which changes no closed typing.
 
-    In a level's let spine x_0 = rhs_0; ...; body (position n), position p
-    is sub(rhs_p), sub the pending substitution, typed under Γ =
+    In a level's let spine x_0 = rhs_0; ...; body (position n), position
+    p is sub(rhs_p), sub the pending substitution, typed under Γ =
     x_0..x_{p-1} and φ = dom(Σ) ∪ {x_0..x_{p-1}}; in a frame, x_j's entry
     is the hole's conclusion. The checker reads Γ at names, an entry's
     type part or its qualifier part at a time, and builds types from the
     term, the parts it reads and names it binds, so p's conclusion is a
-    function of its term, Σ and the entry parts it read. Γ is built once,
-    of `_Read` entries: x_k's gives a part of x_k's conclusion as it is
-    now and notes the position being typed as a reader of that part. T-Var
-    reads the type part only (its qualifier {x_k} comes from the term);
-    `self_closure` reads the type part, and the qualifier part only of a
-    `Fun` or `All`; `one_step`, in the chases of `qual_sub` (plain
-    inclusion reads none), `saturate` and `overlap`, and S-Ref's scope
-    test read the qualifier part. None is hidden: a λ or Λ the memo gives
-    is closed, and a row of `qual_sub`'s table answers only under the Γ it
+    function of its term, Σ and the entry parts it read. Γ is built
+    once, of `_Read` entries: x_k's gives a part of x_k's conclusion as
+    it is now and notes the position being typed as a reader of that
+    part. T-Var reads the type part only (its qualifier {x_k} comes from
+    the term); `self_closure` reads the type part, and the qualifier
+    part only of a `Fun` or `All`; `one_step`, in the chases of `qual_sub`
+    past plain inclusion, `saturate` and `overlap`, and S-Ref's scope test
+    read the qualifier part. None is hidden: a λ or Λ the memo gives is
+    closed, and a row of `qual_sub`'s table answers only under the Γ it
     was found under, so one under p's was found, its reads noted, while
     typing p; as it may hold an entry's old part, the table is dropped
-    before p is typed again. p is typed again, in order, so that the first
-    rejection is `check_program`'s, when its term changed (a let-β of x_j,
-    for the terms naming x_j) or a part it read at some typing did. A
-    position not typed again read nothing that changed: each part it read
-    is the same object as when it read it. A `ref` step changes only its
-    binding's qualifier part (`Ref[T]^{*}` becomes `Ref[T]^{@ℓ}`, the type
-    part one interned object), so what used the cell at its type alone
-    keeps its conclusion. A conclusion that comes back as the same object
-    (types are interned) goes no further: early cutoff, as in
-    self-adjusting computation (Acar 2005; Hammer et al., "Adapton",
-    2014). T-Let's conclusion, a fold of `_unbind` from the body down, is
-    redone from each change while it changes. Γ keeps x_0..x_{j-1}, which
-    a let-β took out: an entry mentions x_i only if its typing named x_i
-    or read an entry that does, so once the terms naming x_i are typed
-    again no typing reads it, and a name Γ still binds only renames what
-    S-Fun and S-All compare. A spine that binds a name twice, or one sub
-    binds, is typed whole, as is one binding, whose record would spare
-    next to nothing.
+    before p is typed again. p is typed again, in order, so that the
+    first rejection is `check_program`'s, when its term changed (a let-β
+    of x_j, for the terms naming x_j) or a part it read at some typing
+    did. A position not typed again read nothing that changed: each
+    part it read is the same object as when it read it. A `ref` step
+    changes only its binding's qualifier part (`Ref[T]^{*}` becomes
+    `Ref[T]^{@ℓ}`, the type part one interned object), so what used the
+    cell at its type alone keeps its conclusion. A conclusion that comes
+    back as the same object (types are interned) goes no further: early
+    cutoff, as in self-adjusting computation (Acar 2005; Hammer et al.,
+    "Adapton", 2014). T-Let's conclusion, a
+    fold of `_unbind` from the body down, is redone from each change
+    while it changes. Γ keeps x_0..x_{j-1}, which a let-β took out: an
+    entry mentions x_i only if its typing named x_i or read an entry
+    that does, so once the terms naming x_i are typed again no typing
+    reads it, and a name Γ still binds only renames what S-Fun and S-All
+    compare. A spine that binds a name twice, or one sub binds, is typed
+    whole, as is one binding, whose record would spare next to nothing.
 
     One memo, keyed by the interned node (`_closed`), holds the
     conclusion of each closed term typed under the current Σ: a focus
