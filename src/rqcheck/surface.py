@@ -1,4 +1,4 @@
-"""Concrete syntax: lexer, parser, scope resolution, pretty-printer.
+"""Concrete syntax: lexer, parser with scope checks, pretty-printer.
 
 ASCII forms: `*` is the freshness marker, `{}` the empty qualifier.
 Files use extension `.rq`; `//` starts a line comment.
@@ -6,9 +6,10 @@ Files use extension `.rq`; `//` starts a line comment.
 Each pass is linear in the source. The lexer is one `findall`, whose
 matches each skip the whitespace and comments before a token; a token's
 kind is looked up from its first character. No token offset is kept: a
-ParseError scans the text again to find one. Resolution mutates one
-scope dict: a binder adds its name, and the name is deleted again when
-the binder's scope closes.
+ParseError scans the text again to find one. The parser checks scope as
+it builds each node, in the same descent, against one scope dict: a
+binder adds its name, and the name is deleted again when the binder's
+scope closes.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from string import ascii_letters, digits
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import ParseError, ScopeError
 from .syntax import (
-    INT, QTYPE, QUAL, SHAPES, UNIT, Abs, All, App, Ascribe, Assign, Base,
-    Const, Deref, Fun, Let, LocAtom, LocTerm, QualifiedType, Qualifier,
-    RefAlloc, RefT, TAbs, TApp, Term, Top, TVar, Type, UnitLit, Var, VarAtom,
-    free_atoms_qtype,
+    INT, UNIT, Abs, All, App, Ascribe, Assign, Base, Const, Deref, Fun, Let,
+    LocAtom, LocTerm, QualifiedType, Qualifier, RefAlloc, RefT, TAbs, TApp,
+    Term, Top, TVar, Type, UnitLit, Var, VarAtom, free_atoms_qtype,
 )
 
 
@@ -35,10 +35,11 @@ from .syntax import (
 
 # Whitespace and comments, then the token as group 1. Any other character
 # is a token by itself and the end of the text an empty one, so the
-# matches cover the whole text.
+# matches cover the whole text. The alternatives start with distinct
+# characters, so their order only sets how soon a token is matched.
 _TOKEN_RE = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
-                       r"([A-Za-z_][A-Za-z0-9_']*|-?[0-9]+|:=?|=>?|;;?|<:"
-                       r"|[{}()\[\]^,*!.@]|.|\Z)", re.DOTALL)
+                       r"([A-Za-z_][A-Za-z0-9_']*|[{}()\[\]^,*!.@]|:=?|=>?"
+                       r"|;;?|<:|-?[0-9]+|.|\Z)", re.DOTALL)
 
 # A token's kind by its first character: `i` an identifier, `n` an
 # integer, `o` an operator (and `e` the end of the text). Any other
@@ -81,13 +82,36 @@ class SourceProgram:
 
 
 _NAMED_TYPES = {"Int": INT, "Unit": UNIT, "Top": Top()}
+_NOUN = {"term": "term variable", "tvar": "type variable"}
+_PREFIXES = frozenset(("ref", "!"))
+# the kinds of the names a binder binds, in the order they are bound
+_TERM_KINDS = ("term",)
+_FUN_KINDS = ("term", "term")
+_ALL_KINDS = ("term", "tvar", "qvar")
 
 
 class Parser:
     """Recursive descent over the token values and their kinds (one
     character each, see `_KINDS`), padded with end entries, whose value is
     "", so that a lookahead never runs off the end. No token position is
-    kept: `error` finds the offset of the token it reports."""
+    kept: `error` finds the offset of the token it reports.
+
+    The parser keeps its symbol table as it descends (Wirth, *Compiler
+    Construction*, 1996). `scope` maps each name in scope to its kind,
+    "term", "tvar" or "qvar", and each name, atom and binder is checked
+    against it as its node is built: a qualifier may name only term and
+    qualifier variables in scope, and no binder may shadow another, so
+    binder names are unique along any scope path, the core
+    representation needs no renaming and substitution cannot capture.
+    The checks run in the order of `syntax.SHAPES`: the parts outside a
+    node's binders, then its binders, then the parts inside. So an `fn`'s
+    domain is checked before the capture written ahead of it, and its
+    self-name and parameter are bound after both. The first ScopeError is
+    kept in `fault`; `parse`, `parse_pair` and `parse_term` raise it only
+    once the text is read to its end, so that a ParseError anywhere wins.
+    A name leaves the scope when its binder's scope closes, and a program
+    starts from an empty one.
+    """
 
     def __init__(self, text: str):
         self.text = text
@@ -98,6 +122,8 @@ class Parser:
         self.pos = 0
         self.counter = 0
         self.taken = None  # the text's names, built when gen first needs them
+        self.scope = {}
+        self.fault = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -141,6 +167,40 @@ class Parser:
         self.pos += 1
         return value
 
+    # -- scope -------------------------------------------------------------
+
+    def fail(self, message: str):
+        """Keeps the first scope error; it is raised by `checked`."""
+        if self.fault is None:
+            self.fault = ScopeError(message)
+
+    def unbound(self, name: str, kind: str):
+        """Reports an occurrence of `name` as a `kind` that is not one."""
+        if self.scope.get(name) is None:
+            self.fail(f"unbound {_NOUN[kind]} {name}")
+        else:
+            self.fail(f"{name} is not a {_NOUN[kind]}")
+
+    def bind(self, names: tuple, kinds: tuple):
+        """Brings each name into scope as the kind at its position."""
+        for name, kind in zip(names, kinds):
+            if name in self.scope:
+                self.fail(f"{name} shadows an enclosing binding")
+            self.scope[name] = kind
+
+    def close(self, names):
+        """The scope of `names` ends. A shadowing binder has already
+        replaced the name it shadows, so a name may be gone."""
+        for name in names:
+            self.scope.pop(name, None)
+
+    def checked(self, result):
+        """`result`, read to the end of the text, unless a scope error
+        was kept."""
+        if self.fault is not None:
+            raise self.fault
+        return result
+
     # -- qualifiers and types ----------------------------------------------
 
     def qualifier(self) -> Qualifier:
@@ -156,6 +216,12 @@ class Parser:
             elif self.kinds[self.pos] == "i":
                 self.pos += 1
                 atoms.add(VarAtom(value))
+                kind = self.scope.get(value)
+                if kind is None:
+                    self.fail(f"qualifier mentions unbound name {value}")
+                elif kind == "tvar":
+                    self.fail(f"type variable {value} cannot appear in a "
+                              f"qualifier; use its paired qualifier variable")
             else:
                 raise self.error(f"expected a qualifier atom, found {value!r}")
             if self.values[self.pos] != "}":
@@ -197,6 +263,8 @@ class Parser:
             return ty
         if self.kinds[self.pos] == "i":
             self.pos += 1
+            if self.scope.get(value) != "tvar":
+                self.unbound(value, "tvar")
             return TVar(value)
         raise self.error(f"expected a type, found {self.found()}")
 
@@ -204,8 +272,12 @@ class Parser:
         self_name = (self.gen("f") if self.values[self.pos] == "["
                      else self.ident())
         tvar, qvar, bound = self.type_params()
+        names = self_name, tvar, qvar
+        self.bind(names, _ALL_KINDS)
         self.expect(".")
-        return All(self_name, tvar, qvar, bound, self.qtype())
+        body = self.qtype()
+        self.close(names)
+        return All(self_name, tvar, qvar, bound, body)
 
     def type_params(self) -> Tuple[str, str, QualifiedType]:
         """`[X^x <: T^q]`: the parameter of a universal type or a `tfn`."""
@@ -241,62 +313,65 @@ class Parser:
             dom = self.qtype(bare=True)
         if self_name is None:
             self_name = self.gen("f")
+        names = self_name, param
+        self.bind(names, _FUN_KINDS)
         self.expect("=>")
         cod = self.qtype(bare=True)
+        self.close(names)
         return Fun(self_name, param, dom, cod)
 
     # -- terms ---------------------------------------------------------------
 
-    def expr(self) -> Term:
-        if self.values[self.pos] != "val":
-            return self.assign_expr()
-        # a loop down a spine of `val`s, not a recursion, so that the
-        # length of a spine in any position is not bounded by the
-        # recursion limit
-        spine = []
-        while self.values[self.pos] == "val":
-            spine.append(self.binding())
-        t = self.assign_expr()
-        for name, rhs in reversed(spine):
-            t = Let(name, rhs, t)
+    def expr(self, spine: bool = True) -> Term:
+        """A spine of `val` bindings (none when `spine` is False, as on a
+        binding's right-hand side), then a term or an assignment. A spine
+        is read by a loop, not a recursion, so that its length in any
+        position is not bounded by the recursion limit."""
+        lets = None
+        if spine and self.values[self.pos] == "val":
+            lets = []
+            while self.values[self.pos] == "val":
+                lets.append(self.binding())
+        t = self.prefix_expr()
+        if self.values[self.pos] == ":=":
+            self.pos += 1
+            t = Assign(t, self.prefix_expr())
+        if lets:
+            for name, rhs in reversed(lets):
+                t = Let(name, rhs, t)
+            self.close(name for name, _ in lets)
         return t
 
     def binding(self) -> Tuple[str, Term]:
-        """`val x = t;`, at the `val`."""
+        """`val x = t;`, at the `val`; `x` is bound once `t` is read."""
         self.pos += 1
         name = self.ident()
         self.expect("=")
-        rhs = self.assign_expr()
+        rhs = self.expr(False)
         self.expect(";")
+        self.bind((name,), _TERM_KINDS)
         return name, rhs
 
-    def assign_expr(self) -> Term:
-        lhs = self.prefix_expr()
-        if self.values[self.pos] == ":=":
-            self.pos += 1
-            return Assign(lhs, self.prefix_expr())
-        return lhs
-
     def prefix_expr(self) -> Term:
-        value = self.values[self.pos]
-        if value == "ref":
+        """`ref` and `!` prefixes, an atom, then the term and type
+        applications to the atom, in one frame: the prefixes are skipped
+        and applied once the rest is read."""
+        values = self.values
+        start = self.pos
+        while values[self.pos] in _PREFIXES:
             self.pos += 1
-            return RefAlloc(self.prefix_expr())
-        if value == "!":
-            self.pos += 1
-            return Deref(self.prefix_expr())
-        return self.postfix_expr()
-
-    def postfix_expr(self) -> Term:
-        """An atom, then the term and type applications to it."""
-        kind, value = self.kinds[self.pos], self.values[self.pos]
-        if value == "fn":
-            t = self.abstraction("(", self.fn_params, Abs)
-        elif value == "tfn":
-            t = self.abstraction("[", self.type_params, TAbs)
+        stop = self.pos
+        kind, value = self.kinds[stop], values[stop]
+        if value == "fn" or value == "tfn":
+            t = self.abstraction(value == "fn")
         elif kind == "i":
             self.pos += 1
-            t = UnitLit() if value == "unit" else Var(value)
+            if value == "unit":
+                t = UnitLit()
+            else:
+                if self.scope.get(value) != "term":
+                    self.unbound(value, "term")
+                t = Var(value)
         elif kind == "n":
             t = Const(self.number())
         elif value == "@":
@@ -304,14 +379,14 @@ class Parser:
         elif value == "(":
             self.pos += 1
             t = self.expr()
-            if self.values[self.pos] == ":":
+            if values[self.pos] == ":":
                 self.pos += 1
                 t = Ascribe(t, self.qtype())
             self.expect(")")
         else:
             raise self.error(f"expected a term, found {self.found()}")
         while True:
-            value = self.values[self.pos]
+            value = values[self.pos]
             if value == "(":
                 self.pos += 1
                 t = App(t, self.expr())
@@ -321,7 +396,11 @@ class Parser:
                 t = TApp(t, self.qtype())
                 self.expect("]")
             else:
-                return t
+                break
+        while stop > start:
+            stop -= 1
+            t = RefAlloc(t) if values[stop] == "ref" else Deref(t)
+        return t
 
     def location(self) -> int:
         """The number of an `@n` location, at its `@`."""
@@ -330,39 +409,50 @@ class Parser:
             raise self.error("expected a location number after '@'")
         return self.number()
 
-    def abstraction(self, opener: str, params, cls) -> Term:
-        """`fn` and `tfn`, at the keyword: an optional self-name and
-        `^{...}` capture, the parameters (`params`, which start at
-        `opener`) and the `{ body }` block."""
+    def abstraction(self, fn: bool) -> Term:
+        """`fn` (or `tfn`, when `fn` is False), at the keyword: an optional
+        self-name and `^{...}` capture, the parameters and, for an `fn`,
+        an optional result type, then the `{ body }` block. A scope error
+        in the capture is held back until the domain or bound is read."""
         self.pos += 1
+        opener = "(" if fn else "["
         self_name = (self.gen("f") if self.values[self.pos] in (opener, "^")
                      else self.ident())
-        capture = None
+        capture = held = None
         if self.values[self.pos] == "^":
             self.pos += 1
+            outer = self.fault
             capture = self.qualifier()
-        head = params()
+            held, self.fault = self.fault, outer
+        if fn:
+            self.expect(opener)
+            param = self.ident()
+            self.expect(":")
+            dom = self.qtype()
+            self.expect(")")
+            names, kinds = (self_name, param), _FUN_KINDS
+        else:
+            tvar, qvar, bound = self.type_params()
+            names, kinds = (self_name, tvar, qvar), _ALL_KINDS
+        if self.fault is None:
+            self.fault = held
+        self.bind(names, kinds)
+        cod = None
+        if fn and self.values[self.pos] == ":":
+            self.pos += 1
+            cod = self.qtype()
         self.expect("{")
         body = self.expr()
         self.expect("}")
-        return cls(self_name, *head, body, capture)
-
-    def fn_params(self) -> Tuple[str, QualifiedType, Optional[QualifiedType]]:
-        """`(x: T^q)` and an optional `: U^r`: the parameter and result of a `fn`."""
-        self.expect("(")
-        param = self.ident()
-        self.expect(":")
-        dom = self.qtype()
-        self.expect(")")
-        cod = None
-        if self.values[self.pos] == ":":
-            self.pos += 1
-            cod = self.qtype()
-        return param, dom, cod
+        self.close(names)
+        if fn:
+            return Abs(self_name, param, dom, cod, body, capture)
+        return TAbs(self_name, tvar, qvar, bound, body, capture)
 
     # -- programs -------------------------------------------------------------
 
     def program(self) -> SourceProgram:
+        self.scope = {}
         decls: List[tuple] = []
         while True:
             value = self.values[self.pos]
@@ -372,6 +462,7 @@ class Parser:
                 self.expect(":")
                 decls.append(("assume", name, self.qtype()))
                 self.expect(";")
+                self.bind((name,), _TERM_KINDS)
             elif value == "val":
                 # top-level val: binds a declaration, main follows
                 decls.append(("val",) + self.binding())
@@ -384,8 +475,7 @@ def parse(text: str) -> SourceProgram:
     parser = Parser(text)
     prog = parser.program()
     parser.end()
-    resolve_program(prog)
-    return prog
+    return parser.checked(prog)
 
 
 def parse_pair(text: str) -> Tuple[SourceProgram, SourceProgram]:
@@ -395,9 +485,7 @@ def parse_pair(text: str) -> Tuple[SourceProgram, SourceProgram]:
     parser.expect(";;")
     second = parser.program()
     parser.end()
-    resolve_program(first)
-    resolve_program(second)
-    return first, second
+    return parser.checked((first, second))
 
 
 def parse_term(text: str) -> Term:
@@ -405,113 +493,15 @@ def parse_term(text: str) -> Term:
     parser = Parser(text)
     t = parser.expr()
     parser.end()
-    resolve_term(t, {})
-    return t
+    return parser.checked(t)
 
 
 def parse_qtype(text: str) -> QualifiedType:
+    """A qualified type; its names are not checked against any scope."""
     parser = Parser(text)
     q = parser.qtype()
     parser.end()
     return q
-
-
-# ---------------------------------------------------------------------------
-# Scope resolution
-#
-# Shadowing is rejected: binder names are unique along any scope path, so
-# the core representation needs no renaming and substitution cannot capture,
-# and deleting a binder's name when its scope closes restores the scope.
-
-
-def _bind(scope: dict, name: str, kind: str):
-    if name in scope:
-        raise ScopeError(f"{name} shadows an enclosing binding")
-    scope[name] = kind
-
-
-def _check_qual(q: Qualifier, scope: dict):
-    for a in q.atoms:
-        if isinstance(a, VarAtom):
-            kind = scope.get(a.name)
-            if kind is None:
-                raise ScopeError(f"qualifier mentions unbound name {a.name}")
-            if kind == "tvar":
-                raise ScopeError(
-                    f"type variable {a.name} cannot appear in a qualifier; "
-                    f"use its paired qualifier variable")
-
-
-_NOUN = {"term": "term variable", "tvar": "type variable"}
-
-
-def resolve_term(x, scope: dict):
-    """Check that a term (or a type) only mentions names bound around it,
-    each used as its kind, and that no binder shadows another. `scope`
-    maps each name in scope to its kind; it is left as it was found,
-    unless a ScopeError is raised. A spine of lets is walked by a loop,
-    not a recursion, so that its length is not bounded by the recursion
-    limit."""
-    if type(x) is Let:
-        spine = []
-        while type(x) is Let:
-            resolve_term(x.rhs, scope)
-            _bind(scope, x.name, "term")
-            spine.append(x.name)
-            x = x.body
-        resolve_term(x, scope)
-        for name in spine:
-            del scope[name]
-        return
-    shape = SHAPES[type(x)]
-    if shape.occurs is not None:
-        field, kind = shape.occurs
-        if kind == "loc":
-            return
-        name = getattr(x, field)
-        bound = scope.get(name)
-        if bound is None:
-            raise ScopeError(f"unbound {_NOUN[kind]} {name}")
-        if bound != kind:
-            raise ScopeError(f"{name} is not a {_NOUN[kind]}")
-        return
-    for f, role in shape.outer:
-        _resolve_part(getattr(x, f), role, scope)
-    for f, kind in shape.binds:
-        _bind(scope, getattr(x, f), kind)
-    for f, role in shape.inner:
-        _resolve_part(getattr(x, f), role, scope)
-    for f, _ in shape.binds:
-        del scope[getattr(x, f)]
-
-
-def _resolve_part(part, role: int, scope: dict):
-    if part is None:
-        return
-    if role == QUAL:
-        _check_qual(part, scope)
-    elif role == QTYPE:
-        _check_qtype(part, scope)
-    else:
-        resolve_term(part, scope)
-
-
-def _check_qtype(qty: QualifiedType, scope: dict):
-    resolve_term(qty.ty, scope)
-    _check_qual(qty.q, scope)
-
-
-def resolve_program(prog: SourceProgram):
-    scope: dict = {}
-    for decl in prog.decls:
-        if decl[0] == "assume":
-            _, name, ann = decl
-            _check_qtype(ann, scope)
-        else:
-            _, name, rhs = decl
-            resolve_term(rhs, scope)
-        _bind(scope, name, "term")
-    resolve_term(prog.main, scope)
 
 
 def elaborate(prog: SourceProgram) -> Term:

@@ -17,12 +17,13 @@ The binder table `SHAPES` (section "Constructor shapes") says, for every
 type and term constructor, which fields are subterms, qualified-type
 annotations or capture qualifiers, which fields are binders and of what
 kind (term, tvar or qvar), and which parts the binders scope over. Free
-atoms, substitution, alpha-equivalence, scope resolution
-(`surface.resolve_term`) and the evaluation contexts of `machine.step`
-are written once against it. A new term form adds its class, one
-`Shape` row, one `_SYNTH` row (its typing rule, in `typecheck`) and, if
-it can be the subject of a reduction, a rule in `machine._RULES`; its
-concrete syntax (`surface`) is the only other place that needs a clause.
+atoms, substitution, alpha-equivalence and the evaluation contexts of
+`machine.step` are written once against it. A new term form adds its
+class, one `Shape` row, one `_SYNTH` row (its typing rule, in
+`typecheck`) and, if it can be the subject of a reduction, a rule in
+`machine._RULES`; its concrete syntax (`surface`), whose parser checks
+scope in the order of the parts given here, is the only other place that
+needs a clause.
 
 One substitution (`_Substitution`) serves the checker and the machine.
 It puts values in for variables, type arguments in for type and
@@ -520,8 +521,10 @@ class StoreTyping:
 # SHAPES is the one statement of where the parts of each type and term
 # constructor sit and which binders scope over which parts. Every walk
 # over syntax reads it: free atoms, substitution and alpha-equivalence
-# below, scope resolution in `surface`, and the evaluation contexts of
-# `machine.step`.
+# below, and the evaluation contexts of `machine.step`. The parser checks
+# scope in its order as it reads the text (`surface.Parser`), and a scope
+# walk over the parsed program, kept in `tests/test_surface.py` as the
+# reference for those checks, reads it too.
 
 TERM, QTYPE, QUAL = range(3)   # roles of a part
 

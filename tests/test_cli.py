@@ -301,6 +301,14 @@ def _deep_nesting(tmp_path):
     return str(src)
 
 
+def test_four_hundred_nested_parentheses_check(capsys, tmp_path):
+    # the parser spends two frames per parenthesis level (`expr` and
+    # `prefix_expr`), so 400 levels stay under the recursion limit
+    src = tmp_path / "nested.rq"
+    src.write_text("(" * 400 + "1" + ")" * 400 + "\n", encoding="utf-8")
+    assert run(capsys, "check", str(src)) == (0, "Int^{}\n", "")
+
+
 def _many_vals(tmp_path):
     src = tmp_path / "vals.rq"
     src.write_text("".join(f"val v{i} = {i};\n" for i in range(1500)) + "v0\n",

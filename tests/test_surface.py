@@ -1,5 +1,6 @@
 """Unit tests for the lexer, parser, elaborator, and pretty-printer."""
 
+import random
 import re
 
 import pytest
@@ -8,14 +9,16 @@ from hypothesis import given, settings, strategies as st
 from rqcheck import surface
 from rqcheck.surface import (
     Parser, ParseError, ScopeError, elaborate, parse, parse_pair,
-    parse_qtype, parse_term, pretty, resolve_term, tokenize,
+    parse_qtype, parse_term, pretty, tokenize,
 )
 from rqcheck.syntax import (
-    Abs, Base, Const, Deref, Fun, INT, Let, RefAlloc, TAbs, Var, alpha_eq,
-    qt, qual,
+    QTYPE, QUAL, SHAPES, TERM, Abs, Const, Deref, INT, Let, RefAlloc, TAbs,
+    Var, VarAtom, alpha_eq, qt, qual,
 )
 
-from helpers import corpus_entries, corpus_text
+from helpers import (
+    bench_families, corpus_entries, corpus_text, runnable_programs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +133,15 @@ def test_parse_pair_error_texts_are_pinned():
 
 
 def test_a_parse_error_wins_over_a_scope_error():
-    # resolution runs on the whole parsed program, after the parser
+    # a scope error is raised only once the whole text is parsed
     with pytest.raises(ParseError,
                        match="^2:3: trailing input starting at '2'$"):
         parse("val x = y;\n1 2")
+    with pytest.raises(ParseError, match="^2:27: expected '}', found '\\)'$"):
+        parse("val x = y;\nfn f^{zz}(u: Unit^{}) { u )")
+    with pytest.raises(ParseError,
+                       match="^1:19: trailing input starting at '2'$"):
+        parse_pair("val a = y; a ;; 1 2")
 
 
 @pytest.mark.parametrize("file,count", [
@@ -263,17 +271,204 @@ def test_sibling_binders_may_reuse_a_name(text):
 
 
 def test_resolution_leaves_the_scope_as_it_found_it():
-    scope = {"c": "term"}
-    resolve_term(parse_term("val c = ref 0; fn f^{c}(u: Unit^{}) { !c }").body,
-                 scope)
-    assert scope == {"c": "term"}
+    # a `val` spine's names leave the parser's scope when the spine
+    # closes; a program's own declarations stay
+    parser = Parser("val a = 1; assume b: Int^{}; "
+                    "(val c = ref 0; fn f^{c}(u: Unit^{}) { !c })")
+    parser.program()
+    assert parser.scope == {"a": "term", "b": "term"}
+    assert parser.fault is None
+    parser = Parser("tfn f[X^z <: Top^{}] { (val c = 1; c) }")
+    parser.expr()
+    assert parser.scope == {} and parser.fault is None
 
 
 def test_a_binder_left_by_a_scope_error_does_not_leak_into_the_next_parse():
+    # each parse, and each program of a pair, starts from an empty scope
     with pytest.raises(ScopeError):
         parse("fn f(x: Int^{}) { y }")
     with pytest.raises(ScopeError, match="^unbound term variable x$"):
         parse("x")
+    with pytest.raises(ScopeError, match="^unbound term variable a$"):
+        parse_pair("val a = 1; a ;; a")
+    assert Parser("x").scope == {}
+
+
+@pytest.mark.parametrize("text,message", [
+    # the capture is checked after the domain or bound, before the binders
+    ("val f = 1; fn f^{zz}(x: Int^{}) { x }",
+     "qualifier mentions unbound name zz"),
+    ("val f = 1; tfn f^{zz}[X^x <: Top^{}] { x }",
+     "qualifier mentions unbound name zz"),
+    ("fn f^{zz}(x: Int^{yy}) { x }", "qualifier mentions unbound name yy"),
+    ("tfn f^{zz}[X^x <: Top^{yy}] { unit }",
+     "qualifier mentions unbound name yy"),
+    ("fn f^{zz}(x: Int^{}) : Int^{yy} { x }",
+     "qualifier mentions unbound name zz"),
+])
+def test_scope_errors_are_reported_in_the_order_of_the_shapes(text, message):
+    with pytest.raises(ScopeError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_the_first_half_of_a_pair_reports_its_scope_error_first():
+    with pytest.raises(ScopeError, match="^unbound term variable y$"):
+        parse_pair("val a = y; a ;; val b = z; b")
+    with pytest.raises(ScopeError, match="^unbound term variable z$"):
+        parse_pair("val a = 1; a ;; val b = z; a")
+
+
+# A reference scope resolver: the second walk over a parsed program, read
+# off `syntax.SHAPES`, that checked scope before the parser did it itself.
+
+
+def _bind(scope, name, kind):
+    if name in scope:
+        raise ScopeError(f"{name} shadows an enclosing binding")
+    scope[name] = kind
+
+
+def _check_qual(q, scope):
+    """Raises every out-of-scope atom's error as one ScopeError's args: the
+    walk meets a qualifier's atoms in set order, so any may come first."""
+    errors = set()
+    for a in q.atoms:
+        if isinstance(a, VarAtom):
+            kind = scope.get(a.name)
+            if kind is None:
+                errors.add(f"qualifier mentions unbound name {a.name}")
+            elif kind == "tvar":
+                errors.add(f"type variable {a.name} cannot appear in a "
+                           f"qualifier; use its paired qualifier variable")
+    if errors:
+        raise ScopeError(*sorted(errors))
+
+
+_NOUN = {"term": "term variable", "tvar": "type variable"}
+
+
+def _resolve(x, scope):
+    if type(x) is Let:
+        spine = []
+        while type(x) is Let:
+            _resolve(x.rhs, scope)
+            _bind(scope, x.name, "term")
+            spine.append(x.name)
+            x = x.body
+        _resolve(x, scope)
+        for name in spine:
+            del scope[name]
+        return
+    shape = SHAPES[type(x)]
+    if shape.occurs is not None:
+        field, kind = shape.occurs
+        if kind == "loc":
+            return
+        name = getattr(x, field)
+        bound = scope.get(name)
+        if bound is None:
+            raise ScopeError(f"unbound {_NOUN[kind]} {name}")
+        if bound != kind:
+            raise ScopeError(f"{name} is not a {_NOUN[kind]}")
+        return
+    for f, role in shape.outer:
+        _resolve_part(getattr(x, f), role, scope)
+    for f, kind in shape.binds:
+        _bind(scope, getattr(x, f), kind)
+    for f, role in shape.inner:
+        _resolve_part(getattr(x, f), role, scope)
+    for f, _ in shape.binds:
+        del scope[getattr(x, f)]
+
+
+def _resolve_part(part, role, scope):
+    if part is None:
+        return
+    if role == QUAL:
+        _check_qual(part, scope)
+    elif role == QTYPE:
+        _resolve(part.ty, scope)
+        _check_qual(part.q, scope)
+    else:
+        _resolve(part, scope)
+
+
+def _resolve_program(prog):
+    scope = {}
+    for kind, name, part in prog.decls:
+        _resolve_part(part, QTYPE if kind == "assume" else TERM, scope)
+        _bind(scope, name, "term")
+    _resolve(prog.main, scope)
+
+
+def _reference_parse(text, pair):
+    """Parse without raising a scope error, then resolve the programs."""
+    parser = Parser(text)
+    programs = [parser.program()]
+    if pair:
+        parser.expect(";;")
+        programs.append(parser.program())
+    parser.end()
+    for prog in programs:
+        _resolve_program(prog)
+
+
+def _outcome(run, text, pair):
+    try:
+        run(text, pair)
+    except (ParseError, ScopeError) as error:
+        return type(error).__name__, error.args
+    return "accepted", ()
+
+
+def _mutants(texts, rng):
+    """Each text with one identifier token replaced by another name of the
+    text or by `zz`, `X` or `c`; about 30% get a second edit further on."""
+    for text, pair in texts:
+        tokens = [t for t in _reference_lex(text) if t[0] == "ident"]
+        names = sorted({value for _, value, _ in tokens} | {"zz", "X", "c"})
+        for _ in range(40):
+            edits, start = [], 0
+            while len(edits) < (2 if rng.random() < 0.3 else 1) \
+                    and start < len(tokens):
+                i = rng.randrange(start, len(tokens))
+                _, value, off = tokens[i]
+                new = rng.choice([n for n in names if n != value])
+                edits.append((off, len(value), new))
+                start = i + 1
+            mutant = text
+            for off, size, new in reversed(edits):
+                mutant = mutant[:off] + new + mutant[off + size:]
+            yield mutant, pair
+
+
+def _mutated_sources():
+    files = {e.file for e, _ in runnable_programs()}
+    seen = set()
+    for e in corpus_entries():
+        if e.file in seen or (e.file not in files and e.kind != "sep"):
+            continue
+        seen.add(e.file)
+        yield corpus_text(e), e.kind == "sep"
+    families = bench_families().FAMILIES
+    for name in sorted(families):
+        for n in (1, 2):
+            yield families[name](n).text, False
+
+
+def test_scope_checks_while_parsing_agree_with_the_reference_resolver():
+    # the parser's verdict on every mutant is the reference's: the same
+    # class and message, or, where the reference met two atoms of one
+    # qualifier out of scope, one of their messages
+    counts = {}
+    for text, pair in _mutants(_mutated_sources(), random.Random(1)):
+        parse_one = (lambda t, pair: parse_pair(t) if pair else parse(t))
+        kind, args = _outcome(parse_one, text, pair)
+        expected_kind, expected = _outcome(_reference_parse, text, pair)
+        assert kind == expected_kind and set(args) <= set(expected), text
+        counts[kind] = counts.get(kind, 0) + 1
+    assert min(counts.values()) >= 100, counts
 
 
 # ---------------------------------------------------------------------------
