@@ -312,6 +312,16 @@ def test_scope_errors_are_reported_in_the_order_of_the_shapes(text, message):
     assert str(info.value) == message
 
 
+def test_a_qualifier_reports_its_first_out_of_scope_atom_in_the_text():
+    # whatever the atoms' set order, which follows their addresses and so
+    # what the process interned before
+    for name in ("aa", "bb", "cc", "dd"):
+        VarAtom(name)
+    with pytest.raises(ScopeError,
+                       match="^qualifier mentions unbound name dd$"):
+        parse("fn f(x: Int^{dd, cc, bb, aa}) { x }")
+
+
 def test_the_first_half_of_a_pair_reports_its_scope_error_first():
     with pytest.raises(ScopeError, match="^unbound term variable y$"):
         parse_pair("val a = y; a ;; val b = z; b")
